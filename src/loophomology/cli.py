@@ -44,6 +44,21 @@ def _load_space(args: argparse.Namespace) -> SpaceDesc:
         return space_from_dict(json.load(fh))
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, so bad values stop before any work."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -124,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     basis = sub.add_parser("basis", help="monomial basis of one degree")
     basis.add_argument("--space", required=True, help="qs0, qsn, or a JSON file path")
     basis.add_argument("--n", type=int, help="sphere dimension for --space qsn")
-    basis.add_argument("--degree", type=int, required=True)
+    basis.add_argument("--degree", type=_int_at_least(0), required=True)
     basis.add_argument("--charge", type=int, help="component selector (qs0 only)")
     basis.add_argument("--json", action="store_true")
     basis.set_defaults(fn=_cmd_basis)
@@ -133,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     screen.add_argument("--space", required=True, help="qs0, qsn, or a JSON file path")
     screen.add_argument("--n", type=int, help="sphere dimension for --space qsn")
     screen.add_argument("--degree", type=int, required=True)
-    screen.add_argument("--loop", type=int, help="loop filtration level")
+    screen.add_argument("--loop", type=_int_at_least(1), help="loop filtration level")
     screen.add_argument("--json", action="store_true")
     screen.set_defaults(fn=_cmd_screen)
 
@@ -160,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES),
         help="run one suite (repeatable); default is all of them",
     )
-    verify.add_argument("--max-degree", type=int, help="override the sweep cap")
+    verify.add_argument("--max-degree", type=_int_at_least(1), help="override the sweep cap")
     verify.add_argument("--jobs", type=int, default=1, help="parallel degree fan-out")
     verify.set_defaults(fn=_cmd_verify)
     return parser

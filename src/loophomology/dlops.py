@@ -11,7 +11,10 @@ and on the component classes of the unit-loop model
     Q^0 [k] = [2k],
     Q^a [1] = the polynomial generator of that name   (a >= 1),
     Q^a [-1]            recursively from Q^a([1] * [-1]) = 0,
-    Q^a [k]             by splitting one unit off k and applying Cartan.
+    Q^a [2m]            = (Q^(a/2) [m])^2, and 0 for odd a: the Cartan formula
+                        on [m] * [m], whose cross terms cancel in pairs,
+    Q^a [k]             for other odd k by splitting one unit off k and
+                        applying Cartan, so the recursion depth is log |k|.
 
 Composites are straightened with the mod-2 Adem relations: for r > 2s,
 
@@ -20,14 +23,31 @@ Composites are straightened with the mod-2 Adem relations: for r > 2s,
 rewriting the leftmost inadmissible pair until every sequence is admissible,
 then reading each admissible sequence off as a basis monomial (negative lower
 index: zero; leading zero lower indices: repeated squaring).
+
+The recursions run on packed monomial codes of one space (f2algebra.Packing)
+and memoize on them; apply_Q converts at the boundary.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .f2algebra import Element, Generator, Monomial, generator_monomial, translation_monomial
-from .seqcore import BaseClass, LowerSeq, UpperSeq, lower_to_upper, upper
+from .f2algebra import (
+    ONE_CODE,
+    Element,
+    Generator,
+    Monomial,
+    Packing,
+    _degree,
+    _mul_sets,
+    _packing,
+    _square,
+    _translation,
+    _translation_code,
+    generator_monomial,
+    translation_monomial,
+)
+from .seqcore import BaseClass, LowerSeq, UpperSeq, lower_to_upper, unit_loop_class, upper
 
 
 def lucas_binom(n: int, k: int) -> int:
@@ -77,15 +97,16 @@ def _lower_indices(entries: tuple[int, ...], base_dim: int) -> tuple[int, ...]:
     return tuple(reversed(js))
 
 
-def _admissible_to_monomial(entries: tuple[int, ...], base: BaseClass) -> Monomial | None:
-    """Read an admissible sequence on a base class off as a basis monomial.
+def _admissible_factor(
+    entries: tuple[int, ...], base: BaseClass
+) -> tuple[Generator | None, int] | None:
+    """Read an admissible sequence on a base class off as one factor g^e.
 
-    Returns None when the composite vanishes (some lower index is negative).
+    g is None for the translation [e] of the unit-loop model.  Returns None
+    when the composite vanishes (some lower index is negative).
     """
     if not entries:
-        if base.kind == "unit_loop":
-            return translation_monomial(1)
-        return generator_monomial(Generator(base, upper()))
+        return (None, 1) if base.kind == "unit_loop" else (Generator(base, upper()), 1)
     js = _lower_indices(entries, base.dimension)
     if js[0] < 0:  # lower indices are nondecreasing, so the head is the minimum
         return None
@@ -95,85 +116,95 @@ def _admissible_to_monomial(entries: tuple[int, ...], base: BaseClass) -> Monomi
     suffix = js[t:]
     if not suffix:
         if base.kind == "unit_loop":
-            return translation_monomial(2**t)
-        return generator_monomial(Generator(base, upper()), exponent=2**t)
-    seq = lower_to_upper(LowerSeq(suffix), base.dimension)
-    return generator_monomial(Generator(base, seq), exponent=2**t)
+            return None, 2**t
+        return Generator(base, upper()), 2**t
+    return Generator(base, lower_to_upper(LowerSeq(suffix), base.dimension)), 2**t
 
 
-def _mul_sets(a: frozenset[Monomial], b: frozenset[Monomial]) -> frozenset[Monomial]:
-    acc: set[Monomial] = set()
-    for x in a:
-        for y in b:
-            acc ^= {x.times(y)}
-    return frozenset(acc)
+def _admissible_to_monomial(entries: tuple[int, ...], base: BaseClass) -> Monomial | None:
+    factor = _admissible_factor(entries, base)
+    if factor is None:
+        return None
+    g, e = factor
+    return translation_monomial(e) if g is None else generator_monomial(g, e)
 
 
-_EMPTY: frozenset[Monomial] = frozenset()
+def _factor_code(p: Packing, factor: tuple[Generator | None, int]) -> int:
+    g, e = factor
+    return _translation_code(e) if g is None else p.generator_code(g, e)
+
+
+_EMPTY: frozenset[int] = frozenset()
 
 
 @lru_cache(maxsize=None)
-def _q_translation(a: int, k: int) -> frozenset[Monomial]:
+def _q_translation(p: Packing, a: int, k: int) -> frozenset[int]:
     if a < 0:
         return _EMPTY
     if a == 0:
-        return frozenset({translation_monomial(2 * k)})
+        return frozenset({_translation_code(2 * k)})
     if k == 0:
         return _EMPTY
     if k == 1:
-        return frozenset({generator_monomial(Generator(BaseClass("unit_loop", 0), upper(a)))})
+        return frozenset({p.generator_code(Generator(unit_loop_class(), upper(a)))})
     if k == -1:
         # 0 = Q^a([1][-1]) = [2] Q^a[-1] + sum_{i>=1} Q^i[1] Q^(a-i)[-1]
-        acc: set[Monomial] = set()
+        acc: set[int] = set()
         for i in range(1, a + 1):
-            acc ^= _mul_sets(_q_translation(i, 1), _q_translation(a - i, -1))
-        return _mul_sets(frozenset({translation_monomial(-2)}), frozenset(acc))
+            acc ^= _mul_sets(_q_translation(p, i, 1), _q_translation(p, a - i, -1))
+        return _mul_sets(frozenset({_translation_code(-2)}), frozenset(acc))
+    if k % 2 == 0:
+        if a % 2:
+            return _EMPTY
+        return frozenset(map(_square, _q_translation(p, a // 2, k // 2)))
     step = 1 if k > 0 else -1
     acc = set()
     for i in range(a + 1):
-        acc ^= _mul_sets(_q_translation(i, step), _q_translation(a - i, k - step))
+        acc ^= _mul_sets(_q_translation(p, i, step), _q_translation(p, a - i, k - step))
     return frozenset(acc)
 
 
 @lru_cache(maxsize=None)
-def _q_monomial(a: int, m: Monomial) -> frozenset[Monomial]:
+def _q_monomial(p: Packing, a: int, m: int) -> frozenset[int]:
     if a < 0:
         return _EMPTY
-    d = m.dimension
+    d = _degree(m)
     if a < d:
         return _EMPTY
     if a == d:
-        return frozenset({m.square()})  # bottom operation is the Frobenius
-    if not m.factors:
-        return _q_translation(a, m.translation)
-    if m.translation:
-        bare = Monomial(m.factors, 0)
-        acc: set[Monomial] = set()
+        return frozenset({_square(m)})  # bottom operation is the Frobenius
+    t = _translation(m)
+    bare = m - t
+    if bare == ONE_CODE:
+        return _q_translation(p, a, t)
+    if t:
+        acc: set[int] = set()
         for i in range(a + 1):
-            acc ^= _mul_sets(_q_translation(i, m.translation), _q_monomial(a - i, bare))
+            acc ^= _mul_sets(_q_translation(p, i, t), _q_monomial(p, a - i, bare))
         return frozenset(acc)
-    if len(m.factors) == 1 and m.factors[0][1] == 1:
-        g = m.factors[0][0]
-        out: set[Monomial] = set()
+    i, unit = p.lowest_factor(m)
+    v = m - unit
+    if v == ONE_CODE:
+        g = p.gens[i]
+        out: set[int] = set()
         for entries in _normalize_entries((a,) + g.seq.entries):
-            result = _admissible_to_monomial(entries, g.base)
-            if result is not None:
-                out ^= {result}
+            factor = _admissible_factor(entries, g.base)
+            if factor is not None:
+                out ^= {_factor_code(p, factor)}
         return frozenset(out)
-    g, e = m.factors[0]
-    u = generator_monomial(g)
-    v = Monomial(((g, e - 1),) + m.factors[1:], 0) if e > 1 else Monomial(m.factors[1:], 0)
+    u = ONE_CODE + unit
     acc = set()
     for i in range(a + 1):
-        acc ^= _mul_sets(_q_monomial(i, u), _q_monomial(a - i, v))
+        acc ^= _mul_sets(_q_monomial(p, i, u), _q_monomial(p, a - i, v))
     return frozenset(acc)
 
 
 def apply_Q(a: int, e: Element) -> Element:
-    acc: set[Monomial] = set()
+    p = _packing(e.space)
+    acc: set[int] = set()
     for m in e.terms:
-        acc ^= _q_monomial(a, m)
-    return Element(e.space, frozenset(acc))
+        acc ^= _q_monomial(p, a, p.encode(m))
+    return Element(e.space, p.decode_set(acc))
 
 
 def apply_Q_iterated(seq: UpperSeq, e: Element) -> Element:

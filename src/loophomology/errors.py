@@ -51,5 +51,9 @@ class CounterexampleFound(LoopHomologyError):
         self.witness = witness
 
 
+class PackedFieldOverflow(LoopHomologyError):
+    """An exponent, dimension or translation does not fit its packed field."""
+
+
 class DegreeBudgetExceeded(LoopHomologyError):
     """Requested computation exceeds the configured degree budget."""

@@ -7,8 +7,11 @@ an extra group-like factor; a monomial carries them as an integer
 ``translation`` exponent, so [j]*[k] = [j+k] and the basepoint [0] is the unit.
 
 Elements are formal GF(2) sums, stored as frozensets of monomials; addition is
-symmetric difference.  Everything is immutable and hashable so the operation
-layers above can memoize per monomial.
+symmetric difference.  Everything is immutable and hashable.
+
+Inside the engine a monomial is a packed int instead (see Packing below): the
+operation layers memoize on those, and Monomial objects are built only at the
+boundary, for printing, JSON and the public functions.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotASquare, SpaceMismatch
+from .errors import NotASquare, PackedFieldOverflow, SpaceMismatch
 from .seqcore import (
     BaseClass,
     UpperSeq,
@@ -92,6 +95,18 @@ class Monomial:
             raise ValueError("repeated generator; merge exponents instead")
         if any(e < 1 for _, e in self.factors):
             raise ValueError("exponents must be >= 1")
+
+    #: Set by Packing.decode on the shared monomials it builds, which the
+    #: boundary's term sets hash over and over; not a dataclass field.
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return hash((self.factors, self.translation)) if h is None else h
+
+    def __reduce__(self):
+        # a cached hash is only valid in the process that computed it
+        return Monomial, (self.factors, self.translation)
 
     @property
     def dimension(self) -> int:
@@ -180,11 +195,9 @@ class Element:
     def __mul__(self, other: Element) -> Element:
         if self.space != other.space:
             raise SpaceMismatch(f"{self.space.label} vs {other.space.label}")
-        acc: set[Monomial] = set()
-        for a in self.terms:
-            for b in other.terms:
-                acc ^= {a.times(b)}
-        return Element(self.space, frozenset(acc))
+        p = _packing(self.space)
+        product = _mul_sets(p.encode_set(self.terms), p.encode_set(other.terms))
+        return Element(self.space, p.decode_set(product))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -349,11 +362,15 @@ class TensorElement:
     def __mul__(self, other: TensorElement) -> TensorElement:
         if self.space != other.space or self.arity != other.arity:
             raise SpaceMismatch("tensor shapes differ")
-        acc: set[tuple[Monomial, ...]] = set()
-        for a in self.terms:
-            for b in other.terms:
-                acc ^= {tuple(x.times(y) for x, y in zip(a, b))}
-        return TensorElement(self.space, self.arity, frozenset(acc))
+        p = _packing(self.space)
+        right = [tuple(map(p.encode, t)) for t in other.terms]
+        acc: set[tuple[int, ...]] = set()
+        for t in self.terms:
+            a = tuple(map(p.encode, t))
+            for b in right:
+                acc ^= {tuple(map(_times, a, b))}
+        terms = frozenset(tuple(map(p.decode, t)) for t in acc)
+        return TensorElement(self.space, self.arity, terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -402,6 +419,175 @@ def map_slot(te: TensorElement, slot: int, fn) -> TensorElement:
 
 
 # ---------------------------------------------------------------------------
+# Packed monomials.
+#
+# The operation layers (dlops, steenrod, hopf) and the linear-algebra
+# consumers work on monomials packed into one Python int, the packed exponent
+# vectors of Monagan and Pearce (CASC 2007).  From the low end a code holds
+#
+#   the translation k, as ONE_CODE + k        (TRANSLATION_BITS),
+#   the dimension of the monomial             (DEGREE_BITS),
+#   one byte per generator, its exponent      (generator i at bit
+#                                              GENERATOR_SHIFT + 8 i).
+#
+# Each space interns its generators to small indices as they are first seen.
+# Every field is additive, so a product is a + b - ONE_CODE and a square
+# 2 a - ONE_CODE, and the dimension is read off without unpacking.
+#
+# The top bit of every field is a guard that valid codes keep clear.  Adding
+# two valid codes can set a guard bit but never carry into the neighbouring
+# field, so every product is checked against _GUARDS, and an exponent,
+# dimension or translation outside its field raises PackedFieldOverflow
+# instead of turning into a wrong monomial.  An exponent is at most the
+# monomial's dimension, as every generator has positive dimension.
+
+TRANSLATION_BITS = 32
+DEGREE_BITS = 16
+EXPONENT_BITS = 8  # one byte, which _factors reads with int.to_bytes
+GENERATOR_SHIFT = TRANSLATION_BITS + DEGREE_BITS
+#: Code of the unit monomial, and the bias of the translation field.
+ONE_CODE = 1 << (TRANSLATION_BITS - 2)
+MAX_EXPONENT = (1 << (EXPONENT_BITS - 1)) - 1
+MAX_DEGREE = (1 << (DEGREE_BITS - 1)) - 1
+MAX_GENERATORS = 4096
+_TRANSLATION_MASK = (1 << TRANSLATION_BITS) - 1
+_DEGREE_MASK = (1 << DEGREE_BITS) - 1
+_GUARDS = (
+    1 << (TRANSLATION_BITS - 1)
+    | 1 << (GENERATOR_SHIFT - 1)
+    | ((1 << EXPONENT_BITS * MAX_GENERATORS) - 1) // 0xFF * 0x80 << GENERATOR_SHIFT
+)
+
+
+def _overflow(code: int) -> PackedFieldOverflow:
+    return PackedFieldOverflow(f"packed monomial {code:#x} left one of its fields")
+
+
+def _times(a: int, b: int) -> int:
+    c = a + b - ONE_CODE
+    if c & _GUARDS:
+        raise _overflow(c)
+    return c
+
+
+def _square(a: int) -> int:
+    return _times(a, a)
+
+
+def _translation_code(k: int) -> int:
+    """Code of the translation monomial [k]."""
+    if not -ONE_CODE <= k < ONE_CODE:
+        raise PackedFieldOverflow(f"translation [{k}] does not fit its packed field")
+    return ONE_CODE + k
+
+
+def _translation(code: int) -> int:
+    return (code & _TRANSLATION_MASK) - ONE_CODE
+
+
+def _degree(code: int) -> int:
+    return code >> TRANSLATION_BITS & _DEGREE_MASK
+
+
+def _factors(code: int) -> list[tuple[int, int]]:
+    """(generator index, exponent) of every factor of a code."""
+    gens = code >> GENERATOR_SHIFT
+    exps = gens.to_bytes((gens.bit_length() + 7) // 8, "little")
+    return [(i, e) for i, e in enumerate(exps) if e]
+
+
+def _mul_sets(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    """GF(2) product of two sums of packed monomials."""
+    acc: set[int] = set()
+    for x in a:
+        x -= ONE_CODE
+        for y in b:
+            c = x + y
+            if c & _GUARDS:
+                raise _overflow(c)
+            if c in acc:
+                acc.remove(c)
+            else:
+                acc.add(c)
+    return frozenset(acc)
+
+
+class Packing:
+    """Packed-int codes for the monomials of one space.
+
+    Generators are interned on first sight, so nothing is built before a
+    computation needs it.  Both directions are memoized, so equal codes decode
+    to one shared Monomial, whose hash is then computed once.
+    """
+
+    def __init__(self, space: SpaceDesc) -> None:
+        self.space = space
+        self.gens: list[Generator] = []
+        #: units[i] is the code increment of one factor of generator i
+        self.units: list[int] = []
+        self._index: dict[Generator, int] = {}
+        self._encoded: dict[Monomial, int] = {}
+        self._decoded: dict[int, Monomial] = {}
+
+    def index(self, g: Generator) -> int:
+        i = self._index.get(g)
+        if i is None:
+            i = len(self.gens)
+            if i == MAX_GENERATORS:
+                raise PackedFieldOverflow(f"{self.space.label} has over {i} generators")
+            if g.dimension > MAX_DEGREE:
+                raise PackedFieldOverflow(f"{g} does not fit the packed degree field")
+            self._index[g] = i
+            self.gens.append(g)
+            self.units.append(
+                g.dimension << TRANSLATION_BITS | 1 << (GENERATOR_SHIFT + EXPONENT_BITS * i)
+            )
+        return i
+
+    def generator_code(self, g: Generator, exponent: int = 1) -> int:
+        return ONE_CODE + exponent * self.units[self.index(g)]
+
+    def lowest_factor(self, code: int) -> tuple[int, int]:
+        """(i, units[i]) for the lowest-indexed generator dividing a code."""
+        gens = code >> GENERATOR_SHIFT
+        i = ((gens & -gens).bit_length() - 1) // EXPONENT_BITS
+        return i, self.units[i]
+
+    def encode(self, m: Monomial) -> int:
+        code = self._encoded.get(m)
+        if code is None:
+            code = _translation_code(m.translation)
+            for g, e in m.factors:
+                if e > MAX_EXPONENT:
+                    raise PackedFieldOverflow(f"exponent {e} of {g} does not fit its packed field")
+                code += e * self.units[self.index(g)]
+            if code & _GUARDS:
+                raise _overflow(code)
+            self._encoded[m] = code
+        return code
+
+    def decode(self, code: int) -> Monomial:
+        m = self._decoded.get(code)
+        if m is None:
+            gens = self.gens
+            factors = tuple(sorted((gens[i], e) for i, e in _factors(code)))
+            m = self._decoded[code] = Monomial(factors, _translation(code))
+            object.__setattr__(m, "_hash", hash((m.factors, m.translation)))
+        return m
+
+    def encode_set(self, monomials) -> frozenset[int]:
+        return frozenset(map(self.encode, monomials))
+
+    def decode_set(self, codes) -> frozenset[Monomial]:
+        return frozenset(map(self.decode, codes))
+
+
+@lru_cache(maxsize=None)
+def _packing(space: SpaceDesc) -> Packing:
+    return Packing(space)
+
+
+# ---------------------------------------------------------------------------
 # Bitmask glue for the GF(2) linear algebra layer.
 
 
@@ -415,6 +601,15 @@ def masks_for_term_sets(term_sets: list) -> tuple[list[int], list]:
     return [sum(1 << index[t] for t in s) for s in term_sets], ordered
 
 
+def _picked(mask: int, items: list) -> frozenset:
+    """The items whose bits are set in mask, visiting only the set bits."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
 def element_from_mask(space: SpaceDesc, mask: int, ordered_basis: list[Monomial]) -> Element:
-    terms = frozenset(m for i, m in enumerate(ordered_basis) if mask >> i & 1)
-    return Element(space, terms)
+    return Element(space, _picked(mask, ordered_basis))

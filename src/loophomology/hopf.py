@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dlops import _mul_sets, _q_monomial, apply_Q_iterated
+from .dlops import _q_monomial, apply_Q_iterated
 from .errors import (
     ChargeNonzero,
     CounterexampleFound,
@@ -38,53 +38,71 @@ from .errors import (
     UnsupportedOperand,
 )
 from .f2algebra import (
+    _GUARDS,
+    ONE_CODE,
     Element,
     Generator,
     Monomial,
+    Packing,
     TensorElement,
+    _overflow,
+    _packing,
+    _picked,
+    _times,
+    _translation,
+    _translation_code,
     basis_enumerate,
     element_from_mask,
     generator_monomial,
     masks_for_term_sets,
     split_decomposable,
-    translation_monomial,
 )
 from .linalg_f2 import kernel_of_images, solve_linear
 from .seqcore import UpperSeq, excess, is_admissible, upper
 from .spaces import MODEL_QS0, SpaceDesc, qs0_space
 
-Pair = tuple[Monomial, Monomial]
+#: A tensor of two packed monomial codes.
+Pair = tuple[int, int]
 
 
 def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair]) -> frozenset[Pair]:
     acc: set[Pair] = set()
     for u1, v1 in a:
+        u1 -= ONE_CODE
+        v1 -= ONE_CODE
         for u2, v2 in b:
-            acc ^= {(u1.times(u2), v1.times(v2))}
+            u, v = u1 + u2, v1 + v2
+            if (u | v) & _GUARDS:
+                raise _overflow(u if u & _GUARDS else v)
+            pair = (u, v)
+            if pair in acc:
+                acc.remove(pair)
+            else:
+                acc.add(pair)
     return frozenset(acc)
 
 
 @lru_cache(maxsize=None)
-def _psi_generator(g: Generator) -> frozenset[Pair]:
+def _psi_generator(p: Packing, i: int) -> frozenset[Pair]:
+    g = p.gens[i]
     if not g.seq:
-        one = Monomial()
-        gm = generator_monomial(g)
-        return frozenset({(gm, one), (one, gm)})
+        gm = p.generator_code(g)
+        return frozenset({(gm, ONE_CODE), (ONE_CODE, gm)})
     a = g.seq.entries[0]
     inner_seq = UpperSeq(g.seq.entries[1:])
     if inner_seq:
-        inner = _psi_generator(Generator(g.base, inner_seq))
+        inner = _psi_generator(p, p.index(Generator(g.base, inner_seq)))
     elif g.base.kind == "unit_loop":
-        inner = _psi_monomial(translation_monomial(1))
+        inner = _psi_monomial(p, _translation_code(1))
     else:
-        inner = _psi_generator(Generator(g.base, upper()))
+        inner = _psi_generator(p, p.index(Generator(g.base, upper())))
     acc: set[Pair] = set()
     for u, v in inner:
         for ap in range(a + 1):
-            left = _q_monomial(ap, u)
+            left = _q_monomial(p, ap, u)
             if not left:
                 continue
-            right = _q_monomial(a - ap, v)
+            right = _q_monomial(p, a - ap, v)
             for x in left:
                 for y in right:
                     acc ^= {(x, y)}
@@ -92,26 +110,37 @@ def _psi_generator(g: Generator) -> frozenset[Pair]:
 
 
 @lru_cache(maxsize=None)
-def _psi_monomial(m: Monomial) -> frozenset[Pair]:
-    if not m.factors:
-        t = translation_monomial(m.translation)
-        return frozenset({(t, t)})
-    if m.translation:
-        t = translation_monomial(m.translation)
-        return _mul_pairs(_psi_monomial(Monomial(m.factors, 0)), frozenset({(t, t)}))
-    if len(m.factors) == 1 and m.factors[0][1] == 1:
-        return _psi_generator(m.factors[0][0])
-    g, e = m.factors[0]
-    u = generator_monomial(g)
-    v = Monomial(((g, e - 1),) + m.factors[1:], 0) if e > 1 else Monomial(m.factors[1:], 0)
-    return _mul_pairs(_psi_monomial(u), _psi_monomial(v))
+def _psi_monomial(p: Packing, m: int) -> frozenset[Pair]:
+    t = _translation(m)
+    bare = m - t
+    if bare == ONE_CODE:
+        return frozenset({(m, m)})
+    if t:
+        shift = _translation_code(t)
+        return frozenset(
+            (_times(u, shift), _times(v, shift)) for u, v in _psi_monomial(p, bare)
+        )
+    i, unit = p.lowest_factor(m)
+    if m - unit == ONE_CODE:
+        return _psi_generator(p, i)
+    return _mul_pairs(_psi_monomial(p, ONE_CODE + unit), _psi_monomial(p, m - unit))
+
+
+def _reduced_psi(p: Packing, m: int) -> frozenset[Pair]:
+    """psi(m) + m (x) 1 + 1 (x) m on one packed monomial."""
+    return _psi_monomial(p, m) ^ {(m, ONE_CODE), (ONE_CODE, m)}
+
+
+def _tensor(p: Packing, pairs) -> TensorElement:
+    return TensorElement(p.space, 2, frozenset((p.decode(u), p.decode(v)) for u, v in pairs))
 
 
 def coproduct(e: Element) -> TensorElement:
+    p = _packing(e.space)
     acc: set[Pair] = set()
     for m in e.terms:
-        acc ^= _psi_monomial(m)
-    return TensorElement(e.space, 2, frozenset(acc))
+        acc ^= _psi_monomial(p, p.encode(m))
+    return _tensor(p, acc)
 
 
 def counit(m: Monomial) -> int:
@@ -133,12 +162,11 @@ def reduced_coproduct(e: Element) -> TensorElement:
     d = e.dimension
     if d is not None and d <= 0:
         raise UnsupportedOperand("reduced coproduct needs positive dimension")
-    one = Monomial()
+    p = _packing(e.space)
     acc: set[Pair] = set()
     for m in e.terms:
-        acc ^= _psi_monomial(m)
-        acc ^= {(m, one), (one, m)}
-    return TensorElement(e.space, 2, frozenset(acc))
+        acc ^= _reduced_psi(p, p.encode(m))
+    return _tensor(p, acc)
 
 
 def is_primitive(e: Element) -> bool:
@@ -154,13 +182,9 @@ def primitive_space(space: SpaceDesc, degree: int, charge: int | None = None) ->
     basis = basis_enumerate(space, degree, charge)
     if not basis:
         return []
-    images = [reduced_coproduct(Element(space, frozenset({m}))) for m in basis]
-    masks, _ = masks_for_term_sets([t.terms for t in images])
-    out = []
-    for combo in kernel_of_images(masks):
-        terms = frozenset(m for i, m in enumerate(basis) if combo >> i & 1)
-        out.append(Element(space, terms))
-    return out
+    p = _packing(space)
+    masks, _ = masks_for_term_sets([_reduced_psi(p, p.encode(m)) for m in basis])
+    return [element_from_mask(space, combo, basis) for combo in kernel_of_images(masks)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +244,7 @@ def kernel_of_r(degree: int, max_length: int | None = None) -> list[Element]:
     masks, _ = masks_for_term_sets([e.terms for e in images])
     kernel = []
     for combo in kernel_of_images(masks):
-        picked = frozenset(m for i, m in enumerate(family) if combo >> i & 1)
+        picked = _picked(combo, family)
         for m in picked:
             if not any(i % 2 for i in m.factors[0][0].seq.entries):
                 raise CounterexampleFound(
@@ -272,13 +296,12 @@ def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
     )
     lead = Element(space, frozenset({top}))
     decomposables = [m for m in basis_enumerate(space, degree, 0) if m.gen_length >= 2]
-    target = reduced_coproduct(lead)
+    p = _packing(space)
+    target = _reduced_psi(p, p.encode(top))
     if not target:
         return PrimitiveBasisElement(seq, lead, Element(space, frozenset()))
-    images = [
-        reduced_coproduct(Element(space, frozenset({m}))).terms for m in decomposables
-    ]
-    masks, ordered = masks_for_term_sets(images + [target.terms])
+    images = [_reduced_psi(p, p.encode(m)) for m in decomposables]
+    masks, _ = masks_for_term_sets(images + [target])
     col_masks, target_mask = masks[:-1], masks[-1]
     if kernel_of_images(col_masks):
         raise NonUnique(f"decomposable correction for p_{entries} is not unique")
@@ -286,9 +309,7 @@ def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
         combo = solve_linear(col_masks, target_mask)
     except NoSolution:
         raise NoSolution(f"no primitive of the shape Q^{entries}[1] + decomposables") from None
-    correction = Element(
-        space, frozenset(m for i, m in enumerate(decomposables) if combo >> i & 1)
-    )
+    correction = element_from_mask(space, combo, decomposables)
     value = lead + correction
     if reduced_coproduct(value):
         raise NoSolution(f"correction for p_{entries} failed the primitivity check")

@@ -22,21 +22,25 @@ from .errors import CounterexampleFound, UnsupportedOperand
 from .f2algebra import (
     Element,
     Monomial,
+    _packing,
+    _picked,
+    _square,
     base_element,
     basis_enumerate,
     canonical_key,
+    element_from_mask,
     generator_monomial,
     generators_up_to,
     masks_for_term_sets,
     split_decomposable,
     translation_class,
 )
-from .hopf import is_primitive, primitive_space, reduced_coproduct
-from .linalg_f2 import kernel_of_images, span_intersection
+from .hopf import _reduced_psi, is_primitive, primitive_space
+from .linalg_f2 import echelon, kernel_of_images, span_intersection
 from .seqcore import BaseClass, UpperSeq, enumerate_admissible, excess, is_admissible, upper_dim
 from .spaces import MODEL_QS0, SpaceDesc
-from .steenrod import is_A_annihilated, sq_lower
-from .suspension import suspend, within_loop_filtration
+from .steenrod import _sq_monomial, is_A_annihilated, sq_lower
+from .suspension import _suspend_codes, within_loop_filtration
 
 # ---------------------------------------------------------------------------
 # The extended module M(X).
@@ -136,10 +140,7 @@ class MInfinityModule:
                     tags ^= {(r, out)}
             term_sets.append(frozenset(tags))
         masks, _ = masks_for_term_sets(term_sets)
-        return [
-            frozenset(s for i, s in enumerate(syms) if combo >> i & 1)
-            for combo in kernel_of_images(masks)
-        ]
+        return [_picked(combo, syms) for combo in kernel_of_images(masks)]
 
 
 @dataclass(frozen=True)
@@ -181,20 +182,17 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, basis: list[Monomial]) -> lis
     """
     if not basis:
         return []
+    p = _packing(space)
     term_sets = []
-    for m in basis:
-        e = Element(space, frozenset({m}))
-        tags: set = set()
-        for u, v in reduced_coproduct(e).terms:
-            tags ^= {("psi", u, v)}
-        for r in range(1, degree + 1):
-            for out in sq_lower(r, e).terms:
-                tags ^= {("sq", r, out)}
-        term_sets.append(frozenset(tags))
+    for m in map(p.encode, basis):
+        # Steenrod terms are tagged (-r, out): packed codes are nonnegative, so
+        # a tag never equals a coproduct pair (u, v)
+        sq_tags = {(-r, out) for r in range(1, degree + 1) for out in _sq_monomial(p, r, m)}
+        term_sets.append(_reduced_psi(p, m) | sq_tags)
     masks, _ = masks_for_term_sets(term_sets)
     out = []
     for combo in kernel_of_images(masks):
-        vec = Element(space, frozenset(m for i, m in enumerate(basis) if combo >> i & 1))
+        vec = element_from_mask(space, combo, basis)
         if not is_primitive(vec) or not is_A_annihilated(vec):
             raise CounterexampleFound(f"kernel vector failed re-verification: {vec}")
         out.append(vec)
@@ -231,14 +229,6 @@ def generator_span(
             out.append(m)
     out.sort(key=canonical_key)
     return out
-
-
-def _squares_span_masks(space: SpaceDesc, degree: int, universe_sets: list) -> tuple:
-    charge = 0 if space.has_charge() else None
-    half = basis_enumerate(space, degree // 2, charge) if degree % 2 == 0 else []
-    squares = [frozenset({m.square()}) for m in half]
-    masks, ordered = masks_for_term_sets(universe_sets + squares)
-    return masks[: len(universe_sets)], masks[len(universe_sets) :], ordered
 
 
 @dataclass(frozen=True)
@@ -370,15 +360,19 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
     pred = space.predecessor()
 
     upstairs = primitive_annihilated_basis(pred, 2 * degree - 1)
-    images = [suspend(w) for w in upstairs]
-    img_masks, sq_masks, ordered = _squares_span_masks(
-        space, 2 * degree, [img.terms for img in images]
-    )
-    meet = span_intersection(img_masks, sq_masks)
-    witnesses = tuple(
-        str(Element(space, frozenset(m for i, m in enumerate(ordered) if v >> i & 1)))
-        for v in meet
-    )
+    p = _packing(space)
+    images = [_suspend_codes(pred, p, w.terms) for w in upstairs]
+    charge = 0 if space.has_charge() else None
+    squares = [{_square(p.encode(m))} for m in basis_enumerate(space, degree, charge)]
+    masks, ordered = masks_for_term_sets(images + squares)
+    meet = span_intersection(masks[: len(images)], masks[len(images) :])
+    witnesses: tuple[str, ...] = ()
+    if meet:
+        # The echelon basis of the meet depends on the bit order of the codes;
+        # re-reduce it over monomials in their structural order to print it.
+        vectors = [p.decode_set(_picked(v, ordered)) for v in meet]
+        canon_masks, canon = masks_for_term_sets(vectors)
+        witnesses = tuple(str(element_from_mask(space, v, canon)) for v in echelon(canon_masks))
 
     entries: list[MechanismEntry] = []
     for root in primitive_space(space, degree):

@@ -15,98 +15,96 @@ It is computed from four facts:
 Squares come out of the Cartan formula on their own: the mixed terms of
 Sq^r_*(z*z) cancel in pairs mod 2, leaving (Sq^(r/2)_* z)^2 for even r and
 nothing for odd r.  The tests pin that consequence separately.
+
+Like the operations, the recursion runs on packed monomial codes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .dlops import _mul_sets, _q_monomial, lucas_binom
-from .f2algebra import Element, Generator, Monomial, generator_monomial
-from .spaces import SpaceDesc
+from .dlops import _q_monomial, lucas_binom
+from .f2algebra import (
+    ONE_CODE,
+    Element,
+    Generator,
+    Packing,
+    _degree,
+    _mul_sets,
+    _packing,
+    _times,
+    _translation,
+    _translation_code,
+)
 from .seqcore import UpperSeq
 
 __all__ = ["lucas_binom", "sq_lower", "is_A_annihilated"]
 
-_EMPTY: frozenset[Monomial] = frozenset()
+_EMPTY: frozenset[int] = frozenset()
 
 
-def _base_action(space: SpaceDesc, r: int, base) -> frozenset[Monomial]:
-    targets = space.base_sq_action(r, base)
-    out: set[Monomial] = set()
-    for t in targets:
-        out ^= {generator_monomial(Generator(t, UpperSeq(())))}
+def _base_action(p: Packing, r: int, base) -> frozenset[int]:
+    out: set[int] = set()
+    for t in p.space.base_sq_action(r, base):
+        out ^= {p.generator_code(Generator(t, UpperSeq(())))}
     return frozenset(out)
 
 
 @lru_cache(maxsize=None)
-def _sq_generator(space: SpaceDesc, r: int, g: Generator) -> frozenset[Monomial]:
-    if r == 0:
-        return frozenset({generator_monomial(g)})
-    if r > g.dimension:
-        return _EMPTY
+def _sq_generator(p: Packing, r: int, i: int) -> frozenset[int]:
+    g = p.gens[i]
     if not g.seq:
-        return _base_action(space, r, g.base)
+        return _base_action(p, r, g.base)
     a = g.seq.entries[0]
     inner = UpperSeq(g.seq.entries[1:])
     if inner:
-        x: frozenset[Monomial] = frozenset({generator_monomial(Generator(g.base, inner))})
+        x = p.generator_code(Generator(g.base, inner))
     elif g.base.kind == "unit_loop":
-        x = frozenset({Monomial((), 1)})
+        x = _translation_code(1)
     else:
-        x = frozenset({generator_monomial(Generator(g.base, UpperSeq(())))})
-    out: set[Monomial] = set()
+        x = p.generator_code(Generator(g.base, UpperSeq(())))
+    out: set[int] = set()
     for t in range(r // 2 + 1):
         if not lucas_binom(a - r, r - 2 * t):
             continue
-        for m in _sq_set(space, t, x):
-            out ^= _q_monomial(a - r + t, m)
-    return frozenset(out)
-
-
-def _sq_set(space: SpaceDesc, r: int, ms: frozenset[Monomial]) -> frozenset[Monomial]:
-    out: set[Monomial] = set()
-    for m in ms:
-        out ^= _sq_monomial(space, r, m)
+        for m in _sq_monomial(p, t, x):
+            out ^= _q_monomial(p, a - r + t, m)
     return frozenset(out)
 
 
 @lru_cache(maxsize=None)
-def _sq_monomial(space: SpaceDesc, r: int, m: Monomial) -> frozenset[Monomial]:
+def _sq_monomial(p: Packing, r: int, m: int) -> frozenset[int]:
     if r == 0:
         return frozenset({m})
-    if r > m.dimension:
-        return _EMPTY
-    if not m.factors:
-        return _EMPTY  # translations sit in dimension 0
-    if m.translation:
+    if r > _degree(m):
+        return _EMPTY  # this covers the translations, which sit in dimension 0
+    t = _translation(m)
+    if t:
         # the translation factor only admits Sq^0_*, so it rides along
-        bare = Monomial(m.factors, 0)
-        out: set[Monomial] = set()
-        for res in _sq_monomial(space, r, bare):
-            out ^= {res.with_translation(res.translation + m.translation)}
-        return frozenset(out)
-    if len(m.factors) == 1 and m.factors[0][1] == 1:
-        return _sq_generator(space, r, m.factors[0][0])
-    g, e = m.factors[0]
-    u = generator_monomial(g)
-    v = Monomial(((g, e - 1),) + m.factors[1:], 0) if e > 1 else Monomial(m.factors[1:], 0)
-    out = set()
-    for i in range(r + 1):
-        left = _sq_monomial(space, i, u)
+        shift = _translation_code(t)
+        return frozenset(_times(res, shift) for res in _sq_monomial(p, r, m - t))
+    i, unit = p.lowest_factor(m)
+    v = m - unit
+    if v == ONE_CODE:
+        return _sq_generator(p, r, i)
+    u = ONE_CODE + unit
+    out: set[int] = set()
+    for j in range(r + 1):
+        left = _sq_monomial(p, j, u)
         if not left:
             continue
-        out ^= _mul_sets(left, _sq_monomial(space, r - i, v))
+        out ^= _mul_sets(left, _sq_monomial(p, r - j, v))
     return frozenset(out)
 
 
 def sq_lower(r: int, e: Element) -> Element:
     if r < 0:
         raise ValueError("lower Steenrod operations have r >= 0")
-    acc: set[Monomial] = set()
+    p = _packing(e.space)
+    acc: set[int] = set()
     for m in e.terms:
-        acc ^= _sq_monomial(e.space, r, m)
-    return Element(e.space, frozenset(acc))
+        acc ^= _sq_monomial(p, r, p.encode(m))
+    return Element(e.space, p.decode_set(acc))
 
 
 def is_A_annihilated(e: Element) -> bool:

@@ -5,13 +5,21 @@ The suspension raises dimension by one, kills decomposables, forgets
 translations, and sends a single generator Q^I(b) to Q^I(b') over the
 suspended base.  The image sequence keeps its excess while the base dimension
 grows by one, so excess equality can appear downstairs: the image is then a
-power monomial, which _admissible_to_monomial already handles.
+power monomial, which _admissible_factor already handles.
 """
 
 from __future__ import annotations
 
-from .dlops import _admissible_to_monomial
-from .f2algebra import Element, Monomial, basis_enumerate, masks_for_term_sets
+from .dlops import _admissible_factor, _factor_code
+from .f2algebra import (
+    Element,
+    Monomial,
+    Packing,
+    _packing,
+    basis_enumerate,
+    element_from_mask,
+    masks_for_term_sets,
+)
 from .linalg_f2 import echelon, kernel_of_images, reduce_against
 from .seqcore import upper_to_lower
 from .spaces import MODEL_QS0, SpaceDesc
@@ -39,18 +47,23 @@ def within_loop_filtration(m: Monomial, level: int | None) -> bool:
     return level is None or loop_level(m) <= level
 
 
-def suspend(e: Element) -> Element:
-    """Image of e under the homology suspension into the successor space."""
-    target = e.space.successor()
-    out: set[Monomial] = set()
-    for m in e.terms:
+def _suspend_codes(space: SpaceDesc, target: Packing, terms) -> frozenset[int]:
+    """Image of a sum of monomials of space, packed for the successor space."""
+    out: set[int] = set()
+    for m in terms:
         if m.gen_length != 1:
             continue  # decomposables and pure translations die
         g = m.factors[0][0]
-        image = _admissible_to_monomial(g.seq.entries, e.space.suspended_base(g.base))
-        if image is not None:
-            out ^= {image}
-    return Element(target, frozenset(out))
+        factor = _admissible_factor(g.seq.entries, space.suspended_base(g.base))
+        if factor is not None:
+            out ^= {_factor_code(target, factor)}
+    return frozenset(out)
+
+
+def suspend(e: Element) -> Element:
+    """Image of e under the homology suspension into the successor space."""
+    target = _packing(e.space.successor())
+    return Element(target.space, target.decode_set(_suspend_codes(e.space, target, e.terms)))
 
 
 def suspension_kernel_basis(space: SpaceDesc, degree: int) -> list[Element]:
@@ -62,12 +75,9 @@ def suspension_kernel_basis(space: SpaceDesc, degree: int) -> list[Element]:
     basis = basis_enumerate(space, degree, charge)
     if not basis:
         return []
-    images = [suspend(Element(space, frozenset({m}))) for m in basis]
-    masks, _ = masks_for_term_sets([img.terms for img in images])
-    return [
-        Element(space, frozenset(m for i, m in enumerate(basis) if combo >> i & 1))
-        for combo in kernel_of_images(masks)
-    ]
+    target = _packing(space.successor())
+    masks, _ = masks_for_term_sets([_suspend_codes(space, target, (m,)) for m in basis])
+    return [element_from_mask(space, combo, basis) for combo in kernel_of_images(masks)]
 
 
 def in_suspension_image(e: Element) -> bool:

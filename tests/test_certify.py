@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from loophomology import certify
 from loophomology.certify import (
     BUDGET_ENV,
     DEFAULT_DEGREE_BUDGET,
@@ -77,3 +78,34 @@ def test_parallel_jobs_agree():
     par = run_suites(["wellington"], max_degree=9, jobs=2)
     assert seq[0].passed and par[0].passed
     assert seq[0].details == par[0].details
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pmap_caps_workers(monkeypatch):
+    monkeypatch.setattr(certify, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "requested", [])
+    monkeypatch.setattr(certify.os, "cpu_count", lambda: 3)
+    assert certify._pmap(abs, range(-5, 0), jobs=64) == [5, 4, 3, 2, 1]
+    assert certify._pmap(abs, [-1, -2], jobs=64) == [1, 2]
+    assert certify._pmap(abs, range(-5, 0), jobs=2) == [5, 4, 3, 2, 1]
+    assert _RecordingPool.requested == [3, 2, 2]
+    monkeypatch.setattr(certify.os, "cpu_count", lambda: None)
+    assert certify._pmap(abs, range(-5, 0), jobs=64) == [5, 4, 3, 2, 1]
+    assert _RecordingPool.requested == [3, 2, 2]  # one worker: no pool at all

@@ -176,3 +176,29 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "printed 14, oracle 18, discrepancy=true\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("screen", "--space", "qsn", "--n", "1", "--degree", "4", "--loop", "0"), "--loop"),
+        (("screen", "--space", "qsn", "--n", "1", "--degree", "4", "--loop", "-3"), "--loop"),
+        (("basis", "--space", "qs0", "--degree", "-2"), "--degree"),
+        (("verify", "--suite", "kernel-of-r", "--max-degree", "0"), "--max-degree"),
+        (("verify", "--max-degree", "-1"), "--max-degree"),
+    ],
+)
+def test_invalid_values_are_rejected_before_any_work(capsys, monkeypatch, argv, flag):
+    # argparse rejects the value, so no command function ever runs
+    import loophomology.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an invalid value")
+
+    for name in ("screen_degree", "basis_enumerate", "run_suites"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= " in err

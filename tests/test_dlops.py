@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -141,3 +142,34 @@ def test_operations_preserve_basis_membership():
                     continue
                 allowed = set(basis_enumerate(QS1, a + degree))
                 assert img.terms <= allowed
+
+
+def test_large_translation_recursion_stays_shallow():
+    # the translation recursion halves k, so |k| in the thousands is fine;
+    # Q^2[3000] = (Q^1[1500])^2 and Q^1 kills the even class [1500]
+    assert apply_Q(2, translation_class(QS0, 3000)).is_zero
+    bracket = translation_class(QS0, 1)
+    assert apply_Q(2, translation_class(QS0, 3001)) == apply_Q(2, bracket) * translation_class(
+        QS0, 6000
+    )
+    out = apply_Q(2, translation_class(QS0, -3001))
+    assert out.charge == -6002
+    assert all(m.dimension == 2 for m in out.terms)
+
+
+@lru_cache(maxsize=None)
+def _linear_q_translation(a: int, k: int):
+    """Q^a[k] by the unit-step Cartan recursion Q^a[k] = sum Q^i[s] Q^(a-i)[k-s]."""
+    if k in (-1, 0, 1):
+        return apply_Q(a, translation_class(QS0, k))
+    step = 1 if k > 0 else -1
+    acc = zero(QS0)
+    for i in range(a + 1):
+        acc = acc + _linear_q_translation(i, step) * _linear_q_translation(a - i, k - step)
+    return acc
+
+
+def test_translation_action_matches_the_linear_recursion():
+    for k in range(-64, 65):
+        for a in range(0, 7):
+            assert apply_Q(a, translation_class(QS0, k)) == _linear_q_translation(a, k), (a, k)

@@ -6,10 +6,22 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from loophomology.errors import NotASquare, SpaceMismatch
+from loophomology.errors import (
+    LoopHomologyError,
+    NotASquare,
+    PackedFieldOverflow,
+    SpaceMismatch,
+)
 from loophomology.f2algebra import (
+    MAX_EXPONENT,
+    ONE_CODE,
     Generator,
     Monomial,
+    Packing,
+    _degree,
+    _square,
+    _times,
+    _translation,
     basis_enumerate,
     base_element,
     canonical_key,
@@ -211,3 +223,61 @@ def test_generators_up_to_sorted_and_complete():
     assert [g.dimension for g in gens] == sorted(g.dimension for g in gens)
     nine = [g for g in gens if g.dimension == 9]
     assert {str(g) for g in nine} == {"Q^8 x_1", "Q^(5,3) x_1"}
+
+
+# --- packed monomials ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "space, max_degree",
+    [(QS0, 16), (QS1, 16), (two_cell_space(), 12)],
+    ids=lambda v: v.label if hasattr(v, "label") else str(v),
+)
+def test_packed_codes_round_trip(space, max_degree):
+    packing = Packing(space)  # fresh, so decode cannot answer from a memo
+    codes = set()
+    for degree in range(1, max_degree + 1):
+        for m in basis_enumerate(space, degree):
+            code = packing.encode(m)
+            assert _degree(code) == m.dimension
+            assert _translation(code) == m.translation
+            assert packing.decode(code) == m
+            codes.add(code)
+    assert len(codes) == sum(len(basis_enumerate(space, d)) for d in range(1, max_degree + 1))
+
+
+def test_packed_products_match_monomial_products():
+    packing = Packing(QS0)
+    basis = [m for d in range(1, 6) for m in basis_enumerate(QS0, d)]
+    for a in basis[::7]:
+        for b in basis[::5]:
+            code = _times(packing.encode(a), packing.encode(b))
+            assert packing.decode(code) == a.times(b)
+        assert packing.decode(_square(packing.encode(a))) == a.square()
+
+
+def test_exponent_outside_its_field_raises():
+    x1 = generator_monomial(Generator(QS1.base_classes()[0], upper()), MAX_EXPONENT)
+    packing = Packing(QS1)
+    code = packing.encode(x1)  # the largest exponent still fits
+    with pytest.raises(PackedFieldOverflow):
+        packing.encode(x1.times(generator_monomial(x1.factors[0][0])))
+    with pytest.raises(PackedFieldOverflow):
+        _square(code)
+    with pytest.raises(LoopHomologyError):  # and through the public product
+        element_of(QS1, x1) * element_of(QS1, x1)
+
+
+def test_translation_outside_its_field_raises():
+    packing = Packing(QS0)
+    top, bottom = translation_monomial(ONE_CODE - 1), translation_monomial(-ONE_CODE)
+    assert packing.decode(packing.encode(top)) == top
+    assert packing.decode(packing.encode(bottom)) == bottom
+    for k in (ONE_CODE, -ONE_CODE - 1):
+        with pytest.raises(PackedFieldOverflow):
+            packing.encode(translation_monomial(k))
+    with pytest.raises(PackedFieldOverflow):
+        _times(packing.encode(top), packing.encode(translation_monomial(1)))
+    with pytest.raises(PackedFieldOverflow):
+        _times(packing.encode(bottom), packing.encode(translation_monomial(-1)))
+    assert issubclass(PackedFieldOverflow, LoopHomologyError)

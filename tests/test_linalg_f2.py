@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophomology.errors import NoSolution
 from loophomology.linalg_f2 import (
@@ -119,3 +120,39 @@ def test_solve_linear():
         assert v == target
     with pytest.raises(NoSolution):
         solve_linear([0b01], 0b10)
+
+
+def permute_bits(v: int, perm: list[int]) -> int:
+    return sum(1 << perm[i] for i in range(len(perm)) if v >> i & 1)
+
+
+@st.composite
+def images_and_permutation(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    width = rng.randrange(1, 12)
+    # more columns than bits, and sparse ones, so that kernels are nonempty
+    images = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randrange(1, 16))]
+    perm = list(range(width))
+    rng.shuffle(perm)
+    return images, perm
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(images_and_permutation())
+def test_kernel_ignores_the_order_of_image_bits(case):
+    # Packed monomial codes assign mask bits in int order, not in the printed
+    # order, so the kernel vectors must not depend on the bit order.
+    images, perm = case
+    permuted = [permute_bits(v, perm) for v in images]
+    assert kernel_of_images(permuted) == kernel_of_images(images)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(images_and_permutation(), images_and_permutation())
+def test_span_intersection_span_ignores_the_order_of_bits(case_a, case_b):
+    # Its echelon basis does depend on the bit order, but not its span.
+    (a, perm), (b, _) = case_a, case_b
+    width = len(perm)
+    b = [v & ((1 << width) - 1) for v in b]
+    meet = span_intersection([permute_bits(v, perm) for v in a], [permute_bits(v, perm) for v in b])
+    assert echelon(meet) == echelon([permute_bits(v, perm) for v in span_intersection(a, b)])

@@ -131,6 +131,25 @@ def test_even_square_screen_mechanism():
     assert by_root["x_1^4"].product_nonzero is None
 
 
+def test_even_square_witnesses_print_in_structural_order(monkeypatch):
+    # Force a nonempty meet: every square counts as hit by the suspension.
+    # The witnesses come back re-reduced over monomials in structural order,
+    # whatever bits the packed codes were given.
+    import loophomology.screener as screener
+
+    monkeypatch.setattr(screener, "span_intersection", lambda images, squares: squares)
+    entry = even_square_screen_at(QS1, 4)
+    assert not entry.kernel_ok and not entry.ok
+    assert entry.kernel_witnesses == ("(Q^3 x_1)^2", "x_1^8", "(Q^2 x_1)^2 x_1^2")
+    # another basis of the same meet prints the same
+    monkeypatch.setattr(
+        screener,
+        "span_intersection",
+        lambda images, squares: [squares[0] ^ squares[1], squares[1] ^ squares[2], squares[2]],
+    )
+    assert even_square_screen_at(QS1, 4).kernel_witnesses == entry.kernel_witnesses
+
+
 def test_even_square_screen_guards():
     with pytest.raises(ValueError):
         even_square_screen_at(QS1, 3)
