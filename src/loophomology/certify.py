@@ -52,7 +52,7 @@ from .screener import (
     wellington_check,
 )
 from .steenrod import sq_lower
-from .suspension import suspension_kernel_basis
+from .suspension import _suspension_kernel
 
 DEFAULT_DEGREE_BUDGET = 24
 BUDGET_ENV = "LOOPHOMOLOGY_MAX_DEGREE"
@@ -198,6 +198,8 @@ def suite_even_squares(max_degree: int | None = None, jobs: int = 1) -> SuiteRes
     cap = 20 if max_degree is None else max_degree
     ensure_degree_allowed(cap)
     half = cap // 2
+    if half < 2:
+        raise ValueError(f"even-squares scope is empty: max degree {cap} leaves no even root")
     cases = [("qs1", d) for d in range(2, half + 1, 2)]
     cases += [("two-cell", d) for d in range(2, min(8, half) + 1, 2)]
     rows = _pmap(_even_square_case, cases, jobs)
@@ -246,16 +248,13 @@ def _suspension_kernel_case(args: tuple[str, int]) -> tuple[str, int, bool, str]
     tag, degree = args
     space = _space_by_tag(tag)
     charge = 0 if space.has_charge() else None
-    kernel = suspension_kernel_basis(space, degree)
-    decomposables = [
-        m for m in basis_enumerate(space, degree, charge)
-        if sum(e for _, e in m.factors) >= 2
-    ]
-    masks, _ = masks_for_term_sets(
-        [v.terms for v in kernel] + [frozenset({m}) for m in decomposables]
-    )
-    k_rank = rank(masks[: len(kernel)])
-    d_rank = rank(masks[len(kernel):])
+    basis = basis_enumerate(space, degree, charge)
+    # both sides as masks over the basis indices
+    kernel = _suspension_kernel(space, basis)
+    decomposables = [1 << i for i, m in enumerate(basis) if sum(e for _, e in m.factors) >= 2]
+    masks = kernel + decomposables
+    k_rank = rank(kernel)
+    d_rank = rank(decomposables)
     if k_rank == d_rank == rank(masks) and k_rank == len(kernel) == len(decomposables):
         return tag, degree, True, f"{tag} degree {degree}: kernel dim {k_rank}"
     return tag, degree, False, (
@@ -361,6 +360,9 @@ def suite_hopf_consistency(max_degree: int | None = None, jobs: int = 1) -> Suit
 
 def suite_dimension_bounds(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
     cap = 10 if max_degree is None else max_degree
+    ensure_degree_allowed(cap)
+    if cap < 2:
+        raise ValueError(f"dimension-bounds scope is empty: max degree {cap} leaves no level")
     notes = []
     for l in range(2, cap + 1):
         closed = max_generator_dim(l, 1)

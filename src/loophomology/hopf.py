@@ -57,7 +57,7 @@ from .f2algebra import (
     masks_for_term_sets,
     split_decomposable,
 )
-from .linalg_f2 import kernel_of_images, solve_linear
+from .linalg_f2 import kernel_of_images, solve_unique
 from .seqcore import UpperSeq, excess, is_admissible, upper
 from .spaces import MODEL_QS0, SpaceDesc, qs0_space
 
@@ -303,10 +303,10 @@ def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
     images = [_reduced_psi(p, p.encode(m)) for m in decomposables]
     masks, _ = masks_for_term_sets(images + [target])
     col_masks, target_mask = masks[:-1], masks[-1]
-    if kernel_of_images(col_masks):
-        raise NonUnique(f"decomposable correction for p_{entries} is not unique")
     try:
-        combo = solve_linear(col_masks, target_mask)
+        combo = solve_unique(col_masks, target_mask)
+    except NonUnique:
+        raise NonUnique(f"decomposable correction for p_{entries} is not unique") from None
     except NoSolution:
         raise NoSolution(f"no primitive of the shape Q^{entries}[1] + decomposables") from None
     correction = element_from_mask(space, combo, decomposables)

@@ -1,51 +1,105 @@
 """Dense GF(2) linear algebra on Python integers used as bit vectors.
 
 A vector is an int whose bit i is the coefficient of basis element i; a
-matrix is a list of row ints.  Addition is xor, so everything here is a few
-lines of bit fiddling.  Python's arbitrary-precision ints keep this exact at
-any dimension we care about.
+matrix is a list of row ints.  Addition is xor, and Python's
+arbitrary-precision ints keep this exact at any dimension we care about.
+
+Every routine here runs on one elimination core, `_eliminate`.  It keeps a
+dict from pivot bit to `(row, combo)`, where combo records which inputs were
+added up to make the row.  A new row is reduced by its top bit: look the bit
+up, xor in the pivot row it names, and repeat until the row vanishes or its
+top bit is not yet a pivot, which it then claims.  Only the pivots a row
+actually hits are touched, so reducing a row costs one big-int xor per hit
+pivot and nothing per missed one, and no pivot list is ever sorted.  `rank`
+only counts pivots.  `echelon` back-substitutes once, in increasing pivot
+order, visiting only the pivot bits set in each row, and returns the unique
+reduced row echelon form in decreasing pivot order.
+
+Kernel and solve combos are unique too: each is supported on the pivot
+inputs, the inputs independent of all earlier ones, which form a basis.  So
+every result is independent of the order in which pivots are hit.
 """
 
 from __future__ import annotations
 
-from .errors import NoSolution
+from .errors import NoSolution, NonUnique
+
+Pivots = dict[int, tuple[int, int]]  # pivot bit -> (row, combo)
+
+
+def _reduce(piv: Pivots, row: int, combo: int) -> tuple[int, int]:
+    """Reduce row until it vanishes or its top bit is not a pivot."""
+    while row:
+        hit = piv.get(row.bit_length() - 1)
+        if hit is None:
+            break
+        row ^= hit[0]
+        combo ^= hit[1]
+    return row, combo
+
+
+def _eliminate(rows: list[int], track: bool) -> tuple[Pivots, list[int]]:
+    """Forward elimination of rows in order.
+
+    Returns the pivot dict and the combos of the rows that vanished.  With
+    track, input j starts with combo 1 << j; without it every combo is 0.
+    """
+    piv: Pivots = {}
+    kernel: list[int] = []
+    for j, row in enumerate(rows):
+        row, combo = _reduce(piv, row, 1 << j if track else 0)
+        if row:
+            piv[row.bit_length() - 1] = (row, combo)
+        elif track:
+            kernel.append(combo)
+    return piv, kernel
+
+
+def _pivot_mask(piv: Pivots) -> int:
+    mask = 0
+    for p in piv:
+        mask |= 1 << p
+    return mask
 
 
 def echelon(rows: list[int]) -> list[int]:
-    """Row-reduce in place semantics-free: returns reduced rows, zero rows dropped."""
-    basis: list[int] = []  # kept in decreasing pivot order
-    for row in rows:
-        for b in basis:
-            if row ^ b < row:  # b's pivot bit is set in row
-                row ^= b
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    # back-substitute so each pivot appears in exactly one row
-    for i, b in enumerate(basis):
-        for j in range(i):
-            if basis[j] ^ b < basis[j]:
-                basis[j] ^= b
-    return basis
+    """Reduced row echelon form of the rows, decreasing pivots, zero rows dropped."""
+    piv, _ = _eliminate(rows, False)
+    mask = _pivot_mask(piv)
+    reduced: dict[int, int] = {}
+    for p in sorted(piv):
+        # rows below p are already reduced, so each hit clears exactly one bit
+        row = piv[p][0]
+        hits = (row & mask) ^ (1 << p)
+        while hits:
+            q = hits.bit_length() - 1
+            row ^= reduced[q]
+            hits ^= 1 << q
+        reduced[p] = row
+    return [reduced[p] for p in sorted(reduced, reverse=True)]
 
 
 def rank(rows: list[int]) -> int:
-    return len(echelon(list(rows)))
+    return len(_eliminate(rows, False)[0])
 
 
 def in_span(vector: int, basis_rows: list[int]) -> bool:
-    reduced = echelon(list(basis_rows))
-    for b in reduced:
-        if vector ^ b < vector:
-            vector ^= b
-    return vector == 0
+    piv, _ = _eliminate(basis_rows, False)
+    return not _reduce(piv, vector, 0)[0]
 
 
 def reduce_against(vector: int, reduced_rows: list[int]) -> int:
-    """Remainder of vector modulo an already echelonized list of rows."""
-    for b in reduced_rows:
-        if vector ^ b < vector:
-            vector ^= b
+    """Remainder of vector modulo an already echelonized list of rows.
+
+    The rows need distinct top bits, which an `echelon` result has; the
+    remainder has every one of those bits cleared.
+    """
+    piv = {row.bit_length() - 1: row for row in reduced_rows}
+    mask = _pivot_mask(piv)
+    hits = vector & mask
+    while hits:
+        vector ^= piv[hits.bit_length() - 1]  # clears that bit, touches only lower ones
+        hits = vector & mask
     return vector
 
 
@@ -53,23 +107,10 @@ def kernel_of_images(images: list[int]) -> list[int]:
     """Kernel basis of the map e_i -> images[i].
 
     Returns combination vectors c (bit j of c set means input j participates)
-    with xor of the selected images zero.  Gaussian elimination tracking the
-    combination alongside each image row.
+    with xor of the selected images zero, one per image that depends on the
+    earlier ones, in input order.
     """
-    pairs: list[tuple[int, int]] = []  # (image, combo), image-pivot echelon
-    kernel: list[int] = []
-    for j, img in enumerate(images):
-        combo = 1 << j
-        for pimg, pcombo in pairs:
-            if img ^ pimg < img:
-                img ^= pimg
-                combo ^= pcombo
-        if img:
-            pairs.append((img, combo))
-            pairs.sort(key=lambda p: p[0], reverse=True)
-        else:
-            kernel.append(combo)
-    return kernel
+    return _eliminate(images, True)[1]
 
 
 def span_intersection(a: list[int], b: list[int]) -> list[int]:
@@ -78,39 +119,44 @@ def span_intersection(a: list[int], b: list[int]) -> list[int]:
     A kernel vector of the concatenated columns [a | b] picks subsets with
     equal sums, and that common sum is an intersection vector.
     """
+    low = (1 << len(a)) - 1
     vectors = []
     for combo in kernel_of_images(a + b):
+        combo &= low
         v = 0
-        for i, col in enumerate(a):
-            if combo >> i & 1:
-                v ^= col
+        while combo:
+            bit = combo & -combo
+            v ^= a[bit.bit_length() - 1]
+            combo ^= bit
         if v:
             vectors.append(v)
     return echelon(vectors)
+
+
+def _solve(piv: Pivots, target: int) -> int:
+    residue, combo = _reduce(piv, target, 0)
+    if residue:
+        raise NoSolution("target vector is not in the span of the columns")
+    return combo
 
 
 def solve_linear(columns: list[int], target: int) -> int:
     """Solve sum over selected columns == target; returns the selection bitmask.
 
     Raises NoSolution when the target is outside the column span.  When the
-    columns are dependent an arbitrary (deterministic) solution is returned;
-    callers needing uniqueness should check kernel_of_images first.
+    columns are dependent the solution supported on the columns independent
+    of all earlier ones is returned; `solve_unique` also rules dependence out.
     """
-    pairs: list[tuple[int, int]] = []
-    for j, col in enumerate(columns):
-        combo = 1 << j
-        for pcol, pcombo in pairs:
-            if col ^ pcol < col:
-                col ^= pcol
-                combo ^= pcombo
-        if col:
-            pairs.append((col, combo))
-            pairs.sort(key=lambda p: p[0], reverse=True)
-    residue, combo = target, 0
-    for pcol, pcombo in pairs:
-        if residue ^ pcol < residue:
-            residue ^= pcol
-            combo ^= pcombo
-    if residue:
-        raise NoSolution("target vector is not in the span of the columns")
-    return combo
+    return _solve(_eliminate(columns, True)[0], target)
+
+
+def solve_unique(columns: list[int], target: int) -> int:
+    """The one selection of columns summing to target, from one elimination.
+
+    Raises NonUnique when the columns are dependent, checked first, and
+    NoSolution when the target is outside their span.
+    """
+    piv, kernel = _eliminate(columns, True)
+    if kernel:
+        raise NonUnique("the columns are dependent, so a solution is not unique")
+    return _solve(piv, target)

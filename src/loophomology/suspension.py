@@ -73,11 +73,16 @@ def suspension_kernel_basis(space: SpaceDesc, degree: int) -> list[Element]:
     """
     charge = 0 if space.model == MODEL_QS0 else None
     basis = basis_enumerate(space, degree, charge)
+    return [element_from_mask(space, combo, basis) for combo in _suspension_kernel(space, basis)]
+
+
+def _suspension_kernel(space: SpaceDesc, basis: list[Monomial]) -> list[int]:
+    """Kernel basis of the suspension on the span of basis, as masks over its indices."""
     if not basis:
         return []
     target = _packing(space.successor())
     masks, _ = masks_for_term_sets([_suspend_codes(space, target, (m,)) for m in basis])
-    return [element_from_mask(space, combo, basis) for combo in kernel_of_images(masks)]
+    return kernel_of_images(masks)
 
 
 def in_suspension_image(e: Element) -> bool:

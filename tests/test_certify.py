@@ -73,6 +73,23 @@ def test_budget_env_propagates(monkeypatch):
     assert results[0].passed
 
 
+def test_dimension_bounds_is_under_the_budget(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "3")
+    (res,) = run_suites(["dimension-bounds"], max_degree=3)
+    assert res.passed
+
+    # the exhaustive oracle is exponential in the level, so a cap past the
+    # budget is refused before it runs
+    def no_oracle(*args):
+        raise AssertionError("the exhaustive oracle ran past the budget")
+
+    monkeypatch.setattr(certify, "max_generator_dim_exhaustive", no_oracle)
+    with pytest.raises(DegreeBudgetExceeded):
+        run_suites(["dimension-bounds"])  # default cap 10 exceeds the budget
+    with pytest.raises(DegreeBudgetExceeded):
+        run_suites(["dimension-bounds"], max_degree=4)
+
+
 def test_parallel_jobs_agree():
     seq = run_suites(["wellington"], max_degree=9, jobs=1)
     par = run_suites(["wellington"], max_degree=9, jobs=2)

@@ -130,6 +130,19 @@ def test_verify_capped_suites(capsys):
     assert lines[1].startswith("suspension-kernel pass")
 
 
+@pytest.mark.parametrize(
+    "suite, empty, smallest",
+    [("even-squares", "3", "4"), ("dimension-bounds", "1", "2")],
+)
+def test_empty_scope_is_an_error(capsys, suite, empty, smallest):
+    # a scope that checks nothing must not print a pass line
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-degree", empty)
+    assert code == 2 and out == ""
+    assert f"{suite} scope is empty: max degree {empty}" in err
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-degree", smallest)
+    assert code == 0 and out.startswith(f"{suite} pass")
+
+
 def test_space_file_round_trip(tmp_path, capsys):
     desc = {
         "model": "sigma2",

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loophomology.errors import NoSolution
+from loophomology.errors import NonUnique, NoSolution
 from loophomology.linalg_f2 import (
     echelon,
     in_span,
@@ -16,6 +16,7 @@ from loophomology.linalg_f2 import (
     rank,
     reduce_against,
     solve_linear,
+    solve_unique,
     span_intersection,
 )
 
@@ -156,3 +157,157 @@ def test_span_intersection_span_ignores_the_order_of_bits(case_a, case_b):
     b = [v & ((1 << width) - 1) for v in b]
     meet = span_intersection([permute_bits(v, perm) for v in a], [permute_bits(v, perm) for v in b])
     assert echelon(meet) == echelon([permute_bits(v, perm) for v in span_intersection(a, b)])
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the scan-all elimination the pivot-indexed core replaced.
+# Each new row is tested against every pivot row, and the pivot list is
+# re-sorted after each insertion.  The outputs must agree exactly.
+
+
+def scan_all_echelon(rows: list[int]) -> list[int]:
+    basis: list[int] = []  # kept in decreasing pivot order
+    for row in rows:
+        for b in basis:
+            if row ^ b < row:  # b's pivot bit is set in row
+                row ^= b
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    for i, b in enumerate(basis):
+        for j in range(i):
+            if basis[j] ^ b < basis[j]:
+                basis[j] ^= b
+    return basis
+
+
+def scan_all_pairs(columns: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    pairs: list[tuple[int, int]] = []  # (image, combo), image-pivot echelon
+    kernel: list[int] = []
+    for j, col in enumerate(columns):
+        combo = 1 << j
+        for pcol, pcombo in pairs:
+            if col ^ pcol < col:
+                col ^= pcol
+                combo ^= pcombo
+        if col:
+            pairs.append((col, combo))
+            pairs.sort(key=lambda p: p[0], reverse=True)
+        else:
+            kernel.append(combo)
+    return pairs, kernel
+
+
+def scan_all_solve(columns: list[int], target: int) -> int:
+    pairs, _ = scan_all_pairs(columns)
+    residue, combo = target, 0
+    for pcol, pcombo in pairs:
+        if residue ^ pcol < residue:
+            residue ^= pcol
+            combo ^= pcombo
+    if residue:
+        raise NoSolution("target vector is not in the span of the columns")
+    return combo
+
+
+def scan_all_intersection(a: list[int], b: list[int]) -> list[int]:
+    vectors = []
+    for combo in scan_all_pairs(a + b)[1]:
+        v = 0
+        for i, col in enumerate(a):
+            if combo >> i & 1:
+                v ^= col
+        if v:
+            vectors.append(v)
+    return scan_all_echelon(vectors)
+
+
+def dependent_rows(rng: random.Random, count: int, width: int) -> list[int]:
+    """Random rows, some sparse, with sums of earlier rows and zeros forced in."""
+    rows: list[int] = []
+    for _ in range(count):
+        roll = rng.random()
+        if rows and roll < 0.3:
+            v = 0
+            for r in rng.sample(rows, rng.randrange(1, min(4, len(rows)) + 1)):
+                v ^= r
+            rows.append(v)
+        elif roll < 0.35:
+            rows.append(0)
+        elif roll < 0.6:
+            rows.append(rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width))
+        else:
+            rows.append(rng.getrandbits(width))
+    return rows
+
+
+def solve_or_none(solver, columns: list[int], target: int) -> int | None:
+    try:
+        return solver(columns, target)
+    except NoSolution:
+        return None
+
+
+def assert_matches_scan_all(rows: list[int], other: list[int], rng: random.Random) -> None:
+    assert echelon(rows) == scan_all_echelon(rows)
+    assert rank(rows) == len(scan_all_echelon(rows))
+    assert kernel_of_images(rows) == scan_all_pairs(rows)[1]
+    assert span_intersection(rows, other) == scan_all_intersection(rows, other)
+    in_span_target = 0
+    for r in rows:
+        if rng.random() < 0.5:
+            in_span_target ^= r
+    width = max((r.bit_length() for r in rows + other), default=1)
+    for target in (in_span_target, rng.getrandbits(width), 0):
+        expected = solve_or_none(scan_all_solve, rows, target)
+        assert solve_or_none(solve_linear, rows, target) == expected
+        assert in_span(target, rows) == (expected is not None)
+        assert reduce_against(target, scan_all_echelon(rows)) == reduce_against(
+            target, echelon(rows)
+        )
+
+
+@st.composite
+def dependent_matrices(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 96))
+    rows = dependent_rows(rng, draw(st.integers(0, 64)), width)
+    other = dependent_rows(rng, draw(st.integers(0, 64)), width)
+    return rows, other, rng
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(dependent_matrices())
+def test_elimination_matches_scan_all(case):
+    rows, other, rng = case
+    assert_matches_scan_all(rows, other, rng)
+
+
+def test_elimination_matches_scan_all_on_a_large_matrix():
+    rng = random.Random(400600)
+    rows = dependent_rows(rng, 400, 600)
+    other = dependent_rows(rng, 200, 600)
+    assert_matches_scan_all(rows, other, rng)
+    # fewer rows than bits, so this one also claims fresh pivots throughout
+    tall = dependent_rows(rng, 400, 300)
+    assert kernel_of_images(tall) == scan_all_pairs(tall)[1]
+
+
+def test_solve_unique():
+    rng = random.Random(23)
+    for _ in range(60):
+        cols = dependent_rows(rng, rng.randrange(1, 8), 10)
+        target = rng.getrandbits(10)
+        if scan_all_pairs(cols)[1]:
+            with pytest.raises(NonUnique):
+                solve_unique(cols, target)
+            continue
+        expected = solve_or_none(scan_all_solve, cols, target)
+        if expected is None:
+            with pytest.raises(NoSolution):
+                solve_unique(cols, target)
+        else:
+            assert solve_unique(cols, target) == expected
+    # dependence is reported before an unreachable target
+    with pytest.raises(NonUnique):
+        solve_unique([0b01, 0b01], 0b10)
