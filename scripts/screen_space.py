@@ -12,18 +12,7 @@ import json
 import sys
 
 from loophomology.screener import screen_degree
-from loophomology.spaces import qs0_space, qsn_space, space_from_dict
-
-
-def load_space(selector: str, n: int | None):
-    if selector == "qs0":
-        return qs0_space()
-    if selector == "qsn":
-        if n is None:
-            raise SystemExit("--space qsn needs --n")
-        return qsn_space(n)
-    with open(selector, encoding="utf-8") as fh:
-        return space_from_dict(json.load(fh))
+from loophomology.spaces import load_space
 
 
 def main() -> int:
@@ -35,7 +24,10 @@ def main() -> int:
     ap.add_argument("--json-lines", action="store_true")
     args = ap.parse_args()
 
-    space = load_space(args.space, args.n)
+    try:
+        space = load_space(args.space, args.n)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(str(exc)) from None
     for degree in range(1, args.max_degree + 1):
         report = screen_degree(space, degree, loop=args.loop)
         if args.json_lines:

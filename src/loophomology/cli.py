@@ -29,19 +29,7 @@ from .certify import SUITES, ensure_degree_allowed, run_suites
 from .errors import CounterexampleFound, DegreeBudgetExceeded, LoopHomologyError
 from .f2algebra import basis_enumerate
 from .screener import bounds_report, immersion_threshold_report, screen_degree, stable_range_check
-from .spaces import SpaceDesc, qs0_space, qsn_space, space_from_dict
-
-
-def _load_space(args: argparse.Namespace) -> SpaceDesc:
-    name = args.space
-    if name == "qs0":
-        return qs0_space()
-    if name == "qsn":
-        if getattr(args, "n", None) is None:
-            raise ValueError("--space qsn needs --n")
-        return qsn_space(args.n)
-    with open(name, encoding="utf-8") as fh:
-        return space_from_dict(json.load(fh))
+from .spaces import load_space
 
 
 def _int_at_least(low: int):
@@ -64,7 +52,7 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    space = _load_space(args)
+    space = load_space(args.space, args.n)
     ensure_degree_allowed(args.degree)
     basis = basis_enumerate(space, args.degree, args.charge)
     if args.json:
@@ -76,7 +64,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:
-    space = _load_space(args)
+    space = load_space(args.space, args.n)
     ensure_degree_allowed(args.degree)
     report = screen_degree(space, args.degree, args.loop)
     if args.json:
@@ -176,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one suite (repeatable); default is all of them",
     )
     verify.add_argument("--max-degree", type=_int_at_least(1), help="override the sweep cap")
-    verify.add_argument("--jobs", type=int, default=1, help="parallel degree fan-out")
+    verify.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel degree fan-out")
     verify.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -10,11 +10,11 @@ and on the component classes of the unit-loop model
 
     Q^0 [k] = [2k],
     Q^a [1] = the polynomial generator of that name   (a >= 1),
-    Q^a [-1]            recursively from Q^a([1] * [-1]) = 0,
     Q^a [2m]            = (Q^(a/2) [m])^2, and 0 for odd a: the Cartan formula
                         on [m] * [m], whose cross terms cancel in pairs,
-    Q^a [k]             for other odd k by splitting one unit off k and
-                        applying Cartan, so the recursion depth is log |k|.
+    Q^a [k]             for odd k by the Cartan formula on [1] * [k-1], so the
+                        recursion halves |k| at every other step; for k = -1
+                        it ends because Q^a [-2] only needs Q^(a/2) [-1].
 
 Composites are straightened with the mod-2 Adem relations: for r > 2s,
 
@@ -24,8 +24,10 @@ rewriting the leftmost inadmissible pair until every sequence is admissible,
 then reading each admissible sequence off as a basis monomial (negative lower
 index: zero; leading zero lower indices: repeated squaring).
 
-The recursions run on packed monomial codes of one space (f2algebra.Packing)
-and memoize on them; apply_Q converts at the boundary.
+The recursion runs on packed monomial codes of one space (f2algebra.Packing)
+and memoizes on them; products go through the shared Cartan core there, so
+this module holds only the rules for one generator or translation.  apply_Q
+converts at the boundary.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .f2algebra import (
+    _EMPTY,
     ONE_CODE,
     Element,
     Generator,
     Monomial,
     Packing,
+    _cartan,
     _degree,
-    _mul_sets,
     _packing,
     _square,
     _translation,
@@ -47,7 +50,7 @@ from .f2algebra import (
     generator_monomial,
     translation_monomial,
 )
-from .seqcore import BaseClass, LowerSeq, UpperSeq, lower_to_upper, unit_loop_class, upper
+from .seqcore import BaseClass, UpperSeq, _lower_fold, unit_loop_class, upper
 
 
 def lucas_binom(n: int, k: int) -> int:
@@ -88,15 +91,6 @@ def normalize_sequence(seq: UpperSeq) -> frozenset[UpperSeq]:
     return frozenset(UpperSeq(e) for e in _normalize_entries(seq.entries))
 
 
-def _lower_indices(entries: tuple[int, ...], base_dim: int) -> tuple[int, ...]:
-    js = []
-    d = base_dim
-    for i in reversed(entries):
-        js.append(i - d)
-        d = i + d
-    return tuple(reversed(js))
-
-
 def _admissible_factor(
     entries: tuple[int, ...], base: BaseClass
 ) -> tuple[Generator | None, int] | None:
@@ -105,20 +99,15 @@ def _admissible_factor(
     g is None for the translation [e] of the unit-loop model.  Returns None
     when the composite vanishes (some lower index is negative).
     """
-    if not entries:
-        return (None, 1) if base.kind == "unit_loop" else (Generator(base, upper()), 1)
-    js = _lower_indices(entries, base.dimension)
-    if js[0] < 0:  # lower indices are nondecreasing, so the head is the minimum
+    js = _lower_fold(entries, base.dimension)
+    if js and js[0] < 0:  # lower indices are nondecreasing, so the head is the minimum
         return None
     t = 0
     while t < len(js) and js[t] == 0:
         t += 1
-    suffix = js[t:]
-    if not suffix:
-        if base.kind == "unit_loop":
-            return None, 2**t
-        return Generator(base, upper()), 2**t
-    return Generator(base, lower_to_upper(LowerSeq(suffix), base.dimension)), 2**t
+    if t == len(js) and base.kind == "unit_loop":
+        return None, 2**t
+    return Generator(base, UpperSeq(entries[t:])), 2**t
 
 
 def _admissible_to_monomial(entries: tuple[int, ...], base: BaseClass) -> Monomial | None:
@@ -134,69 +123,37 @@ def _factor_code(p: Packing, factor: tuple[Generator | None, int]) -> int:
     return _translation_code(e) if g is None else p.generator_code(g, e)
 
 
-_EMPTY: frozenset[int] = frozenset()
-
-
 @lru_cache(maxsize=None)
+def _q_monomial(p: Packing, a: int, m: int) -> frozenset[int]:
+    d = _degree(m)
+    if a <= d:
+        # below the bottom operation Q^a vanishes; the bottom one is the Frobenius
+        return frozenset({_square(m)}) if a == d else _EMPTY
+    i, u, v = p.split(m)
+    if v != ONE_CODE:
+        return _cartan(_q_monomial, p, a, u, v)
+    if i is None:
+        return _q_translation(p, a, _translation(m))
+    g = p.gens[i]
+    out: set[int] = set()
+    for entries in _normalize_entries((a,) + g.seq.entries):
+        factor = _admissible_factor(entries, g.base)
+        if factor is not None:
+            out ^= {_factor_code(p, factor)}
+    return frozenset(out)
+
+
 def _q_translation(p: Packing, a: int, k: int) -> frozenset[int]:
-    if a < 0:
-        return _EMPTY
-    if a == 0:
-        return frozenset({_translation_code(2 * k)})
+    """Q^a [k] for a > 0."""
     if k == 0:
         return _EMPTY
     if k == 1:
         return frozenset({p.generator_code(Generator(unit_loop_class(), upper(a)))})
-    if k == -1:
-        # 0 = Q^a([1][-1]) = [2] Q^a[-1] + sum_{i>=1} Q^i[1] Q^(a-i)[-1]
-        acc: set[int] = set()
-        for i in range(1, a + 1):
-            acc ^= _mul_sets(_q_translation(p, i, 1), _q_translation(p, a - i, -1))
-        return _mul_sets(frozenset({_translation_code(-2)}), frozenset(acc))
     if k % 2 == 0:
         if a % 2:
             return _EMPTY
-        return frozenset(map(_square, _q_translation(p, a // 2, k // 2)))
-    step = 1 if k > 0 else -1
-    acc = set()
-    for i in range(a + 1):
-        acc ^= _mul_sets(_q_translation(p, i, step), _q_translation(p, a - i, k - step))
-    return frozenset(acc)
-
-
-@lru_cache(maxsize=None)
-def _q_monomial(p: Packing, a: int, m: int) -> frozenset[int]:
-    if a < 0:
-        return _EMPTY
-    d = _degree(m)
-    if a < d:
-        return _EMPTY
-    if a == d:
-        return frozenset({_square(m)})  # bottom operation is the Frobenius
-    t = _translation(m)
-    bare = m - t
-    if bare == ONE_CODE:
-        return _q_translation(p, a, t)
-    if t:
-        acc: set[int] = set()
-        for i in range(a + 1):
-            acc ^= _mul_sets(_q_translation(p, i, t), _q_monomial(p, a - i, bare))
-        return frozenset(acc)
-    i, unit = p.lowest_factor(m)
-    v = m - unit
-    if v == ONE_CODE:
-        g = p.gens[i]
-        out: set[int] = set()
-        for entries in _normalize_entries((a,) + g.seq.entries):
-            factor = _admissible_factor(entries, g.base)
-            if factor is not None:
-                out ^= {_factor_code(p, factor)}
-        return frozenset(out)
-    u = ONE_CODE + unit
-    acc = set()
-    for i in range(a + 1):
-        acc ^= _mul_sets(_q_monomial(p, i, u), _q_monomial(p, a - i, v))
-    return frozenset(acc)
+        return frozenset(map(_square, _q_monomial(p, a // 2, _translation_code(k // 2))))
+    return _cartan(_q_monomial, p, a, _translation_code(1), _translation_code(k - 1))
 
 
 def apply_Q(a: int, e: Element) -> Element:

@@ -11,7 +11,9 @@ symmetric difference.  Everything is immutable and hashable.
 
 Inside the engine a monomial is a packed int instead (see Packing below): the
 operation layers memoize on those, and Monomial objects are built only at the
-boundary, for printing, JSON and the public functions.
+boundary, for printing, JSON and the public functions.  The Cartan formula,
+which extends Q^a, Sq^r_* and the coproduct from generators to products, is
+written once here: Packing.split, Packing.peel and _cartan.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotASquare, PackedFieldOverflow, SpaceMismatch
+from .errors import NotASquare, PackedFieldOverflow, SpaceMismatch, UnsupportedOperand
 from .seqcore import (
     BaseClass,
     UpperSeq,
@@ -128,9 +130,6 @@ class Monomial:
         return Monomial(tuple(sorted(merged.items())), self.translation + other.translation)
 
     __mul__ = times
-
-    def with_translation(self, k: int) -> Monomial:
-        return Monomial(self.factors, k)
 
     def is_square(self) -> bool:
         return self.translation % 2 == 0 and all(e % 2 == 0 for _, e in self.factors)
@@ -362,15 +361,10 @@ class TensorElement:
     def __mul__(self, other: TensorElement) -> TensorElement:
         if self.space != other.space or self.arity != other.arity:
             raise SpaceMismatch("tensor shapes differ")
+        if self.arity != 2:
+            raise UnsupportedOperand("tensors are multiplied in arity 2")
         p = _packing(self.space)
-        right = [tuple(map(p.encode, t)) for t in other.terms]
-        acc: set[tuple[int, ...]] = set()
-        for t in self.terms:
-            a = tuple(map(p.encode, t))
-            for b in right:
-                acc ^= {tuple(map(_times, a, b))}
-        terms = frozenset(tuple(map(p.decode, t)) for t in acc)
-        return TensorElement(self.space, self.arity, terms)
+        return p.tensor(_mul_pairs(p.encode_pairs(self.terms), p.encode_pairs(other.terms)))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -381,10 +375,6 @@ class TensorElement:
         return " + ".join(
             " (x) ".join(str(m) for m in t) for t in sorted(self.terms)
         )
-
-
-def tensor_zero(space: SpaceDesc, arity: int = 2) -> TensorElement:
-    return TensorElement(space, arity, frozenset())
 
 
 def tensor_of(*elements: Element) -> TensorElement:
@@ -407,15 +397,6 @@ def expand_slot(te: TensorElement, slot: int, fn) -> TensorElement:
     if new_arity is None:
         new_arity = te.arity + 1  # empty sum; arity is conventional
     return TensorElement(te.space, new_arity, frozenset(acc))
-
-
-def map_slot(te: TensorElement, slot: int, fn) -> TensorElement:
-    """Apply fn(monomial) -> Element inside one slot, keeping the arity."""
-    acc: set[tuple[Monomial, ...]] = set()
-    for t in te.terms:
-        for m in fn(t[slot]).terms:
-            acc ^= {t[:slot] + (m,) + t[slot + 1 :]}
-    return TensorElement(te.space, te.arity, frozenset(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +477,12 @@ def _factors(code: int) -> list[tuple[int, int]]:
     return [(i, e) for i, e in enumerate(exps) if e]
 
 
+#: A tensor of two packed monomial codes.
+Pair = tuple[int, int]
+
+_EMPTY: frozenset = frozenset()
+
+
 def _mul_sets(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
     """GF(2) product of two sums of packed monomials."""
     acc: set[int] = set()
@@ -509,6 +496,38 @@ def _mul_sets(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
                 acc.remove(c)
             else:
                 acc.add(c)
+    return frozenset(acc)
+
+
+def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair]) -> frozenset[Pair]:
+    """GF(2) product of two sums of tensors of packed monomials, slot by slot."""
+    acc: set[Pair] = set()
+    for u1, v1 in a:
+        u1 -= ONE_CODE
+        v1 -= ONE_CODE
+        for u2, v2 in b:
+            u, v = u1 + u2, v1 + v2
+            if (u | v) & _GUARDS:
+                raise _overflow(u if u & _GUARDS else v)
+            pair = (u, v)
+            if pair in acc:
+                acc.remove(pair)
+            else:
+                acc.add(pair)
+    return frozenset(acc)
+
+
+def _cartan(op, p: Packing, r: int, u, v, mul=_mul_sets) -> frozenset:
+    """The Cartan formula: sum over j of op(p, j, u) * op(p, r - j, v).
+
+    op is an operation on one factor, such as Q^j or Sq^j_*, and mul the
+    product of its values: _mul_sets on monomials, _mul_pairs on tensors.
+    """
+    acc: set = set()
+    for j in range(r + 1):
+        left = op(p, j, u)
+        if left:
+            acc ^= mul(left, op(p, r - j, v))
     return frozenset(acc)
 
 
@@ -547,11 +566,32 @@ class Packing:
     def generator_code(self, g: Generator, exponent: int = 1) -> int:
         return ONE_CODE + exponent * self.units[self.index(g)]
 
-    def lowest_factor(self, code: int) -> tuple[int, int]:
-        """(i, units[i]) for the lowest-indexed generator dividing a code."""
+    def split(self, code: int) -> tuple[int | None, int, int]:
+        """(i, u, v) with code = u v, the factor u split off for the Cartan formula.
+
+        u is the translation [k] when the code has one, and then i is None; a
+        pure translation, the unit [0] included, splits as [k] times 1.
+        Otherwise u is one factor of the lowest-indexed generator i.
+        """
         gens = code >> GENERATOR_SHIFT
+        t = code & _TRANSLATION_MASK
+        if t != ONE_CODE or not gens:
+            return None, t, code - t + ONE_CODE
         i = ((gens & -gens).bit_length() - 1) // EXPONENT_BITS
-        return i, self.units[i]
+        unit = self.units[i]
+        return i, ONE_CODE + unit, code - unit
+
+    def peel(self, i: int) -> tuple[int, int]:
+        """(a, z) with generator i equal to Q^a z, z the code of its argument.
+
+        Generator i must carry an operation; the argument of Q^a[1] is the
+        translation [1].
+        """
+        g = self.gens[i]
+        a, inner = g.seq.entries[0], g.seq.entries[1:]
+        if not inner and g.base.kind == "unit_loop":
+            return a, _translation_code(1)
+        return a, self.generator_code(Generator(g.base, UpperSeq(inner)))
 
     def encode(self, m: Monomial) -> int:
         code = self._encoded.get(m)
@@ -580,6 +620,14 @@ class Packing:
 
     def decode_set(self, codes) -> frozenset[Monomial]:
         return frozenset(map(self.decode, codes))
+
+    def encode_pairs(self, tensors) -> frozenset[Pair]:
+        return frozenset((self.encode(u), self.encode(v)) for u, v in tensors)
+
+    def tensor(self, pairs) -> TensorElement:
+        """The arity-2 TensorElement of a sum of packed pairs."""
+        terms = frozenset((self.decode(u), self.decode(v)) for u, v in pairs)
+        return TensorElement(self.space, 2, terms)
 
 
 @lru_cache(maxsize=None)

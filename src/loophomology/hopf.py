@@ -38,19 +38,17 @@ from .errors import (
     UnsupportedOperand,
 )
 from .f2algebra import (
-    _GUARDS,
     ONE_CODE,
     Element,
     Generator,
     Monomial,
     Packing,
+    Pair,
     TensorElement,
-    _overflow,
+    _cartan,
+    _mul_pairs,
     _packing,
     _picked,
-    _times,
-    _translation,
-    _translation_code,
     basis_enumerate,
     element_from_mask,
     generator_monomial,
@@ -61,69 +59,31 @@ from .linalg_f2 import kernel_of_images, solve_unique
 from .seqcore import UpperSeq, excess, is_admissible, upper
 from .spaces import MODEL_QS0, SpaceDesc, qs0_space
 
-#: A tensor of two packed monomial codes.
-Pair = tuple[int, int]
-
-
-def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair]) -> frozenset[Pair]:
-    acc: set[Pair] = set()
-    for u1, v1 in a:
-        u1 -= ONE_CODE
-        v1 -= ONE_CODE
-        for u2, v2 in b:
-            u, v = u1 + u2, v1 + v2
-            if (u | v) & _GUARDS:
-                raise _overflow(u if u & _GUARDS else v)
-            pair = (u, v)
-            if pair in acc:
-                acc.remove(pair)
-            else:
-                acc.add(pair)
-    return frozenset(acc)
-
-
-@lru_cache(maxsize=None)
-def _psi_generator(p: Packing, i: int) -> frozenset[Pair]:
-    g = p.gens[i]
-    if not g.seq:
-        gm = p.generator_code(g)
-        return frozenset({(gm, ONE_CODE), (ONE_CODE, gm)})
-    a = g.seq.entries[0]
-    inner_seq = UpperSeq(g.seq.entries[1:])
-    if inner_seq:
-        inner = _psi_generator(p, p.index(Generator(g.base, inner_seq)))
-    elif g.base.kind == "unit_loop":
-        inner = _psi_monomial(p, _translation_code(1))
-    else:
-        inner = _psi_generator(p, p.index(Generator(g.base, upper())))
-    acc: set[Pair] = set()
-    for u, v in inner:
-        for ap in range(a + 1):
-            left = _q_monomial(p, ap, u)
-            if not left:
-                continue
-            right = _q_monomial(p, a - ap, v)
-            for x in left:
-                for y in right:
-                    acc ^= {(x, y)}
-    return frozenset(acc)
+def _q_slot(p: Packing, a: int, pair: Pair) -> frozenset[Pair]:
+    """Q^a on x (x) 1 or 1 (x) y: Q^a of the unit is 0 for a > 0, so the
+    operation acts on the slot that is not the unit."""
+    x, y = pair
+    if y == ONE_CODE:
+        return frozenset((q, y) for q in _q_monomial(p, a, x))
+    return frozenset((x, q) for q in _q_monomial(p, a, y))
 
 
 @lru_cache(maxsize=None)
 def _psi_monomial(p: Packing, m: int) -> frozenset[Pair]:
-    t = _translation(m)
-    bare = m - t
-    if bare == ONE_CODE:
+    i, u, v = p.split(m)
+    if v != ONE_CODE:
+        return _mul_pairs(_psi_monomial(p, u), _psi_monomial(p, v))
+    if i is None:
         return frozenset({(m, m)})
-    if t:
-        shift = _translation_code(t)
-        return frozenset(
-            (_times(u, shift), _times(v, shift)) for u, v in _psi_monomial(p, bare)
-        )
-    i, unit = p.lowest_factor(m)
-    if m - unit == ONE_CODE:
-        return _psi_generator(p, i)
-    return _mul_pairs(_psi_monomial(p, ONE_CODE + unit), _psi_monomial(p, m - unit))
+    if not p.gens[i].seq:
+        return frozenset({(m, ONE_CODE), (ONE_CODE, m)})
+    # psi(Q^a z) = Q^a psi(z), with Q^a acting on x (x) y = (x (x) 1)(1 (x) y)
+    # by the Cartan formula
+    a, z = p.peel(i)
+    acc: set[Pair] = set()
+    for x, y in _psi_monomial(p, z):
+        acc ^= _cartan(_q_slot, p, a, (x, ONE_CODE), (ONE_CODE, y), _mul_pairs)
+    return frozenset(acc)
 
 
 def _reduced_psi(p: Packing, m: int) -> frozenset[Pair]:
@@ -131,16 +91,12 @@ def _reduced_psi(p: Packing, m: int) -> frozenset[Pair]:
     return _psi_monomial(p, m) ^ {(m, ONE_CODE), (ONE_CODE, m)}
 
 
-def _tensor(p: Packing, pairs) -> TensorElement:
-    return TensorElement(p.space, 2, frozenset((p.decode(u), p.decode(v)) for u, v in pairs))
-
-
 def coproduct(e: Element) -> TensorElement:
     p = _packing(e.space)
     acc: set[Pair] = set()
     for m in e.terms:
         acc ^= _psi_monomial(p, p.encode(m))
-    return _tensor(p, acc)
+    return p.tensor(acc)
 
 
 def counit(m: Monomial) -> int:
@@ -166,7 +122,7 @@ def reduced_coproduct(e: Element) -> TensorElement:
     acc: set[Pair] = set()
     for m in e.terms:
         acc ^= _reduced_psi(p, p.encode(m))
-    return _tensor(p, acc)
+    return p.tensor(acc)
 
 
 def is_primitive(e: Element) -> bool:

@@ -37,7 +37,15 @@ from .f2algebra import (
 )
 from .hopf import _reduced_psi, is_primitive, primitive_space
 from .linalg_f2 import echelon, kernel_of_images, span_intersection
-from .seqcore import BaseClass, UpperSeq, enumerate_admissible, excess, is_admissible, upper_dim
+from .seqcore import (
+    BaseClass,
+    UpperSeq,
+    all_entries_odd,
+    enumerate_admissible,
+    excess,
+    is_admissible,
+    upper_dim,
+)
 from .spaces import MODEL_QS0, SpaceDesc
 from .steenrod import _sq_monomial, is_A_annihilated, sq_lower
 from .suspension import _suspend_codes, within_loop_filtration
@@ -69,7 +77,7 @@ class MSymbol:
 
     @property
     def all_entries_odd(self) -> bool:
-        return all(i % 2 for i in self.seq.entries)
+        return all_entries_odd(self.seq)
 
     def __str__(self) -> str:
         body = ",".join(str(i) for i in self.seq.entries)
@@ -298,9 +306,6 @@ def screen_degree(
         "degree_exceeds_max_at": [l for l in range(2, 7) if degree > maxima[str(l)]],
     }
     return ScreenReport(space, degree, loop, tuple(candidates), tuple(squares), bounds)
-
-
-spherical_candidates = screen_degree
 
 
 # ---------------------------------------------------------------------------

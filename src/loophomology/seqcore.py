@@ -25,41 +25,28 @@ def _check_entries(entries: tuple[int, ...]) -> None:
 
 
 @dataclass(frozen=True, order=True)
-class UpperSeq:
+class _Seq:
+    entries: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_entries(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __bool__(self) -> bool:
+        return bool(self.entries)
+
+
+class UpperSeq(_Seq):
     """Upper-indexed sequence (i_1, ..., i_s), outermost operation first."""
 
-    entries: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        _check_entries(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-
-@dataclass(frozen=True, order=True)
-class LowerSeq:
+class LowerSeq(_Seq):
     """Lower-indexed sequence (j_1, ..., j_s), outermost operation first."""
-
-    entries: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_entries(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
 
 
 def upper(*entries: int) -> UpperSeq:
@@ -89,15 +76,30 @@ def upper_dim(seq: UpperSeq, base_dim: int) -> int:
     return base_dim + sum(seq.entries)
 
 
-def lower_to_upper(seq: LowerSeq, base_dim: int) -> UpperSeq:
-    """Convert lower indices to upper, folding dimensions innermost-out."""
+def _upper_fold(js: tuple[int, ...], base_dim: int) -> tuple[int, ...]:
+    """Upper entries of lower indices js, folding dimensions innermost-out."""
     out: list[int] = []
     dim = base_dim
-    for j in reversed(seq.entries):
+    for j in reversed(js):
         i = j + dim
         out.append(i)
         dim += i
-    return UpperSeq(tuple(reversed(out)))
+    return tuple(reversed(out))
+
+
+def _lower_fold(entries: tuple[int, ...], base_dim: int) -> tuple[int, ...]:
+    """Lower indices of upper entries, negative ones included."""
+    out: list[int] = []
+    dim = base_dim
+    for i in reversed(entries):
+        out.append(i - dim)
+        dim += i
+    return tuple(reversed(out))
+
+
+def lower_to_upper(seq: LowerSeq, base_dim: int) -> UpperSeq:
+    """Convert lower indices to upper, folding dimensions innermost-out."""
+    return UpperSeq(_upper_fold(seq.entries, base_dim))
 
 
 def upper_to_lower(seq: UpperSeq, base_dim: int) -> LowerSeq:
@@ -107,23 +109,14 @@ def upper_to_lower(seq: UpperSeq, base_dim: int) -> LowerSeq:
     of the class it acts on (the composite is the zero class).
     """
     e = seq.entries
-    out: list[int] = []
-    tail = sum(e)
-    for m, i in enumerate(e):
-        tail -= i
-        j = i - tail - base_dim
+    js = _lower_fold(e, base_dim)
+    for m, j in enumerate(js):
         if j < 0:
             raise NegativeLowerIndex(
-                f"entry {i} at position {m + 1} of {e!r} acts below the "
+                f"entry {e[m]} at position {m + 1} of {e!r} acts below the "
                 f"dimension of its argument (lower index {j})"
             )
-        out.append(j)
-    return LowerSeq(tuple(out))
-
-
-def is_strictly_increasing(seq: LowerSeq) -> bool:
-    e = seq.entries
-    return all(e[m] < e[m + 1] for m in range(len(e) - 1))
+    return LowerSeq(js)
 
 
 def all_entries_odd(seq: UpperSeq) -> bool:
@@ -172,20 +165,9 @@ def enumerate_admissible(
                 found.append((j,) + inner)
         return tuple(found)
 
-    out = [_raw_lower_to_upper(js, base_dim) for js in pieces(degree)]
+    out = [UpperSeq(_upper_fold(js, base_dim)) for js in pieces(degree)]
     out.sort(key=lambda s: s.entries)
     return out
-
-
-def _raw_lower_to_upper(js: tuple[int, ...], base_dim: int) -> UpperSeq:
-    # Same fold as lower_to_upper but tolerating negative lower indices.
-    out: list[int] = []
-    dim = base_dim
-    for j in reversed(js):
-        i = j + dim
-        out.append(i)
-        dim += i
-    return UpperSeq(tuple(reversed(out)))
 
 
 # ---------------------------------------------------------------------------

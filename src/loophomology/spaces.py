@@ -12,6 +12,7 @@ Steenrod action commutes with suspension, so it transports to every level.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .errors import NoSuccessor
@@ -234,6 +235,19 @@ def space_from_dict(data: dict) -> SpaceDesc:
             actions.append(SqEntry(r, src, tuple(targets)))
         return suspension_space(tuple(cells), tuple(actions), level=2)
     raise ValueError(f"unknown space model {model!r}")
+
+
+def load_space(selector: str, n: int | None = None) -> SpaceDesc:
+    """The space a command line selects: "qs0", "qsn" with n, or the path of a
+    description file."""
+    if selector == MODEL_QS0:
+        return qs0_space()
+    if selector == MODEL_QSN:
+        if n is None:
+            raise ValueError("--space qsn needs --n")
+        return qsn_space(n)
+    with open(selector, encoding="utf-8") as fh:
+        return space_from_dict(json.load(fh))
 
 
 def _forbid(data: dict, keys: tuple[str, ...]) -> None:

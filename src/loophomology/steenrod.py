@@ -16,7 +16,9 @@ Squares come out of the Cartan formula on their own: the mixed terms of
 Sq^r_*(z*z) cancel in pairs mod 2, leaving (Sq^(r/2)_* z)^2 for even r and
 nothing for odd r.  The tests pin that consequence separately.
 
-Like the operations, the recursion runs on packed monomial codes.
+Like the operations, the recursion runs on packed monomial codes, and
+products go through the Cartan core of f2algebra; this module holds the rules
+for one generator.
 """
 
 from __future__ import annotations
@@ -25,23 +27,18 @@ from functools import lru_cache
 
 from .dlops import _q_monomial, lucas_binom
 from .f2algebra import (
+    _EMPTY,
     ONE_CODE,
     Element,
     Generator,
     Packing,
+    _cartan,
     _degree,
-    _mul_sets,
     _packing,
-    _times,
-    _translation,
-    _translation_code,
 )
 from .seqcore import UpperSeq
 
 __all__ = ["lucas_binom", "sq_lower", "is_A_annihilated"]
-
-_EMPTY: frozenset[int] = frozenset()
-
 
 def _base_action(p: Packing, r: int, base) -> frozenset[int]:
     out: set[int] = set()
@@ -51,49 +48,23 @@ def _base_action(p: Packing, r: int, base) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _sq_generator(p: Packing, r: int, i: int) -> frozenset[int]:
-    g = p.gens[i]
-    if not g.seq:
-        return _base_action(p, r, g.base)
-    a = g.seq.entries[0]
-    inner = UpperSeq(g.seq.entries[1:])
-    if inner:
-        x = p.generator_code(Generator(g.base, inner))
-    elif g.base.kind == "unit_loop":
-        x = _translation_code(1)
-    else:
-        x = p.generator_code(Generator(g.base, UpperSeq(())))
-    out: set[int] = set()
-    for t in range(r // 2 + 1):
-        if not lucas_binom(a - r, r - 2 * t):
-            continue
-        for m in _sq_monomial(p, t, x):
-            out ^= _q_monomial(p, a - r + t, m)
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
 def _sq_monomial(p: Packing, r: int, m: int) -> frozenset[int]:
     if r == 0:
         return frozenset({m})
     if r > _degree(m):
         return _EMPTY  # this covers the translations, which sit in dimension 0
-    t = _translation(m)
-    if t:
-        # the translation factor only admits Sq^0_*, so it rides along
-        shift = _translation_code(t)
-        return frozenset(_times(res, shift) for res in _sq_monomial(p, r, m - t))
-    i, unit = p.lowest_factor(m)
-    v = m - unit
-    if v == ONE_CODE:
-        return _sq_generator(p, r, i)
-    u = ONE_CODE + unit
+    i, u, v = p.split(m)
+    if v != ONE_CODE:
+        return _cartan(_sq_monomial, p, r, u, v)
+    g = p.gens[i]
+    if not g.seq:
+        return _base_action(p, r, g.base)
+    a, z = p.peel(i)
     out: set[int] = set()
-    for j in range(r + 1):
-        left = _sq_monomial(p, j, u)
-        if not left:
-            continue
-        out ^= _mul_sets(left, _sq_monomial(p, r - j, v))
+    for t in range(r // 2 + 1):
+        if lucas_binom(a - r, r - 2 * t):
+            for w in _sq_monomial(p, t, z):
+                out ^= _q_monomial(p, a - r + t, w)
     return frozenset(out)
 
 

@@ -199,6 +199,8 @@ def test_console_script_subprocess():
         (("basis", "--space", "qs0", "--degree", "-2"), "--degree"),
         (("verify", "--suite", "kernel-of-r", "--max-degree", "0"), "--max-degree"),
         (("verify", "--max-degree", "-1"), "--max-degree"),
+        (("verify", "--suite", "sum-identity", "--jobs", "0"), "--jobs"),
+        (("verify", "--suite", "sum-identity", "--jobs", "-3"), "--jobs"),
     ],
 )
 def test_invalid_values_are_rejected_before_any_work(capsys, monkeypatch, argv, flag):

@@ -12,13 +12,17 @@ from loophomology.errors import (
     PackedFieldOverflow,
     SpaceMismatch,
 )
+from loophomology.dlops import apply_Q
 from loophomology.f2algebra import (
+    GENERATOR_SHIFT,
     MAX_EXPONENT,
     ONE_CODE,
+    Element,
     Generator,
     Monomial,
     Packing,
     _degree,
+    _factors,
     _square,
     _times,
     _translation,
@@ -281,3 +285,36 @@ def test_translation_outside_its_field_raises():
     with pytest.raises(PackedFieldOverflow):
         _times(packing.encode(bottom), packing.encode(translation_monomial(-1)))
     assert issubclass(PackedFieldOverflow, LoopHomologyError)
+
+
+@pytest.mark.parametrize(
+    "space, charges, max_degree",
+    [(QS0, range(-2, 3), 12), (QS1, [None], 12), (two_cell_space(), [None], 12)],
+    ids=["qs0", "qs1", "two-cell"],
+)
+def test_split_and_peel_on_every_basis_monomial(space, charges, max_degree):
+    packing = Packing(space)
+    for charge in charges:
+        for degree in range(1, max_degree + 1):
+            for m in basis_enumerate(space, degree, charge):
+                code = packing.encode(m)
+                i, u, v = packing.split(code)
+                assert _times(u, v) == code
+                if i is None:  # the translation [k] of m
+                    assert m.translation != 0 and u >> GENERATOR_SHIFT == 0
+                    assert _translation(u) == m.translation
+                    continue
+                assert m.translation == 0 and _factors(u) == [(i, 1)]
+                assert _translation(u) == 0 and _degree(u) == packing.gens[i].dimension
+                g = packing.gens[i]
+                if not g.seq:
+                    continue
+                # generator i is Q^a of the class z decodes to
+                a, z = packing.peel(i)
+                rest = UpperSeq(g.seq.entries[1:])
+                if not rest and g.base.kind == "unit_loop":
+                    inner = translation_monomial(1)
+                else:
+                    inner = generator_monomial(Generator(g.base, rest))
+                assert (a, packing.decode(z)) == (g.seq.entries[0], inner)
+                assert apply_Q(a, Element(space, frozenset({inner}))).terms == {generator_monomial(g)}

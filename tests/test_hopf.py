@@ -8,6 +8,7 @@ from loophomology.dlops import apply_Q, apply_Q_iterated
 from loophomology.errors import ChargeNonzero, NotPrimitive, UnsupportedOperand
 from loophomology.f2algebra import (
     Element,
+    Monomial,
     basis_enumerate,
     base_element,
     element_from_mask,
@@ -45,6 +46,18 @@ def test_group_likes():
         t = translation_class(QS0, k)
         assert coproduct(t) == tensor_of(t, t)
     assert coproduct(one(QS1)) == tensor_of(one(QS1), one(QS1))
+
+
+def test_translation_factor_is_group_like_through_cartan():
+    # psi(m [t]) = psi(m) ([t] (x) [t]) on every qs0 monomial with a translation
+    for charge in range(-2, 3):
+        for degree in range(1, 11):
+            for m in basis_enumerate(QS0, degree, charge):
+                if not m.translation:
+                    continue
+                shift = translation_class(QS0, m.translation)
+                bare = coproduct(element_of(QS0, Monomial(m.factors)))
+                assert coproduct(element_of(QS0, m)) == bare * tensor_of(shift, shift)
 
 
 def test_sphere_class_is_primitive():

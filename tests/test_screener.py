@@ -20,7 +20,6 @@ from loophomology.screener import (
     oracle_main1,
     oracle_s_minus1,
     screen_degree,
-    spherical_candidates,
     stable_range_check,
     sum_identity_check,
     verify_no_even_squares,
@@ -92,7 +91,6 @@ def test_generator_span_respects_filtration():
 def test_screen_positive_degrees_only():
     with pytest.raises(ValueError):
         screen_degree(QS1, 0)
-    assert spherical_candidates is screen_degree
 
 
 def test_screen_degree_nine_loop_three():

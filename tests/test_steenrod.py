@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 
 from loophomology.dlops import apply_Q, apply_Q_iterated
-from loophomology.f2algebra import base_element, basis_enumerate, element_of, one, translation_class
+from loophomology.f2algebra import (
+    Monomial,
+    base_element,
+    basis_enumerate,
+    element_of,
+    one,
+    translation_class,
+)
 from loophomology.seqcore import upper
 from loophomology.spaces import SqEntry, qs0_space, qsn_space, suspension_space, two_cell_space
 from loophomology.steenrod import is_A_annihilated, sq_lower
@@ -78,6 +85,19 @@ def test_translations_are_inert():
     v = sq_lower(1, u)
     assert v == apply_Q(1, translation_class(QS0, 1)) * translation_class(QS0, -2)
     assert v.charge == 0
+
+
+def test_translation_factor_splits_off_through_cartan():
+    # Sq^r_*(m [t]) = Sq^r_*(m) [t] on every qs0 monomial with a translation
+    for charge in range(-2, 3):
+        for degree in range(1, 11):
+            for m in basis_enumerate(QS0, degree, charge):
+                if not m.translation:
+                    continue
+                bare = element_of(QS0, Monomial(m.factors))
+                shift = translation_class(QS0, m.translation)
+                for r in range(1, degree + 1):
+                    assert sq_lower(r, element_of(QS0, m)) == sq_lower(r, bare) * shift
 
 
 def test_nishida_closure_low_degrees():
