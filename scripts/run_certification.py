@@ -8,6 +8,7 @@ import sys
 import time
 
 from loophomology.certify import SUITES, run_suites
+from loophomology.errors import DegreeBudgetExceeded
 
 
 def main() -> int:
@@ -23,7 +24,10 @@ def main() -> int:
     failures = 0
     for name in names:
         start = time.monotonic()
-        (result,) = run_suites([name], max_degree=args.max_degree, jobs=args.jobs)
+        try:
+            (result,) = run_suites([name], max_degree=args.max_degree, jobs=args.jobs)
+        except (ValueError, DegreeBudgetExceeded) as exc:
+            raise SystemExit(f"{name}: {exc}") from None
         elapsed = time.monotonic() - start
         mark = "pass" if result.passed else "FAIL"
         print(f"{name:<20} {mark}  {elapsed:7.2f}s  {result.details}")

@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+from loophomology.certify import ensure_degree_allowed
+from loophomology.errors import DegreeBudgetExceeded
 from loophomology.screener import screen_degree
 from loophomology.spaces import load_space
 
@@ -26,16 +28,19 @@ def main() -> int:
 
     try:
         space = load_space(args.space, args.n)
-    except (ValueError, OSError) as exc:
+        if args.max_degree < 1:
+            raise ValueError(f"--max-degree must be >= 1, got {args.max_degree}")
+        ensure_degree_allowed(args.max_degree)
+        for degree in range(1, args.max_degree + 1):
+            report = screen_degree(space, degree, loop=args.loop)
+            if args.json_lines:
+                print(json.dumps(report.to_dict(), sort_keys=True))
+                continue
+            cands = ", ".join(str(c) for c in report.candidates) or "-"
+            squares = ", ".join(str(s) for s in report.squares) or "-"
+            print(f"d={degree:<3} {report.verdict:<28} candidates: {cands}   squares: {squares}")
+    except (ValueError, OSError, DegreeBudgetExceeded) as exc:
         raise SystemExit(str(exc)) from None
-    for degree in range(1, args.max_degree + 1):
-        report = screen_degree(space, degree, loop=args.loop)
-        if args.json_lines:
-            print(json.dumps(report.to_dict(), sort_keys=True))
-            continue
-        cands = ", ".join(str(c) for c in report.candidates) or "-"
-        squares = ", ".join(str(s) for s in report.squares) or "-"
-        print(f"d={degree:<3} {report.verdict:<28} candidates: {cands}   squares: {squares}")
     return 0
 
 

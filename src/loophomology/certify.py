@@ -84,16 +84,6 @@ class SuiteResult:
     details: str
 
 
-def _space_by_tag(tag: str) -> SpaceDesc:
-    if tag == "qs0":
-        return qs0_space()
-    if tag.startswith("qs"):
-        return qsn_space(int(tag[2:]))
-    if tag == "two-cell":
-        return two_cell_space()
-    raise ValueError(f"unknown space tag {tag}")
-
-
 def _pmap(fn, items, jobs: int):
     items = list(items)
     workers = min(jobs, len(items), os.cpu_count() or 1)
@@ -103,12 +93,32 @@ def _pmap(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
+def _cap(max_degree: int | None, default: int) -> int:
+    """The suite's sweep cap, refused if it is past the degree budget."""
+    cap = default if max_degree is None else max_degree
+    ensure_degree_allowed(cap)
+    return cap
+
+
+def _sweep(name: str, check, cases, jobs: int, summary) -> SuiteResult:
+    """Run check on every case, fanned out over up to jobs processes.
+
+    check(case) returns (ok, count, detail).  The suite fails with the details
+    of the failing cases joined, or passes with summary(sum of the counts).
+    """
+    rows = _pmap(check, cases, jobs)
+    bad = [detail for ok, _, detail in rows if not ok]
+    if bad:
+        return SuiteResult(name, False, "; ".join(bad))
+    return SuiteResult(name, True, summary(sum(n for _, n, _ in rows)))
+
+
 # ---------------------------------------------------------------------------
 # kernel-of-r: ker(r) on the length-bounded generator family is exactly the
 # span of the monomials with an odd entry.
 
 
-def _kernel_of_r_degree(degree: int) -> tuple[bool, int, str]:
+def _kernel_of_r_case(degree: int) -> tuple[bool, int, str]:
     family = generator_family(degree, 3)
     expected = {frozenset({m}) for m in family if any(i % 2 for i in m.factors[0][0].seq.entries)}
     got = {vec.terms for vec in kernel_of_r(degree, 3)}
@@ -120,13 +130,9 @@ def _kernel_of_r_degree(degree: int) -> tuple[bool, int, str]:
 
 
 def suite_kernel_of_r(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = 16 if max_degree is None else max_degree
-    ensure_degree_allowed(cap)
-    rows = _pmap(_kernel_of_r_degree, range(1, cap + 1), jobs)
-    bad = [detail for ok, _, detail in rows if not ok]
-    total = sum(n for ok, n, _ in rows if ok)
-    details = f"degrees 1..{cap}, lengths <= 3, {total} kernel vectors matched"
-    return SuiteResult("kernel-of-r", not bad, details if not bad else "; ".join(bad))
+    cap = _cap(max_degree, 16)
+    return _sweep("kernel-of-r", _kernel_of_r_case, range(1, cap + 1), jobs,
+                  lambda n: f"degrees 1..{cap}, lengths <= 3, {n} kernel vectors matched")
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +140,13 @@ def suite_kernel_of_r(max_degree: int | None = None, jobs: int = 1) -> SuiteResu
 # images are independent, and together they span the primitives.
 
 
-def _primitive_basis_degree(degree: int) -> tuple[int, bool, str]:
+def _primitive_basis_case(degree: int) -> tuple[bool, int, str]:
     space = qs0_space()
     seqs = enumerate_admissible(degree, 0, 0)
     for seq in (s for s in seqs if qualifies_for_primitive(s)):
         p = make_primitive_pI(seq.entries)  # raises NoSolution / NonUnique
         if not is_primitive(p.value):
-            return degree, False, f"p_{seq.entries} is not primitive"
+            return False, 0, f"p_{seq.entries} is not primitive"
 
     family: list[Element] = []
     for seq in seqs:
@@ -155,60 +161,41 @@ def _primitive_basis_degree(degree: int) -> tuple[int, bool, str]:
     masks, _ = masks_for_term_sets([e.terms for e in family] + [p.terms for p in prim])
     fam_rank = rank(masks[: len(family)])
     if fam_rank != len(family):
-        return degree, False, f"degree {degree}: dependent family of {len(family)}"
+        return False, 0, f"degree {degree}: dependent family of {len(family)}"
     if rank(masks) != fam_rank or fam_rank != len(prim):
-        return degree, False, (
+        return False, 0, (
             f"degree {degree}: span mismatch, family rank {fam_rank}, "
             f"primitive dimension {len(prim)}"
         )
-    return degree, True, f"degree {degree}: {len(family)} classes"
+    return True, len(family), ""
 
 
 def suite_primitive_basis(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = 13 if max_degree is None else max_degree
-    ensure_degree_allowed(cap)
-    degrees = [d for d in range(1, cap + 1) if d % 2]
-    rows = _pmap(_primitive_basis_degree, degrees, jobs)
-    bad = [detail for _, ok, detail in rows if not ok]
-    details = f"odd degrees <= {cap}: unique corrections, independent, spanning"
-    return SuiteResult(
-        "primitive-basis", not bad, details if not bad else "; ".join(bad)
-    )
+    cap = _cap(max_degree, 13)
+    return _sweep("primitive-basis", _primitive_basis_case, range(1, cap + 1, 2), jobs,
+                  lambda _: f"odd degrees <= {cap}: unique corrections, independent, spanning")
 
 
 # ---------------------------------------------------------------------------
 # even-squares: both refutation routes on every even root dimension.
 
 
-def _even_square_case(args: tuple[str, int]) -> tuple[str, int, bool, str]:
-    tag, degree = args
-    entry = even_square_screen_at(_space_by_tag(tag), degree)
-    if entry.ok:
-        checked = sum(1 for m in entry.mechanism if m.has_linear_part)
-        return tag, degree, True, f"{tag} d={degree}: {checked} mechanism roots"
-    reasons = list(entry.kernel_witnesses) + [
-        m.root
-        for m in entry.mechanism
-        if m.has_linear_part and not (m.product_nonzero and m.identity_holds)
-    ]
-    return tag, degree, False, f"{tag} d={degree}: " + "; ".join(reasons)
+def _even_square_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
+    space, degree = args
+    entry = even_square_screen_at(space, degree)
+    return entry.ok, 0, f"{space.label} d={degree}: " + "; ".join(entry.failures)
 
 
 def suite_even_squares(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = 20 if max_degree is None else max_degree
-    ensure_degree_allowed(cap)
+    cap = _cap(max_degree, 20)
     half = cap // 2
     if half < 2:
         raise ValueError(f"even-squares scope is empty: max degree {cap} leaves no even root")
-    cases = [("qs1", d) for d in range(2, half + 1, 2)]
-    cases += [("two-cell", d) for d in range(2, min(8, half) + 1, 2)]
-    rows = _pmap(_even_square_case, cases, jobs)
-    bad = [detail for _, _, ok, detail in rows if not ok]
-    details = (
+    cases = [(qsn_space(1), d) for d in range(2, half + 1, 2)]
+    cases += [(two_cell_space(), d) for d in range(2, min(8, half) + 1, 2)]
+    return _sweep("even-squares", _even_square_case, cases, jobs, lambda _: (
         f"roots of even dimension <= {half} over qs1, <= {min(8, half)} over the "
-        "two-cell model: no annihilated primitive square survives either route"
-    )
-    return SuiteResult("even-squares", not bad, details if not bad else "; ".join(bad))
+        "two-cell model: no annihilated primitive square survives either route"))
 
 
 # ---------------------------------------------------------------------------
@@ -216,66 +203,47 @@ def suite_even_squares(max_degree: int | None = None, jobs: int = 1) -> SuiteRes
 # all-odd-entry span.
 
 
-def _wellington_case(args: tuple[str, int]) -> tuple[bool, int, str]:
-    tag, degree = args
-    report = wellington_check(_space_by_tag(tag), degree)
-    if report.ok:
-        return True, len(report.annihilated), ""
+def _wellington_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
+    space, degree = args
+    report = wellington_check(space, degree)
     offenders = ["+".join(str(s) for s in v) for v in report.violations]
-    return False, 0, f"{tag} degree {degree}: " + "; ".join(offenders)
+    detail = f"{space.label} degree {degree}: " + "; ".join(offenders)
+    return report.ok, len(report.annihilated), detail
 
 
 def suite_wellington(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = 15 if max_degree is None else max_degree
-    ensure_degree_allowed(cap)
-    cases = [("qs1", d) for d in range(1, cap + 1) if d % 2]
-    cases += [("two-cell", d) for d in range(1, min(11, cap) + 1) if d % 2]
-    rows = _pmap(_wellington_case, cases, jobs)
-    bad = [detail for ok, _, detail in rows if not ok]
-    count = sum(n for ok, n, _ in rows if ok)
-    details = (
+    cap = _cap(max_degree, 15)
+    cases = [(qsn_space(1), d) for d in range(1, cap + 1, 2)]
+    cases += [(two_cell_space(), d) for d in range(1, min(11, cap) + 1, 2)]
+    return _sweep("wellington", _wellington_case, cases, jobs, lambda n: (
         f"odd degrees <= {cap} (sphere) and <= {min(11, cap)} (two-cell): "
-        f"{count} annihilated vectors, all inside the all-odd-entry span"
-    )
-    return SuiteResult("wellington", not bad, details if not bad else "; ".join(bad))
+        f"{n} annihilated vectors, all inside the all-odd-entry span"))
 
 
 # ---------------------------------------------------------------------------
 # suspension-kernel: the kernel of the suspension is exactly the decomposables.
 
 
-def _suspension_kernel_case(args: tuple[str, int]) -> tuple[str, int, bool, str]:
-    tag, degree = args
-    space = _space_by_tag(tag)
-    charge = 0 if space.has_charge() else None
-    basis = basis_enumerate(space, degree, charge)
+def _suspension_kernel_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
+    space, degree = args
+    basis = basis_enumerate(space, degree)
     # both sides as masks over the basis indices
     kernel = _suspension_kernel(space, basis)
     decomposables = [1 << i for i, m in enumerate(basis) if sum(e for _, e in m.factors) >= 2]
-    masks = kernel + decomposables
-    k_rank = rank(kernel)
-    d_rank = rank(decomposables)
-    if k_rank == d_rank == rank(masks) and k_rank == len(kernel) == len(decomposables):
-        return tag, degree, True, f"{tag} degree {degree}: kernel dim {k_rank}"
-    return tag, degree, False, (
-        f"{tag} degree {degree}: kernel dim {len(kernel)} (rank {k_rank}) vs "
-        f"{len(decomposables)} decomposables (rank {d_rank}, joint {rank(masks)})"
+    k_rank, d_rank = rank(kernel), rank(decomposables)
+    joint = rank(kernel + decomposables)
+    ok = k_rank == d_rank == joint and k_rank == len(kernel) == len(decomposables)
+    return ok, k_rank, (
+        f"{space.label} degree {degree}: kernel dim {len(kernel)} (rank {k_rank}) vs "
+        f"{len(decomposables)} decomposables (rank {d_rank}, joint {joint})"
     )
 
 
 def suite_suspension_kernel(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = 12 if max_degree is None else max_degree
-    ensure_degree_allowed(cap)
-    cases = [(tag, d) for tag in ("qs0", "qs1") for d in range(1, cap + 1)]
-    rows = _pmap(_suspension_kernel_case, cases, jobs)
-    bad = [detail for _, _, ok, detail in rows if not ok]
-    details = (
-        f"degrees <= {cap} out of qs0 and qs1: "
-        "kernel of the suspension = decomposable span"
-    )
-    return SuiteResult(
-        "suspension-kernel", not bad, details if not bad else "; ".join(bad)
-    )
+    cap = _cap(max_degree, 12)
+    cases = [(space, d) for space in (qs0_space(), qsn_space(1)) for d in range(1, cap + 1)]
+    return _sweep("suspension-kernel", _suspension_kernel_case, cases, jobs, lambda _: (
+        f"degrees <= {cap} out of qs0 and qs1: kernel of the suspension = decomposable span"))
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +268,13 @@ def _monomial_element(space: SpaceDesc, m: Monomial) -> Element:
     return Element(space, frozenset({m}))
 
 
-def _hopf_degree(args: tuple[str, int]) -> tuple[bool, int, str]:
-    tag, degree = args
-    space = _space_by_tag(tag)
-    charge = 0 if space.has_charge() else None
+def _hopf_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
+    space, degree = args
 
     def psi(mono: Monomial):
         return coproduct(_monomial_element(space, mono))
 
-    basis = basis_enumerate(space, degree, charge)
+    basis = basis_enumerate(space, degree)
     checked = 0
     for m in basis:
         e = _monomial_element(space, m)
@@ -328,8 +294,8 @@ def _hopf_degree(args: tuple[str, int]) -> tuple[bool, int, str]:
             return False, 0, f"Sq^1 Sq^1 != 0 on {m}"
         checked += 1
     for d_left in range(1, degree):
-        for u in basis_enumerate(space, d_left, charge):
-            for v in basis_enumerate(space, degree - d_left, charge):
+        for u in basis_enumerate(space, d_left):
+            for v in basis_enumerate(space, degree - d_left):
                 prod = _monomial_element(space, u) * _monomial_element(space, v)
                 if coproduct(prod) != psi(u) * psi(v):
                     return False, 0, f"multiplicativity fails on {u} | {v}"
@@ -338,19 +304,11 @@ def _hopf_degree(args: tuple[str, int]) -> tuple[bool, int, str]:
 
 
 def suite_hopf_consistency(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = 10 if max_degree is None else max_degree
-    ensure_degree_allowed(cap)
-    cases = [(tag, d) for tag in ("qs1", "qs0") for d in range(1, cap + 1)]
-    rows = _pmap(_hopf_degree, cases, jobs)
-    bad = [detail for ok, _, detail in rows if not ok]
-    count = sum(n for ok, n, _ in rows if ok)
-    details = (
-        f"degrees <= {cap} on qs1 and charge-0 qs0: {count} identities "
-        "(coassociativity, counit, multiplicativity, Sq^1 Sq^1 = 0)"
-    )
-    return SuiteResult(
-        "hopf-consistency", not bad, details if not bad else "; ".join(bad)
-    )
+    cap = _cap(max_degree, 10)
+    cases = [(space, d) for space in (qsn_space(1), qs0_space()) for d in range(1, cap + 1)]
+    return _sweep("hopf-consistency", _hopf_case, cases, jobs, lambda n: (
+        f"degrees <= {cap} on qs1 and charge-0 qs0: {n} identities "
+        "(coassociativity, counit, multiplicativity, Sq^1 Sq^1 = 0)"))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +317,7 @@ def suite_hopf_consistency(max_degree: int | None = None, jobs: int = 1) -> Suit
 
 
 def suite_dimension_bounds(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = 10 if max_degree is None else max_degree
-    ensure_degree_allowed(cap)
+    cap = _cap(max_degree, 10)
     if cap < 2:
         raise ValueError(f"dimension-bounds scope is empty: max degree {cap} leaves no level")
     notes = []
@@ -433,14 +390,22 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run the named suites (all by default) and return their results.
 
-    A counterexample raised inside a suite is converted into a failed result
-    carrying the witness, so one broken suite does not mask the others.
+    Every front end goes through here, so the names, the max degree and the
+    job count are all checked before any suite runs; a bad one raises
+    ValueError.  A counterexample raised inside a suite is converted into a
+    failed result carrying the witness, so one broken suite does not mask the
+    others.
     """
-    chosen = list(SUITES) if names is None else names
-    results = []
+    chosen = list(SUITES) if names is None else list(names)
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if max_degree is not None and max_degree < 1:
+        raise ValueError(f"max degree must be >= 1, got {max_degree}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    results = []
+    for name in chosen:
         try:
             results.append(SUITES[name](max_degree=max_degree, jobs=jobs))
         except CounterexampleFound as exc:

@@ -305,6 +305,18 @@ def generators_up_to(space: SpaceDesc, max_dim: int) -> list[Generator]:
     return out
 
 
+def single_generators(space: SpaceDesc, degree: int) -> list[Monomial]:
+    """The monomials Q^I(b) of one degree, sorted; on the unit-loop model each
+    is translated back to charge zero."""
+    out = [
+        generator_monomial(g, 1, -g.charge)
+        for g in generators_up_to(space, degree)
+        if g.dimension == degree
+    ]
+    out.sort(key=canonical_key)
+    return out
+
+
 def basis_enumerate(space: SpaceDesc, degree: int, charge: int | None = None) -> list[Monomial]:
     """Sorted monomial basis of the given degree (reduced: degree 0 is empty).
 

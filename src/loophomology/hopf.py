@@ -53,6 +53,7 @@ from .f2algebra import (
     element_from_mask,
     generator_monomial,
     masks_for_term_sets,
+    single_generators,
     split_decomposable,
 )
 from .linalg_f2 import kernel_of_images, solve_unique
@@ -177,10 +178,8 @@ def generator_family(degree: int, max_length: int | None = None) -> list[Monomia
     """The classes Q^I[1]*[-2^len(I)] of one degree, optionally capped in length."""
     return [
         m
-        for m in basis_enumerate(qs0_space(), degree, 0)
-        if m.gen_length == 1
-        and m.factors[0][1] == 1
-        and (max_length is None or len(m.factors[0][0].seq) <= max_length)
+        for m in single_generators(qs0_space(), degree)
+        if max_length is None or len(m.factors[0][0].seq) <= max_length
     ]
 
 

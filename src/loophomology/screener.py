@@ -27,11 +27,9 @@ from .f2algebra import (
     _square,
     base_element,
     basis_enumerate,
-    canonical_key,
     element_from_mask,
-    generator_monomial,
-    generators_up_to,
     masks_for_term_sets,
+    single_generators,
     split_decomposable,
     translation_class,
 )
@@ -214,8 +212,7 @@ def primitive_annihilated_basis(space: SpaceDesc, degree: int) -> list[Element]:
     """
     if degree <= 0:
         return []
-    charge = 0 if space.has_charge() else None
-    return _pri_ann_kernel(space, degree, basis_enumerate(space, degree, charge))
+    return _pri_ann_kernel(space, degree, basis_enumerate(space, degree))
 
 
 def generator_span(
@@ -228,15 +225,7 @@ def generator_span(
     Products and powers are excluded: spherical candidates above the bottom
     cell desuspend, and what desuspends is a sum of single operations.
     """
-    out = []
-    for g in generators_up_to(space, degree):
-        if g.dimension != degree:
-            continue
-        m = generator_monomial(g, 1, -g.charge if space.has_charge() else 0)
-        if within_loop_filtration(m, loop):
-            out.append(m)
-    out.sort(key=canonical_key)
-    return out
+    return [m for m in single_generators(space, degree) if within_loop_filtration(m, loop)]
 
 
 @dataclass(frozen=True)
@@ -283,6 +272,8 @@ def screen_degree(
     """
     if degree <= 0:
         raise ValueError("screening runs in positive degrees")
+    if loop is not None and loop < 1:
+        raise ValueError(f"loop filtration level must be >= 1, got {loop}")
     candidates = _pri_ann_kernel(space, degree, generator_span(space, degree, loop))
 
     squares: list[Element] = []
@@ -328,11 +319,17 @@ class EvenSquareDegree:
     mechanism: tuple[MechanismEntry, ...]
 
     @property
-    def ok(self) -> bool:
-        checked = [m for m in self.mechanism if m.has_linear_part]
-        return self.kernel_ok and all(
-            m.product_nonzero and m.identity_holds for m in checked
+    def failures(self) -> tuple[str, ...]:
+        """The kernel witnesses, then the checked mechanism roots that fail."""
+        return self.kernel_witnesses + tuple(
+            m.root
+            for m in self.mechanism
+            if m.has_linear_part and not (m.product_nonzero and m.identity_holds)
         )
+
+    @property
+    def ok(self) -> bool:
+        return self.kernel_ok and not self.failures
 
 
 @dataclass(frozen=True)
@@ -367,8 +364,7 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
     upstairs = primitive_annihilated_basis(pred, 2 * degree - 1)
     p = _packing(space)
     images = [_suspend_codes(pred, p, w.terms) for w in upstairs]
-    charge = 0 if space.has_charge() else None
-    squares = [{_square(p.encode(m))} for m in basis_enumerate(space, degree, charge)]
+    squares = [{_square(p.encode(m))} for m in basis_enumerate(space, degree)]
     masks, ordered = masks_for_term_sets(images + squares)
     meet = span_intersection(masks[: len(images)], masks[len(images) :])
     witnesses: tuple[str, ...] = ()
@@ -416,13 +412,9 @@ def verify_no_even_squares(space: SpaceDesc, max_half_degree: int) -> EvenSquare
     for degree in range(2, max_half_degree + 1, 2):
         entry = even_square_screen_at(space, degree)
         if not entry.ok:
-            bad = entry.kernel_witnesses or tuple(
-                m.root for m in entry.mechanism
-                if m.has_linear_part and not (m.product_nonzero and m.identity_holds)
-            )
             raise CounterexampleFound(
                 f"even-square refutation failed at root dimension {degree}: "
-                + "; ".join(bad)
+                + "; ".join(entry.failures)
             )
         entries.append(entry)
     return EvenSquareReport(space, max_half_degree, tuple(entries))

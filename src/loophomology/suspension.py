@@ -20,9 +20,9 @@ from .f2algebra import (
     element_from_mask,
     masks_for_term_sets,
 )
-from .linalg_f2 import echelon, kernel_of_images, reduce_against
+from .linalg_f2 import in_span, kernel_of_images
 from .seqcore import upper_to_lower
-from .spaces import MODEL_QS0, SpaceDesc
+from .spaces import SpaceDesc
 
 
 def loop_level(m: Monomial) -> int:
@@ -71,8 +71,7 @@ def suspension_kernel_basis(space: SpaceDesc, degree: int) -> list[Element]:
 
     On the unit-loop model this is the charge-zero component.
     """
-    charge = 0 if space.model == MODEL_QS0 else None
-    basis = basis_enumerate(space, degree, charge)
+    basis = basis_enumerate(space, degree)
     return [element_from_mask(space, combo, basis) for combo in _suspension_kernel(space, basis)]
 
 
@@ -90,10 +89,7 @@ def in_suspension_image(e: Element) -> bool:
     if not e.terms:
         return True
     pred = e.space.predecessor()  # raises NoSuccessor at the bottom of the tower
-    d = e.dimension
-    charge = 0 if pred.model == MODEL_QS0 else None
-    basis = basis_enumerate(pred, d - 1, charge)
-    images = [suspend(Element(pred, frozenset({m}))) for m in basis]
-    masks, _ = masks_for_term_sets([img.terms for img in images] + [e.terms])
-    reduced = echelon(masks[:-1])
-    return reduce_against(masks[-1], reduced) == 0
+    target = _packing(e.space)
+    images = [_suspend_codes(pred, target, (m,)) for m in basis_enumerate(pred, e.dimension - 1)]
+    masks, _ = masks_for_term_sets(images + [target.encode_set(e.terms)])
+    return in_span(masks[-1], masks[:-1])

@@ -39,6 +39,23 @@ def test_unknown_suite_rejected():
         run_suites(["no-such-suite"])
 
 
+@pytest.mark.parametrize(
+    "names, kwargs",
+    [
+        (["kernel-of-r", "no-such-suite"], {}),
+        (["kernel-of-r"], {"max_degree": 0}),
+        (["kernel-of-r"], {"jobs": 0}),
+    ],
+)
+def test_bad_arguments_are_rejected_before_any_suite_runs(monkeypatch, names, kwargs):
+    def must_not_run(**kwargs):
+        raise AssertionError("a suite ran before its arguments were checked")
+
+    monkeypatch.setitem(certify.SUITES, "kernel-of-r", must_not_run)
+    with pytest.raises(ValueError):
+        run_suites(names, **kwargs)
+
+
 def test_suite_names_are_stable():
     assert list(SUITES) == [
         "kernel-of-r",

@@ -101,6 +101,17 @@ def test_generator_family():
     assert [str(m) for m in generator_family(3, max_length=1)] == ["Q^3[1] * [-2]"]
 
 
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_generator_family_is_the_single_generators_of_the_basis(degree):
+    # oracle: the charge-0 basis cut down to its single generators
+    singles = [m for m in basis_enumerate(QS0, degree, 0) if m.gen_length == 1]
+    for max_length in (None, 1, 2, 3):
+        expected = [
+            m for m in singles if max_length is None or len(m.factors[0][0].seq) <= max_length
+        ]
+        assert generator_family(degree, max_length) == expected
+
+
 @pytest.mark.parametrize("degree", range(1, 11))
 def test_halving_kernel_is_the_odd_entry_span(degree):
     kernel = kernel_of_r(degree, max_length=3)

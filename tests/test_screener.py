@@ -6,6 +6,8 @@ import pytest
 
 from loophomology.errors import UnsupportedOperand
 from loophomology.screener import (
+    EvenSquareDegree,
+    MechanismEntry,
     MInfinityModule,
     MSymbol,
     bound_main1,
@@ -146,6 +148,24 @@ def test_even_square_witnesses_print_in_structural_order(monkeypatch):
         lambda images, squares: [squares[0] ^ squares[1], squares[1] ^ squares[2], squares[2]],
     )
     assert even_square_screen_at(QS1, 4).kernel_witnesses == entry.kernel_witnesses
+
+
+def test_even_square_failures_list_witnesses_then_failing_roots():
+    entry = EvenSquareDegree(
+        4,
+        False,
+        ("w",),
+        (
+            MechanismEntry("held", True, True, True),
+            MechanismEntry("zero product", True, False, True),
+            MechanismEntry("pure square", False, None, None),
+            MechanismEntry("identity broken", True, True, False),
+        ),
+    )
+    assert entry.failures == ("w", "zero product", "identity broken")
+    assert not entry.ok
+    passing = EvenSquareDegree(4, True, (), entry.mechanism[:1] + entry.mechanism[2:3])
+    assert passing.failures == () and passing.ok
 
 
 def test_even_square_screen_guards():

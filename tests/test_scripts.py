@@ -1,0 +1,77 @@
+"""Smoke tests of the scripts under scripts/, each run as a subprocess."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *argv: str, **env: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+
+
+def assert_one_line_error(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_screen_space_sweeps_the_degrees():
+    proc = run_script("screen_space.py", "--space", "qsn", "--n", "1", "--max-degree", "3")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == ["d=1", "d=2", "d=3"]
+
+
+@pytest.mark.parametrize("flag", ["--loop", "--max-degree"])
+def test_screen_space_rejects_a_scope_that_checks_nothing(flag):
+    proc = run_script(
+        "screen_space.py", "--space", "qsn", "--n", "1", "--max-degree", "3", flag, "0"
+    )
+    assert_one_line_error(proc)
+    assert "must be >= 1, got 0" in proc.stderr
+
+
+def test_screen_space_stays_inside_the_degree_budget():
+    proc = run_script(
+        "screen_space.py", "--space", "qsn", "--n", "1", "--max-degree", "5",
+        LOOPHOMOLOGY_MAX_DEGREE="4",
+    )
+    assert_one_line_error(proc)
+    assert "budget" in proc.stderr
+
+
+def test_run_certification_rejects_an_empty_scope():
+    proc = run_script(
+        "run_certification.py", "--suite", "kernel-of-r", "--suite", "wellington",
+        "--max-degree", "0", "--jobs", "0",
+    )
+    assert_one_line_error(proc)
+
+
+def test_run_certification_passes_a_cheap_suite():
+    proc = run_script("run_certification.py", "--suite", "sum-identity")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.split()[:2] == ["sum-identity", "pass"]
+
+
+def test_bound_tables_prints_its_three_tables():
+    proc = run_script("bound_tables.py", "--max-l", "3", "--max-k", "1")
+    assert proc.returncode == 0 and proc.stderr == ""
+    headers = [line for line in proc.stdout.splitlines() if line.startswith("# ")]
+    assert headers == [
+        "# max generator dimension (closed form vs exhaustive), base dim 1",
+        "# doubled bounds: printed form vs oracle",
+        "# immersion thresholds n_min(d, k)",
+    ]
+    assert "discrepancy" in proc.stdout
