@@ -7,8 +7,8 @@ import argparse
 import sys
 import time
 
-from loophomology.certify import SUITES, run_suites
-from loophomology.errors import DegreeBudgetExceeded
+from loophomology.certify import SUITES, check_scope, run_suites
+from loophomology.errors import LoopHomologyError
 
 
 def main() -> int:
@@ -20,18 +20,17 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=1, help="parallel degree fan-out")
     args = ap.parse_args()
 
-    names = args.suite or list(SUITES)
     failures = 0
-    for name in names:
-        start = time.monotonic()
-        try:
+    try:
+        for name in check_scope(args.suite, args.max_degree, args.jobs):
+            start = time.monotonic()
             (result,) = run_suites([name], max_degree=args.max_degree, jobs=args.jobs)
-        except (ValueError, DegreeBudgetExceeded) as exc:
-            raise SystemExit(f"{name}: {exc}") from None
-        elapsed = time.monotonic() - start
-        mark = "pass" if result.passed else "FAIL"
-        print(f"{name:<20} {mark}  {elapsed:7.2f}s  {result.details}")
-        failures += not result.passed
+            elapsed = time.monotonic() - start
+            mark = "pass" if result.passed else "FAIL"
+            print(f"{name:<20} {mark}  {elapsed:7.2f}s  {result.details}")
+            failures += not result.passed
+    except (ValueError, LoopHomologyError) as exc:
+        raise SystemExit(str(exc)) from None
     return 3 if failures else 0
 
 

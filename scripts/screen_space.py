@@ -12,7 +12,7 @@ import json
 import sys
 
 from loophomology.certify import ensure_degree_allowed
-from loophomology.errors import DegreeBudgetExceeded
+from loophomology.errors import LoopHomologyError
 from loophomology.screener import screen_degree
 from loophomology.spaces import load_space
 
@@ -39,7 +39,7 @@ def main() -> int:
             cands = ", ".join(str(c) for c in report.candidates) or "-"
             squares = ", ".join(str(s) for s in report.squares) or "-"
             print(f"d={degree:<3} {report.verdict:<28} candidates: {cands}   squares: {squares}")
-    except (ValueError, OSError, DegreeBudgetExceeded) as exc:
+    except (ValueError, OSError, LoopHomologyError) as exc:
         raise SystemExit(str(exc)) from None
     return 0
 

@@ -93,9 +93,22 @@ def _pmap(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _cap(max_degree: int | None, default: int) -> int:
+#: The default sweep cap of every suite inside the degree budget.  The
+#: sum-identity and stable-range suites sweep no homology and stay outside it.
+CAPS = {
+    "kernel-of-r": 16,
+    "primitive-basis": 13,
+    "even-squares": 20,
+    "wellington": 15,
+    "suspension-kernel": 12,
+    "hopf-consistency": 10,
+    "dimension-bounds": 10,
+}
+
+
+def _cap(name: str, max_degree: int | None) -> int:
     """The suite's sweep cap, refused if it is past the degree budget."""
-    cap = default if max_degree is None else max_degree
+    cap = CAPS[name] if max_degree is None else max_degree
     ensure_degree_allowed(cap)
     return cap
 
@@ -130,7 +143,7 @@ def _kernel_of_r_case(degree: int) -> tuple[bool, int, str]:
 
 
 def suite_kernel_of_r(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = _cap(max_degree, 16)
+    cap = _cap("kernel-of-r", max_degree)
     return _sweep("kernel-of-r", _kernel_of_r_case, range(1, cap + 1), jobs,
                   lambda n: f"degrees 1..{cap}, lengths <= 3, {n} kernel vectors matched")
 
@@ -171,7 +184,7 @@ def _primitive_basis_case(degree: int) -> tuple[bool, int, str]:
 
 
 def suite_primitive_basis(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = _cap(max_degree, 13)
+    cap = _cap("primitive-basis", max_degree)
     return _sweep("primitive-basis", _primitive_basis_case, range(1, cap + 1, 2), jobs,
                   lambda _: f"odd degrees <= {cap}: unique corrections, independent, spanning")
 
@@ -187,7 +200,7 @@ def _even_square_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
 
 
 def suite_even_squares(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = _cap(max_degree, 20)
+    cap = _cap("even-squares", max_degree)
     half = cap // 2
     if half < 2:
         raise ValueError(f"even-squares scope is empty: max degree {cap} leaves no even root")
@@ -212,7 +225,7 @@ def _wellington_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
 
 
 def suite_wellington(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = _cap(max_degree, 15)
+    cap = _cap("wellington", max_degree)
     cases = [(qsn_space(1), d) for d in range(1, cap + 1, 2)]
     cases += [(two_cell_space(), d) for d in range(1, min(11, cap) + 1, 2)]
     return _sweep("wellington", _wellington_case, cases, jobs, lambda n: (
@@ -240,7 +253,7 @@ def _suspension_kernel_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str
 
 
 def suite_suspension_kernel(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = _cap(max_degree, 12)
+    cap = _cap("suspension-kernel", max_degree)
     cases = [(space, d) for space in (qs0_space(), qsn_space(1)) for d in range(1, cap + 1)]
     return _sweep("suspension-kernel", _suspension_kernel_case, cases, jobs, lambda _: (
         f"degrees <= {cap} out of qs0 and qs1: kernel of the suspension = decomposable span"))
@@ -260,8 +273,8 @@ def suite_sum_identity(max_degree: int | None = None, jobs: int = 1) -> SuiteRes
 
 
 # ---------------------------------------------------------------------------
-# hopf-consistency: coassociativity, multiplicativity, the counit law, and
-# Sq^1 Sq^1 = 0, on every basis monomial in range.
+# hopf-consistency: coassociativity, cocommutativity, multiplicativity, the
+# counit law, and Sq^1 Sq^1 = 0, on every basis monomial in range.
 
 
 def _monomial_element(space: SpaceDesc, m: Monomial) -> Element:
@@ -281,6 +294,9 @@ def _hopf_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
         pairs = coproduct(e)
         if expand_slot(pairs, 0, psi) != expand_slot(pairs, 1, psi):
             return False, 0, f"coassociativity fails on {m}"
+        # the primitive-annihilated kernels keep half the coproduct on this
+        if {(v, u) for u, v in pairs.terms} != pairs.terms:
+            return False, 0, f"cocommutativity fails on {m}"
         left = Element(space, frozenset())
         right = Element(space, frozenset())
         for u, v in pairs.terms:
@@ -304,7 +320,7 @@ def _hopf_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
 
 
 def suite_hopf_consistency(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = _cap(max_degree, 10)
+    cap = _cap("hopf-consistency", max_degree)
     cases = [(space, d) for space in (qsn_space(1), qs0_space()) for d in range(1, cap + 1)]
     return _sweep("hopf-consistency", _hopf_case, cases, jobs, lambda n: (
         f"degrees <= {cap} on qs1 and charge-0 qs0: {n} identities "
@@ -317,7 +333,7 @@ def suite_hopf_consistency(max_degree: int | None = None, jobs: int = 1) -> Suit
 
 
 def suite_dimension_bounds(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = _cap(max_degree, 10)
+    cap = _cap("dimension-bounds", max_degree)
     if cap < 2:
         raise ValueError(f"dimension-bounds scope is empty: max degree {cap} leaves no level")
     notes = []
@@ -383,18 +399,16 @@ SUITES = {
 }
 
 
-def run_suites(
+def check_scope(
     names: list[str] | None = None,
     max_degree: int | None = None,
     jobs: int = 1,
-) -> list[SuiteResult]:
-    """Run the named suites (all by default) and return their results.
+) -> list[str]:
+    """The suites to run (all by default), once the whole request is checked.
 
-    Every front end goes through here, so the names, the max degree and the
-    job count are all checked before any suite runs; a bad one raises
-    ValueError.  A counterexample raised inside a suite is converted into a
-    failed result carrying the witness, so one broken suite does not mask the
-    others.
+    The names, the max degree, the job count and the cap of every chosen
+    suite are checked before any suite runs: a bad value raises ValueError,
+    and a cap past the degree budget raises DegreeBudgetExceeded.
     """
     chosen = list(SUITES) if names is None else list(names)
     for name in chosen:
@@ -404,8 +418,26 @@ def run_suites(
         raise ValueError(f"max degree must be >= 1, got {max_degree}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    results = []
     for name in chosen:
+        if name in CAPS:
+            _cap(name, max_degree)
+    return chosen
+
+
+def run_suites(
+    names: list[str] | None = None,
+    max_degree: int | None = None,
+    jobs: int = 1,
+) -> list[SuiteResult]:
+    """Run the named suites (all by default) and return their results.
+
+    Every front end goes through here, or through check_scope first, so the
+    whole request is checked before any suite runs.  A counterexample raised
+    inside a suite is converted into a failed result carrying the witness, so
+    one broken suite does not mask the others.
+    """
+    results = []
+    for name in check_scope(names, max_degree, jobs):
         try:
             results.append(SUITES[name](max_degree=max_degree, jobs=jobs))
         except CounterexampleFound as exc:

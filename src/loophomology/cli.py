@@ -10,7 +10,8 @@ Subcommands:
   verify               run the certification suites
 
 Exit codes: 0 success, 2 malformed input, 3 counterexample or failed suite,
-4 degree budget exceeded.  Output is deterministic: the same invocation
+4 a limit reached: the degree budget, or a monomial past its packed field
+(PackedFieldOverflow).  Output is deterministic: the same invocation
 prints the same bytes.
 
 Spaces are selected with --space: the built-in ids "qs0" and "qsn" (the
@@ -26,7 +27,12 @@ import json
 import sys
 
 from .certify import SUITES, ensure_degree_allowed, run_suites
-from .errors import CounterexampleFound, DegreeBudgetExceeded, LoopHomologyError
+from .errors import (
+    CounterexampleFound,
+    DegreeBudgetExceeded,
+    LoopHomologyError,
+    PackedFieldOverflow,
+)
 from .f2algebra import basis_enumerate
 from .screener import bounds_report, immersion_threshold_report, screen_degree, stable_range_check
 from .spaces import load_space
@@ -173,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DegreeBudgetExceeded as exc:
+    except (DegreeBudgetExceeded, PackedFieldOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except CounterexampleFound as exc:

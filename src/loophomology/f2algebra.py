@@ -445,6 +445,7 @@ MAX_DEGREE = (1 << (DEGREE_BITS - 1)) - 1
 MAX_GENERATORS = 4096
 _TRANSLATION_MASK = (1 << TRANSLATION_BITS) - 1
 _DEGREE_MASK = (1 << DEGREE_BITS) - 1
+_DEGREE_FIELD = _DEGREE_MASK << TRANSLATION_BITS
 _GUARDS = (
     1 << (TRANSLATION_BITS - 1)
     | 1 << (GENERATOR_SHIFT - 1)
@@ -511,9 +512,14 @@ def _mul_sets(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
     return frozenset(acc)
 
 
-def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair]) -> frozenset[Pair]:
-    """GF(2) product of two sums of tensors of packed monomials, slot by slot."""
+def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair], k: int = MAX_DEGREE) -> frozenset[Pair]:
+    """GF(2) product of two sums of tensors of packed monomials, slot by slot.
+
+    Only the products whose left slot has degree at most k are kept; the
+    default keeps them all.
+    """
     acc: set[Pair] = set()
+    bound = k << TRANSLATION_BITS  # k, placed in the degree field
     for u1, v1 in a:
         u1 -= ONE_CODE
         v1 -= ONE_CODE
@@ -521,6 +527,8 @@ def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair]) -> frozenset[Pair]:
             u, v = u1 + u2, v1 + v2
             if (u | v) & _GUARDS:
                 raise _overflow(u if u & _GUARDS else v)
+            if u & _DEGREE_FIELD > bound:
+                continue
             pair = (u, v)
             if pair in acc:
                 acc.remove(pair)
@@ -529,14 +537,16 @@ def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair]) -> frozenset[Pair]:
     return frozenset(acc)
 
 
-def _cartan(op, p: Packing, r: int, u, v, mul=_mul_sets) -> frozenset:
+def _cartan(op, p: Packing, r: int, u, v, mul=_mul_sets, top: int | None = None) -> frozenset:
     """The Cartan formula: sum over j of op(p, j, u) * op(p, r - j, v).
 
     op is an operation on one factor, such as Q^j or Sq^j_*, and mul the
     product of its values: _mul_sets on monomials, _mul_pairs on tensors.
+    With top, the sum stops at j = top.
     """
     acc: set = set()
-    for j in range(r + 1):
+    last = r if top is None else min(r, top)
+    for j in range(last + 1):
         left = op(p, j, u)
         if left:
             acc ^= mul(left, op(p, r - j, v))
@@ -652,13 +662,25 @@ def _packing(space: SpaceDesc) -> Packing:
 
 
 def masks_for_term_sets(term_sets: list) -> tuple[list[int], list]:
-    """Assign bits to the union of the term sets (sorted) and mask each set."""
+    """Assign bits to the union of the term sets (sorted) and mask each set.
+
+    Each row's bits are set in a bytearray and turned into an int once, rather
+    than summed one row-wide int per term.
+    """
     universe: set = set()
     for s in term_sets:
-        universe |= set(s)
+        universe.update(s)
     ordered = sorted(universe)
     index = {t: i for i, t in enumerate(ordered)}
-    return [sum(1 << index[t] for t in s) for s in term_sets], ordered
+    width = (len(ordered) + 7) // 8
+    masks = []
+    for s in term_sets:
+        row = bytearray(width)
+        for t in s:
+            i = index[t]
+            row[i >> 3] |= 1 << (i & 7)
+        masks.append(int.from_bytes(row, "little"))
+    return masks, ordered
 
 
 def _picked(mask: int, items: list) -> frozenset:

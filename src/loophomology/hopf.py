@@ -46,6 +46,7 @@ from .f2algebra import (
     Pair,
     TensorElement,
     _cartan,
+    _degree,
     _mul_pairs,
     _packing,
     _picked,
@@ -70,33 +71,50 @@ def _q_slot(p: Packing, a: int, pair: Pair) -> frozenset[Pair]:
 
 
 @lru_cache(maxsize=None)
-def _psi_monomial(p: Packing, m: int) -> frozenset[Pair]:
+def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
+    """The terms x (x) y of psi(m) with |x| <= k; k >= |m| gives all of psi(m).
+
+    Degrees add under products and Q^j raises them by j, so the cut is made
+    inside the recursion.  Callers pass k <= |m|, which keeps one cache entry
+    for the whole coproduct.
+    """
     i, u, v = p.split(m)
     if v != ONE_CODE:
-        return _mul_pairs(_psi_monomial(p, u), _psi_monomial(p, v))
+        return _mul_pairs(_psi_cut(p, u, k), _psi_cut(p, v, k), k)
     if i is None:
         return frozenset({(m, m)})
     if not p.gens[i].seq:
-        return frozenset({(m, ONE_CODE), (ONE_CODE, m)})
+        return frozenset({(m, ONE_CODE), (ONE_CODE, m)} if k >= _degree(m) else {(ONE_CODE, m)})
     # psi(Q^a z) = Q^a psi(z), with Q^a acting on x (x) y = (x (x) 1)(1 (x) y)
-    # by the Cartan formula
+    # by the Cartan formula; the left slot Q^j x has degree |x| + j
     a, z = p.peel(i)
     acc: set[Pair] = set()
-    for x, y in _psi_monomial(p, z):
-        acc ^= _cartan(_q_slot, p, a, (x, ONE_CODE), (ONE_CODE, y), _mul_pairs)
+    for x, y in _psi_cut(p, z, k):
+        top = k - _degree(x)
+        acc ^= _cartan(_q_slot, p, a, (x, ONE_CODE), (ONE_CODE, y), _mul_pairs, top)
     return frozenset(acc)
 
 
-def _reduced_psi(p: Packing, m: int) -> frozenset[Pair]:
-    """psi(m) + m (x) 1 + 1 (x) m on one packed monomial."""
-    return _psi_monomial(p, m) ^ {(m, ONE_CODE), (ONE_CODE, m)}
+def _psi_cut(p: Packing, m: int, k: int) -> frozenset[Pair]:
+    """_psi_monomial with k clipped to |m|, so equal results share one entry."""
+    return _psi_monomial(p, m, min(k, _degree(m)))
+
+
+def _reduced_psi(p: Packing, m: int, k: int | None = None) -> frozenset[Pair]:
+    """psi(m) + m (x) 1 + 1 (x) m on one packed monomial, cut to the terms
+    x (x) y with |x| <= k when k is given."""
+    d = _degree(m)
+    if k is None or k >= d:
+        return _psi_monomial(p, m, d) ^ {(m, ONE_CODE), (ONE_CODE, m)}
+    return _psi_monomial(p, m, k) ^ {(ONE_CODE, m)}
 
 
 def coproduct(e: Element) -> TensorElement:
     p = _packing(e.space)
     acc: set[Pair] = set()
     for m in e.terms:
-        acc ^= _psi_monomial(p, p.encode(m))
+        code = p.encode(m)
+        acc ^= _psi_monomial(p, code, _degree(code))
     return p.tensor(acc)
 
 

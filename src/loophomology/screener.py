@@ -181,20 +181,25 @@ def wellington_check(space: SpaceDesc, degree: int) -> WellingtonReport:
 
 
 def _pri_ann_kernel(space: SpaceDesc, degree: int, basis: list[Monomial]) -> list[Element]:
-    """Kernel of the stacked (reduced coproduct, total Steenrod) map on a span.
+    """Kernel of the stacked (reduced coproduct, Steenrod) map on a span.
 
-    Every returned vector is re-verified against the definitions directly,
-    so a bug in the kernel bookkeeping cannot silently pass.
+    Only the rows the kernel needs are built.  The Steenrod rows are the
+    Sq^(2^i)_*, which generate the Steenrod algebra, and the coproduct rows
+    are the terms x (x) y with |x| <= degree // 2, which fix the rest because
+    psi is cocommutative.  Every returned vector is re-verified against the
+    full reduced coproduct and every Sq^r_*, so a bug in the kernel
+    bookkeeping, or a row set that is too small, cannot silently pass.
     """
     if not basis:
         return []
     p = _packing(space)
+    powers = [1 << i for i in range(degree.bit_length())]
     term_sets = []
     for m in map(p.encode, basis):
         # Steenrod terms are tagged (-r, out): packed codes are nonnegative, so
         # a tag never equals a coproduct pair (u, v)
-        sq_tags = {(-r, out) for r in range(1, degree + 1) for out in _sq_monomial(p, r, m)}
-        term_sets.append(_reduced_psi(p, m) | sq_tags)
+        sq_tags = {(-r, out) for r in powers for out in _sq_monomial(p, r, m)}
+        term_sets.append(_reduced_psi(p, m, degree // 2) | sq_tags)
     masks, _ = masks_for_term_sets(term_sets)
     out = []
     for combo in kernel_of_images(masks):

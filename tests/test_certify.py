@@ -14,6 +14,8 @@ from loophomology.certify import (
     run_suites,
 )
 from loophomology.errors import DegreeBudgetExceeded
+from loophomology.f2algebra import TensorElement
+from loophomology.spaces import qsn_space
 
 
 def test_default_budget(monkeypatch):
@@ -54,6 +56,38 @@ def test_bad_arguments_are_rejected_before_any_suite_runs(monkeypatch, names, kw
     monkeypatch.setitem(certify.SUITES, "kernel-of-r", must_not_run)
     with pytest.raises(ValueError):
         run_suites(names, **kwargs)
+
+
+def test_every_cap_is_checked_before_any_suite_runs(monkeypatch):
+    # even-squares' default cap 20 is past a budget of 16, so nothing may run
+    def must_not_run(**kwargs):
+        raise AssertionError("a suite ran before every cap was checked")
+
+    monkeypatch.setenv(BUDGET_ENV, "16")
+    monkeypatch.setitem(certify.SUITES, "kernel-of-r", must_not_run)
+    with pytest.raises(DegreeBudgetExceeded, match="degree 20"):
+        run_suites(["kernel-of-r", "even-squares"])
+    with pytest.raises(DegreeBudgetExceeded):
+        run_suites()
+
+
+def test_closed_form_suites_stay_outside_the_budget(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "4")
+    assert set(SUITES) - set(certify.CAPS) == {"sum-identity", "stable-range"}
+    results = run_suites(["sum-identity", "stable-range"], max_degree=5)
+    assert all(r.passed for r in results)
+
+
+def test_hopf_consistency_catches_a_coproduct_that_is_not_cocommutative(monkeypatch):
+    # x_1 -> x_1 (x) 1 alone is coassociative but not cocommutative
+    real = certify.coproduct
+
+    def lopsided(e):
+        full = real(e)
+        return TensorElement(full.space, 2, frozenset(t for t in full.terms if t[0] in e.terms))
+
+    monkeypatch.setattr(certify, "coproduct", lopsided)
+    assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "cocommutativity fails on x_1")
 
 
 def test_suite_names_are_stable():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -179,6 +180,32 @@ def test_degree_budget_exit(capsys, monkeypatch):
     monkeypatch.setenv("LOOPHOMOLOGY_MAX_DEGREE", "5")
     code, _, err = run_cli(capsys, "basis", "--space", "qsn", "--n", "1", "--degree", "9")
     assert code == 4 and err
+
+
+def test_packed_field_overflow_is_a_limit(capsys, monkeypatch):
+    # x_1^128 does not fit the byte of its exponent
+    monkeypatch.setenv("LOOPHOMOLOGY_MAX_DEGREE", "132")
+    code, out, err = run_cli(
+        capsys, "screen", "--space", "qsn", "--n", "1", "--degree", "128", "--loop", "5"
+    )
+    assert code == 4 and out == ""
+    assert err == "error: exponent 128 of x_1 does not fit its packed field\n"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["screen", "--space", "qsn", "--n", "1", "--degree", "9", "--loop", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "loophomology", *argv], capture_output=True, text=True
+    )
+    assert code == 0 and err == "" and "candidate Q^(5,3) x_1" in out
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_importing_the_main_module_runs_nothing(capsys):
+    # a walk over the package's modules imports __main__ too
+    importlib.import_module("loophomology.__main__")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_console_script_subprocess():

@@ -1,0 +1,153 @@
+"""The rows of the primitive-annihilated kernel against the full-row oracle.
+
+`screener._pri_ann_kernel` builds only the rows its kernel needs: Sq^(2^i)_*
+instead of every Sq^r_*, the coproduct terms x (x) y with |x| <= d // 2, and
+masks set through bytes.  The oracle below is the full construction: every
+r in 1..d, the whole reduced coproduct, and masks summed one bit at a time.
+Both must give exactly the same kernel vectors.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from loophomology.f2algebra import (
+    ONE_CODE,
+    Element,
+    _degree,
+    _packing,
+    basis_enumerate,
+    element_from_mask,
+    masks_for_term_sets,
+)
+from loophomology.hopf import _psi_monomial, _reduced_psi, coproduct
+from loophomology.linalg_f2 import kernel_of_images
+from loophomology.screener import _pri_ann_kernel, generator_span
+from loophomology.spaces import qs0_space, qsn_space, space_from_dict, two_cell_space
+from loophomology.steenrod import _sq_monomial
+
+MAX_DEGREE = 12
+
+SPACES = {
+    "qs0": qs0_space(),
+    "qs1": qsn_space(1),
+    "qs2": qsn_space(2),
+    "two-cell": two_cell_space(),
+    "sigma2-a1b2-sq1": space_from_dict({
+        "model": "sigma2",
+        "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 2}],
+        "sq_action": [{"r": 1, "from": "b", "to": ["a"]}],
+    }),
+    "sigma2-a1b3-sq2": space_from_dict({
+        "model": "sigma2",
+        "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 3}],
+        "sq_action": [{"r": 2, "from": "b", "to": ["a"]}],
+    }),
+}
+
+spaces = pytest.mark.parametrize("space", SPACES.values(), ids=SPACES.keys())
+
+
+def sum_masks(term_sets: list) -> list[int]:
+    """Masks as they were first built: one row-wide big-int add per term."""
+    universe: set = set()
+    for s in term_sets:
+        universe |= set(s)
+    index = {t: i for i, t in enumerate(sorted(universe))}
+    return [sum(1 << index[t] for t in s) for s in term_sets]
+
+
+def full_row_kernel(space, degree, basis):
+    """The kernel from every row: all Sq^r_*, the whole reduced coproduct."""
+    if not basis:
+        return []
+    p = _packing(space)
+    term_sets = []
+    for m in map(p.encode, basis):
+        sq_tags = {(-r, out) for r in range(1, degree + 1) for out in _sq_monomial(p, r, m)}
+        term_sets.append(_reduced_psi(p, m) | sq_tags)
+    return [element_from_mask(space, c, basis) for c in kernel_of_images(sum_masks(term_sets))]
+
+
+@spaces
+def test_kernel_matches_the_full_rows_on_the_whole_basis(space):
+    for degree in range(1, MAX_DEGREE + 1):
+        basis = basis_enumerate(space, degree)
+        assert _pri_ann_kernel(space, degree, basis) == full_row_kernel(space, degree, basis)
+
+
+@spaces
+def test_kernel_matches_the_full_rows_on_the_generator_span(space):
+    for degree in range(1, MAX_DEGREE + 1):
+        basis = generator_span(space, degree)
+        assert _pri_ann_kernel(space, degree, basis) == full_row_kernel(space, degree, basis)
+
+
+@spaces
+def test_psi_cut_is_the_full_psi_filtered(space):
+    p = _packing(space)
+    for degree in range(1, MAX_DEGREE + 1):
+        for m in map(p.encode, basis_enumerate(space, degree)):
+            full = _psi_monomial(p, m, degree)
+            for k in range(degree + 2):
+                assert _psi_monomial(p, m, k) == {
+                    (x, y) for x, y in full if _degree(x) <= k
+                }, (space.label, m, k)
+
+
+@spaces
+def test_reduced_psi_cut_drops_only_the_upper_half(space):
+    p = _packing(space)
+    for degree in range(1, MAX_DEGREE + 1):
+        for m in map(p.encode, basis_enumerate(space, degree)):
+            full = _reduced_psi(p, m)
+            half = _reduced_psi(p, m, degree // 2)
+            assert half == {(x, y) for x, y in full if _degree(x) <= degree // 2}
+            assert (ONE_CODE, m) not in full and (m, ONE_CODE) not in full
+
+
+@spaces
+def test_coproduct_is_cocommutative(space):
+    # tau psi = psi on every basis monomial: the halving of the coproduct rows
+    # in _pri_ann_kernel rests on it
+    for degree in range(1, MAX_DEGREE + 1):
+        for m in basis_enumerate(space, degree):
+            terms = coproduct(Element(space, frozenset({m}))).terms
+            assert {(v, u) for u, v in terms} == terms, (space.label, m)
+
+
+def test_byte_masks_equal_sum_masks_on_random_sets():
+    rng = random.Random(23)
+    for _ in range(200):
+        pool = [rng.randrange(1 << 40) for _ in range(rng.randrange(1, 60))]
+        sets = [frozenset(rng.sample(pool, rng.randrange(0, len(pool) + 1)))
+                for _ in range(rng.randrange(0, 8))]
+        masks, ordered = masks_for_term_sets(sets)
+        assert masks == sum_masks(sets)
+        assert ordered == sorted(set().union(*sets))
+
+
+@spaces
+def test_byte_masks_equal_sum_masks_on_kernel_rows(space):
+    p = _packing(space)
+    for degree in range(1, MAX_DEGREE + 1):
+        sets = [
+            _reduced_psi(p, m)
+            | {(-r, w) for r in range(1, degree + 1) for w in _sq_monomial(p, r, m)}
+            for m in map(p.encode, basis_enumerate(space, degree))
+        ]
+        assert masks_for_term_sets(sets)[0] == sum_masks(sets)
+
+
+@spaces
+def test_sq_vanishes_past_half_the_degree(space):
+    # instability: Sq^r_* is zero on H_n once 2r > n.  So the top row
+    # Sq^(2^t)_*, 2^t <= d < 2^(t+1), is always zero and dropping it alone
+    # leaves the kernel unchanged; the kernel tests catch any lower row dropped
+    p = _packing(space)
+    for degree in range(1, MAX_DEGREE + 1):
+        for m in map(p.encode, basis_enumerate(space, degree)):
+            for r in range(degree // 2 + 1, degree + 1):
+                assert not _sq_monomial(p, r, m), (space.label, m, r)

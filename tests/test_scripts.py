@@ -51,6 +51,26 @@ def test_screen_space_stays_inside_the_degree_budget():
     assert "budget" in proc.stderr
 
 
+def test_screen_space_reports_a_packed_field_overflow_in_one_line():
+    # the sweep reaches x_1^128, whose exponent does not fit its byte
+    proc = run_script(
+        "screen_space.py", "--space", "qsn", "--n", "1", "--loop", "5", "--max-degree", "132",
+        LOOPHOMOLOGY_MAX_DEGREE="132",
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr == "exponent 128 of x_1 does not fit its packed field\n"
+    assert proc.stdout.splitlines()[-1].startswith("d=127 ")
+
+
+def test_run_certification_checks_every_cap_before_any_suite():
+    proc = run_script(
+        "run_certification.py", "--suite", "kernel-of-r", "--suite", "even-squares",
+        LOOPHOMOLOGY_MAX_DEGREE="16",
+    )
+    assert_one_line_error(proc)
+    assert "degree 20 exceeds the budget of 16" in proc.stderr
+
+
 def test_run_certification_rejects_an_empty_scope():
     proc = run_script(
         "run_certification.py", "--suite", "kernel-of-r", "--suite", "wellington",
