@@ -105,11 +105,18 @@ CAPS = {
     "dimension-bounds": 10,
 }
 
+#: The least cap that checks anything, where it is above 1: even-squares
+#: needs the even root 2, dimension-bounds the level l = 2.
+FLOORS = {"even-squares": 4, "dimension-bounds": 2}
+
 
 def _cap(name: str, max_degree: int | None) -> int:
-    """The suite's sweep cap, refused if it is past the degree budget."""
+    """The suite's sweep cap, refused if past the degree budget or below its floor."""
     cap = CAPS[name] if max_degree is None else max_degree
     ensure_degree_allowed(cap)
+    floor = FLOORS.get(name, 1)
+    if cap < floor:
+        raise ValueError(f"{name} scope is empty: max degree {cap} is below {floor}")
     return cap
 
 
@@ -202,8 +209,6 @@ def _even_square_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
 def suite_even_squares(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
     cap = _cap("even-squares", max_degree)
     half = cap // 2
-    if half < 2:
-        raise ValueError(f"even-squares scope is empty: max degree {cap} leaves no even root")
     cases = [(qsn_space(1), d) for d in range(2, half + 1, 2)]
     cases += [(two_cell_space(), d) for d in range(2, min(8, half) + 1, 2)]
     return _sweep("even-squares", _even_square_case, cases, jobs, lambda _: (
@@ -242,7 +247,7 @@ def _suspension_kernel_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str
     basis = basis_enumerate(space, degree)
     # both sides as masks over the basis indices
     kernel = _suspension_kernel(space, basis)
-    decomposables = [1 << i for i, m in enumerate(basis) if sum(e for _, e in m.factors) >= 2]
+    decomposables = [1 << i for i, m in enumerate(basis) if m.gen_length >= 2]
     k_rank, d_rank = rank(kernel), rank(decomposables)
     joint = rank(kernel + decomposables)
     ok = k_rank == d_rank == joint and k_rank == len(kernel) == len(decomposables)
@@ -334,8 +339,6 @@ def suite_hopf_consistency(max_degree: int | None = None, jobs: int = 1) -> Suit
 
 def suite_dimension_bounds(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
     cap = _cap("dimension-bounds", max_degree)
-    if cap < 2:
-        raise ValueError(f"dimension-bounds scope is empty: max degree {cap} leaves no level")
     notes = []
     for l in range(2, cap + 1):
         closed = max_generator_dim(l, 1)
@@ -407,8 +410,8 @@ def check_scope(
     """The suites to run (all by default), once the whole request is checked.
 
     The names, the max degree, the job count and the cap of every chosen
-    suite are checked before any suite runs: a bad value raises ValueError,
-    and a cap past the degree budget raises DegreeBudgetExceeded.
+    suite are checked before any suite runs: a bad value or an empty scope
+    raises ValueError, a cap past the degree budget DegreeBudgetExceeded.
     """
     chosen = list(SUITES) if names is None else list(names)
     for name in chosen:

@@ -39,7 +39,6 @@ from .f2algebra import (
     ONE_CODE,
     Element,
     Generator,
-    Monomial,
     Packing,
     _cartan,
     _degree,
@@ -47,8 +46,6 @@ from .f2algebra import (
     _square,
     _translation,
     _translation_code,
-    generator_monomial,
-    translation_monomial,
 )
 from .seqcore import BaseClass, UpperSeq, _lower_fold, unit_loop_class, upper
 
@@ -108,14 +105,6 @@ def _admissible_factor(
     if t == len(js) and base.kind == "unit_loop":
         return None, 2**t
     return Generator(base, UpperSeq(entries[t:])), 2**t
-
-
-def _admissible_to_monomial(entries: tuple[int, ...], base: BaseClass) -> Monomial | None:
-    factor = _admissible_factor(entries, base)
-    if factor is None:
-        return None
-    g, e = factor
-    return translation_monomial(e) if g is None else generator_monomial(g, e)
 
 
 def _factor_code(p: Packing, factor: tuple[Generator | None, int]) -> int:

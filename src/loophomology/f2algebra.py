@@ -176,7 +176,7 @@ def canonical_key(m: Monomial) -> tuple:
     Single operations come before products and powers, so Q^2 x_1 precedes
     x_1^3 in degree three.  Ties fall back to the structural ordering.
     """
-    return (sum(e for _, e in m.factors), m)
+    return (m.gen_length, m)
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,7 @@ def basis_enumerate(space: SpaceDesc, degree: int, charge: int | None = None) ->
         raise ValueError(f"{space.label} has a single component; omit charge")
     if degree <= 0:
         return []
-    gens = [g for g in generators_up_to(space, degree)]
+    gens = generators_up_to(space, degree)
     out: list[Monomial] = []
 
     def extend(idx: int, remaining: int, picked: list[tuple[Generator, int]]) -> None:
@@ -347,7 +347,6 @@ def basis_enumerate(space: SpaceDesc, degree: int, charge: int | None = None) ->
         for e in range(1, remaining // d + 1):
             extend(idx + 1, remaining - e * d, picked + [(gens[idx], e)])
 
-    gens.sort(key=lambda g: (g.dimension, g))
     extend(0, degree, [])
     out.sort(key=canonical_key)
     return out
@@ -586,6 +585,8 @@ class Packing:
         return i
 
     def generator_code(self, g: Generator, exponent: int = 1) -> int:
+        if exponent > MAX_EXPONENT:
+            raise PackedFieldOverflow(f"exponent {exponent} of {g} does not fit its packed field")
         return ONE_CODE + exponent * self.units[self.index(g)]
 
     def split(self, code: int) -> tuple[int | None, int, int]:
@@ -620,9 +621,7 @@ class Packing:
         if code is None:
             code = _translation_code(m.translation)
             for g, e in m.factors:
-                if e > MAX_EXPONENT:
-                    raise PackedFieldOverflow(f"exponent {e} of {g} does not fit its packed field")
-                code += e * self.units[self.index(g)]
+                code += self.generator_code(g, e) - ONE_CODE
             if code & _GUARDS:
                 raise _overflow(code)
             self._encoded[m] = code

@@ -145,8 +145,6 @@ def reduced_coproduct(e: Element) -> TensorElement:
 
 
 def is_primitive(e: Element) -> bool:
-    if not e.terms:
-        return True
     return not reduced_coproduct(e)
 
 
@@ -155,8 +153,6 @@ def primitive_space(space: SpaceDesc, degree: int, charge: int | None = None) ->
     if space.model == MODEL_QS0 and charge not in (0, None):
         raise ChargeNonzero("primitives live on the charge-zero component")
     basis = basis_enumerate(space, degree, charge)
-    if not basis:
-        return []
     p = _packing(space)
     masks, _ = masks_for_term_sets([_reduced_psi(p, p.encode(m)) for m in basis])
     return [element_from_mask(space, combo, basis) for combo in kernel_of_images(masks)]
@@ -211,8 +207,6 @@ def kernel_of_r(degree: int, max_length: int | None = None) -> list[Element]:
     """
     space = qs0_space()
     family = generator_family(degree, max_length)
-    if not family:
-        return []
     images = [square_root_r(Element(space, frozenset({m}))) for m in family]
     masks, _ = masks_for_term_sets([e.terms for e in images])
     kernel = []
@@ -352,8 +346,6 @@ def primitive_decomposition(e: Element) -> PrimitiveDecomposition:
     """
     if e.space.model != MODEL_QS0:
         raise UnsupportedOperand("decomposition is defined on the unit-loop model")
-    if e.terms and e.charge != 0:
-        raise ChargeNonzero("decomposition needs the charge-zero component")
     if not is_primitive(e):
         raise NotPrimitive("decomposition over the p_I family needs a primitive input")
     linear, _ = split_decomposable(e)

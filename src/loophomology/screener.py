@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dlops import _admissible_to_monomial, apply_Q, apply_Q_iterated
+from .dlops import _admissible_factor, _factor_code, apply_Q, apply_Q_iterated
 from .errors import CounterexampleFound, UnsupportedOperand
 from .f2algebra import (
     Element,
@@ -110,10 +110,11 @@ class MInfinityModule:
         return out
 
     def embed(self, sym: MSymbol) -> Element:
-        m = _admissible_to_monomial(sym.seq.entries, sym.base)
-        if m is None:
+        factor = _admissible_factor(sym.seq.entries, sym.base)
+        if factor is None:
             raise CounterexampleFound(f"symbol {sym} embedded to zero")
-        return Element(self.space, frozenset({m}))
+        p = _packing(self.space)
+        return Element(self.space, frozenset({p.decode(_factor_code(p, factor))}))
 
     def pullback_monomial(self, m: Monomial) -> MSymbol:
         if m.translation or len(m.factors) != 1:
@@ -136,8 +137,6 @@ class MInfinityModule:
     def annihilated_vectors(self, degree: int) -> list[frozenset[MSymbol]]:
         """Kernel basis of the total Steenrod action in one degree."""
         syms = self.basis(degree)
-        if not syms:
-            return []
         term_sets = []
         for s in syms:
             tags: set[tuple[int, MSymbol]] = set()
@@ -190,8 +189,6 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, basis: list[Monomial]) -> lis
     full reduced coproduct and every Sq^r_*, so a bug in the kernel
     bookkeeping, or a row set that is too small, cannot silently pass.
     """
-    if not basis:
-        return []
     p = _packing(space)
     powers = [1 << i for i in range(degree.bit_length())]
     term_sets = []
@@ -215,8 +212,6 @@ def primitive_annihilated_basis(space: SpaceDesc, degree: int) -> list[Element]:
 
     Charge zero on the unit-loop model.
     """
-    if degree <= 0:
-        return []
     return _pri_ann_kernel(space, degree, basis_enumerate(space, degree))
 
 
@@ -534,11 +529,10 @@ def immersion_threshold_report(d: int, k: int) -> ThresholdReport:
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
-    if k == 1:
-        bound, oracle, kind = bound_s_minus1(d), oracle_s_minus1(d), "s-minus-1"
-    else:
-        bound, oracle, kind = bound_main1(d, k - 2), oracle_main1(d, k - 2), "main-1"
-    return ThresholdReport(d, k, bound, bound - k + 1, oracle, oracle - k + 1, kind)
+    rep = bounds_report(d, -1 if k == 1 else k - 2)
+    return ThresholdReport(
+        d, k, rep.printed, rep.printed - k + 1, rep.oracle, rep.oracle - k + 1, rep.kind
+    )
 
 
 def immersion_threshold(d: int, k: int) -> int:

@@ -124,21 +124,13 @@ def all_entries_odd(seq: UpperSeq) -> bool:
     return all(e % 2 == 1 for e in seq.entries)
 
 
-def enumerate_admissible(
-    degree: int,
-    base_dim: int,
-    min_excess: int,
-    lower_entry_bound: int | None = None,
-) -> list[UpperSeq]:
+def enumerate_admissible(degree: int, base_dim: int, min_excess: int) -> list[UpperSeq]:
     """All admissible I with upper_dim(I, base_dim) == degree, excess(I) > min_excess.
 
     The empty sequence appears when degree == base_dim (its excess is infinite).
-    When lower_entry_bound is given, every lower index must be < the bound.
     Output is in lexicographic order of the upper entries.  Sequences whose
     composite vanishes (a negative lower index) are not produced.
     """
-    if degree < base_dim:
-        return []
     # Entries are generated in lower-index form, innermost last.  A composite of
     # dimension d_inner extends to dimension 2*d_inner + j by prepending Q_j.
     # Lower indices run nondecreasing outermost-in, so the excess constraint on
@@ -150,10 +142,7 @@ def enumerate_admissible(
         found: list[tuple[int, ...]] = []
         if d == base_dim:
             found.append(())
-        j_hi = d - 2 * base_dim
-        if lower_entry_bound is not None:
-            j_hi = min(j_hi, lower_entry_bound - 1)
-        for j in range(j_min, j_hi + 1):
+        for j in range(j_min, d - 2 * base_dim + 1):
             if (d - j) % 2:
                 continue
             d_inner = (d - j) // 2

@@ -77,8 +77,6 @@ def suspension_kernel_basis(space: SpaceDesc, degree: int) -> list[Element]:
 
 def _suspension_kernel(space: SpaceDesc, basis: list[Monomial]) -> list[int]:
     """Kernel basis of the suspension on the span of basis, as masks over its indices."""
-    if not basis:
-        return []
     target = _packing(space.successor())
     masks, _ = masks_for_term_sets([_suspend_codes(space, target, (m,)) for m in basis])
     return kernel_of_images(masks)

@@ -47,6 +47,8 @@ def test_unknown_suite_rejected():
         (["kernel-of-r", "no-such-suite"], {}),
         (["kernel-of-r"], {"max_degree": 0}),
         (["kernel-of-r"], {"jobs": 0}),
+        (["kernel-of-r", "even-squares"], {"max_degree": 3}),
+        (["kernel-of-r", "dimension-bounds"], {"max_degree": 1}),
     ],
 )
 def test_bad_arguments_are_rejected_before_any_suite_runs(monkeypatch, names, kwargs):
@@ -56,6 +58,13 @@ def test_bad_arguments_are_rejected_before_any_suite_runs(monkeypatch, names, kw
     monkeypatch.setitem(certify.SUITES, "kernel-of-r", must_not_run)
     with pytest.raises(ValueError):
         run_suites(names, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(certify.CAPS))
+def test_a_suite_called_directly_refuses_a_cap_below_its_floor(name):
+    below = certify.FLOORS.get(name, 1) - 1
+    with pytest.raises(ValueError, match=f"{name} scope is empty: max degree {below} is below"):
+        SUITES[name](max_degree=below)
 
 
 def test_every_cap_is_checked_before_any_suite_runs(monkeypatch):

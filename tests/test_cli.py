@@ -136,8 +136,11 @@ def test_verify_capped_suites(capsys):
     [("even-squares", "3", "4"), ("dimension-bounds", "1", "2")],
 )
 def test_empty_scope_is_an_error(capsys, suite, empty, smallest):
-    # a scope that checks nothing must not print a pass line
-    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-degree", empty)
+    # a scope that checks nothing is refused before any suite runs:
+    # kernel-of-r, listed first, prints nothing
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "kernel-of-r", "--suite", suite, "--max-degree", empty
+    )
     assert code == 2 and out == ""
     assert f"{suite} scope is empty: max degree {empty}" in err
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-degree", smallest)

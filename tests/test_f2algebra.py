@@ -270,6 +270,11 @@ def test_exponent_outside_its_field_raises():
         _square(code)
     with pytest.raises(LoopHomologyError):  # and through the public product
         element_of(QS1, x1) * element_of(QS1, x1)
+    # a factor g^e built straight from its code, as the operation layers do;
+    # 256 would carry into the next generator's byte
+    for e in (MAX_EXPONENT + 1, 256):
+        with pytest.raises(PackedFieldOverflow, match=f"exponent {e} of x_1"):
+            packing.generator_code(x1.factors[0][0], e)
 
 
 def test_translation_outside_its_field_raises():

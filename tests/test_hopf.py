@@ -112,7 +112,7 @@ def test_generator_family_is_the_single_generators_of_the_basis(degree):
         assert generator_family(degree, max_length) == expected
 
 
-@pytest.mark.parametrize("degree", range(1, 11))
+@pytest.mark.parametrize("degree", range(-1, 11))
 def test_halving_kernel_is_the_odd_entry_span(degree):
     kernel = kernel_of_r(degree, max_length=3)
     odd = [

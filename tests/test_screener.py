@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from loophomology import screener
+from loophomology.dlops import _admissible_factor
 from loophomology.errors import UnsupportedOperand
+from loophomology.f2algebra import Element, generator_monomial, translation_monomial
 from loophomology.screener import (
     EvenSquareDegree,
     MechanismEntry,
@@ -62,6 +65,26 @@ def test_module_action_pullback():
     assert mod.sq(1, MSymbol(sphere_class(1), upper(1))) == frozenset()
     out = mod.sq(1, MSymbol(sphere_class(1), upper(2)))
     assert {str(s) for s in out} == {"Q^(1) x_1"}
+
+
+def _admissible_to_monomial(entries, base):
+    """The symbol's monomial built directly from its factor g^e, the oracle for
+    MInfinityModule.embed, which decodes the factor's packed code."""
+    factor = _admissible_factor(entries, base)
+    if factor is None:
+        return None
+    g, e = factor
+    return translation_monomial(e) if g is None else generator_monomial(g, e)
+
+
+@pytest.mark.parametrize("space", [QS1, two_cell_space()], ids=lambda s: s.label)
+def test_embed_matches_the_monomial_oracle(space):
+    mod = MInfinityModule(space)
+    syms = [s for d in range(1, 17) for s in mod.basis(d)]
+    assert syms
+    for s in syms:
+        expected = Element(space, frozenset({_admissible_to_monomial(s.seq.entries, s.base)}))
+        assert mod.embed(s) == expected, s
 
 
 def test_wellington_degree_nine():
@@ -129,6 +152,23 @@ def test_even_square_screen_mechanism():
     # pure squares carry no single-operation part; handled at half dimension
     assert not by_root["x_1^4"].has_linear_part
     assert by_root["x_1^4"].product_nonzero is None
+
+
+def test_mechanism_route_desuspends_to_charge_zero(monkeypatch):
+    # each desuspended Q^I x_1 is Q^I[1] of charge 2^len(I) in qs0; P0 must be
+    # moved back to the charge-zero component before Q^degree is applied
+    seen = []
+    real = screener.apply_Q
+
+    def spy(a, e):
+        seen.append(e)
+        return real(a, e)
+
+    monkeypatch.setattr(screener, "apply_Q", spy)
+    entries = [even_square_screen_at(QS1, degree) for degree in (2, 4, 6, 8)]
+    checked = sum(m.has_linear_part for e in entries for m in e.mechanism)
+    assert checked and len(seen) == checked
+    assert all(p0.space == qs0_space() and p0.charge == 0 for p0 in seen)
 
 
 def test_even_square_witnesses_print_in_structural_order(monkeypatch):
@@ -235,6 +275,27 @@ def test_immersion_thresholds():
     assert t.oracle_n_min == 2 and t.discrepancy
     t2 = immersion_threshold_report(3, 2)
     assert t2.bound_kind == "main-1" and t2.n_min == 21 and t2.oracle_n_min == 25
+
+
+def _threshold_oracle(d, k):
+    """The (d, k) dispatch written out: k = 1 the one-cell-below bound, k >= 2
+    the main bound with offset k - 2, threshold bound - k + 1."""
+    if k == 1:
+        bound, oracle, kind = bound_s_minus1(d), oracle_s_minus1(d), "s-minus-1"
+    else:
+        bound, oracle, kind = bound_main1(d, k - 2), oracle_main1(d, k - 2), "main-1"
+    return bound, bound - k + 1, oracle, oracle - k + 1, kind
+
+
+def test_immersion_thresholds_match_the_dispatch_oracle():
+    for d in range(1, 17):
+        for k in range(1, 7):
+            t = immersion_threshold_report(d, k)
+            got = (t.bound, t.n_min, t.oracle_bound, t.oracle_n_min, t.bound_kind)
+            assert (t.d, t.k) == (d, k) and got == _threshold_oracle(d, k)
+    for d, k in [(0, 1), (1, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="need d >= 1 and k >= 1"):
+            immersion_threshold_report(d, k)
 
 
 def test_stable_range_boundary():

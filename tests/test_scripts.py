@@ -79,6 +79,16 @@ def test_run_certification_rejects_an_empty_scope():
     assert_one_line_error(proc)
 
 
+def test_run_certification_refuses_an_empty_suite_scope_before_any_suite():
+    # kernel-of-r has a scope at max degree 1, dimension-bounds has none
+    proc = run_script(
+        "run_certification.py", "--suite", "kernel-of-r", "--suite", "dimension-bounds",
+        "--max-degree", "1",
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "dimension-bounds scope is empty: max degree 1 is below 2\n"
+
+
 def test_run_certification_passes_a_cheap_suite():
     proc = run_script("run_certification.py", "--suite", "sum-identity")
     assert proc.returncode == 0 and proc.stderr == ""

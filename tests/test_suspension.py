@@ -70,7 +70,7 @@ def test_kernel_fixtures():
     assert got == {"Q^2[1] Q^1[1] * [-4]", "(Q^1[1])^3 * [-6]"}
 
 
-@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("degree", range(-1, 9))
 def test_kernel_equals_decomposable_span(degree):
     kernel = suspension_kernel_basis(QS1, degree)
     decomposables = [m for m in basis_enumerate(QS1, degree) if m.gen_length >= 2]
