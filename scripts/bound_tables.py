@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from loophomology.certify import ensure_degree_allowed
+from loophomology.errors import LoopHomologyError
 from loophomology.screener import (
     bounds_report,
     immersion_threshold_report,
@@ -23,6 +25,16 @@ def main() -> int:
     ap.add_argument("--max-l", type=int, default=8)
     ap.add_argument("--max-k", type=int, default=4)
     args = ap.parse_args()
+
+    # the exhaustive oracle is exponential in the level, so --max-l is held to
+    # the degree budget, as in the dimension-bounds suite
+    try:
+        for flag, value in (("--max-l", args.max_l), ("--max-k", args.max_k)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
+        ensure_degree_allowed(args.max_l)
+    except (ValueError, LoopHomologyError) as exc:
+        raise SystemExit(str(exc)) from None
 
     print("# max generator dimension (closed form vs exhaustive), base dim 1")
     for l in range(1, args.max_l + 1):

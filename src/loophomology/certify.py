@@ -93,8 +93,7 @@ def _pmap(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-#: The default sweep cap of every suite inside the degree budget.  The
-#: sum-identity and stable-range suites sweep no homology and stay outside it.
+#: The default sweep cap of every suite inside the degree budget.
 CAPS = {
     "kernel-of-r": 16,
     "primitive-basis": 13,
@@ -105,15 +104,21 @@ CAPS = {
     "dimension-bounds": 10,
 }
 
+#: The default cap of the suites whose checks are closed forms: they sweep no
+#: homology and stay outside the degree budget.
+CLOSED_FORM_CAPS = {"sum-identity": 30, "stable-range": 10}
+
 #: The least cap that checks anything, where it is above 1: even-squares
 #: needs the even root 2, dimension-bounds the level l = 2.
 FLOORS = {"even-squares": 4, "dimension-bounds": 2}
 
 
 def _cap(name: str, max_degree: int | None) -> int:
-    """The suite's sweep cap, refused if past the degree budget or below its floor."""
-    cap = CAPS[name] if max_degree is None else max_degree
-    ensure_degree_allowed(cap)
+    """The suite's sweep cap, refused if below its floor or, for a suite in
+    CAPS, past the degree budget."""
+    cap = (CAPS | CLOSED_FORM_CAPS)[name] if max_degree is None else max_degree
+    if name in CAPS:
+        ensure_degree_allowed(cap)
     floor = FLOORS.get(name, 1)
     if cap < floor:
         raise ValueError(f"{name} scope is empty: max degree {cap} is below {floor}")
@@ -268,13 +273,14 @@ def suite_suspension_kernel(max_degree: int | None = None, jobs: int = 1) -> Sui
 # sum-identity: the closed-form summation used by the dimension bounds.
 
 
+def _sum_identity_case(k: int) -> tuple[bool, int, str]:
+    return sum_identity_check(k), 1, f"fails at k={k}"
+
+
 def suite_sum_identity(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = 30 if max_degree is None else max_degree
-    bad = [k for k in range(1, cap + 1) if not sum_identity_check(k)]
-    details = f"k <= {cap}: sum(2^(i-1) i) == 2^k (k-1) + 1"
-    return SuiteResult(
-        "sum-identity", not bad, details if not bad else f"fails at k in {bad}"
-    )
+    cap = _cap("sum-identity", max_degree)
+    return _sweep("sum-identity", _sum_identity_case, range(1, cap + 1), jobs,
+                  lambda _: f"k <= {cap}: sum(2^(i-1) i) == 2^k (k-1) + 1")
 
 
 # ---------------------------------------------------------------------------
@@ -337,53 +343,52 @@ def suite_hopf_consistency(max_degree: int | None = None, jobs: int = 1) -> Suit
 # printed/oracle discrepancies recorded rather than hidden.
 
 
+def _dimension_bounds_case(l: int) -> tuple[bool, int, str]:
+    """Level l against the exhaustive oracle, and each bound growing from l - 1."""
+    closed = max_generator_dim(l, 1)
+    brute = max_generator_dim_exhaustive(l, 1)
+    if closed != brute or closed != 2 ** (l - 1) * (l - 1) + 1:
+        return False, 0, f"l={l}: closed form {closed} vs exhaustive {brute}"
+    rep = bounds_report(l, -1)
+    if rep.discrepancy != (rep.printed != rep.oracle):
+        return False, 0, f"flag wrong at l={l}"
+    if not bound_s_minus1(l - 1) < bound_s_minus1(l):
+        return False, 0, f"s-minus-1 not increasing at {l - 1}"
+    for k in range(0, 4):
+        if not bound_main1(l - 1, k) < bound_main1(l, k) < bound_main1(l, k + 1):
+            return False, 0, f"main-1 not increasing at {l - 1},{k}"
+    return True, 1, ""
+
+
 def suite_dimension_bounds(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
     cap = _cap("dimension-bounds", max_degree)
-    notes = []
-    for l in range(2, cap + 1):
-        closed = max_generator_dim(l, 1)
-        brute = max_generator_dim_exhaustive(l, 1)
-        if closed != brute or closed != 2 ** (l - 1) * (l - 1) + 1:
-            return SuiteResult(
-                "dimension-bounds", False,
-                f"l={l}: closed form {closed} vs exhaustive {brute}",
-            )
-        rep = bounds_report(l, -1)
-        if rep.discrepancy != (rep.printed != rep.oracle):
-            return SuiteResult("dimension-bounds", False, f"flag wrong at l={l}")
-        if rep.discrepancy:
-            notes.append(f"l={l} printed {rep.printed} oracle {rep.oracle}")
-    for l in range(1, cap):
-        if not (bound_s_minus1(l) < bound_s_minus1(l + 1)):
-            return SuiteResult("dimension-bounds", False, f"s-minus-1 not increasing at {l}")
-        for k in range(0, 4):
-            if not (bound_main1(l, k) < bound_main1(l + 1, k) < bound_main1(l + 1, k + 1)):
-                return SuiteResult("dimension-bounds", False, f"main-1 not increasing at {l},{k}")
-    details = (
+    reports = [bounds_report(l, -1) for l in range(2, cap + 1)]
+    notes = [f"l={r.l} printed {r.printed} oracle {r.oracle}" for r in reports if r.discrepancy]
+    return _sweep("dimension-bounds", _dimension_bounds_case, range(2, cap + 1), jobs, lambda _: (
         f"2 <= l <= {cap}: exhaustive max equals closed form; discrepancies "
-        "against the printed doubled bound: " + "; ".join(notes)
-    )
-    return SuiteResult("dimension-bounds", True, details)
+        "against the printed doubled bound: " + "; ".join(notes)))
 
 
 # ---------------------------------------------------------------------------
 # stable-range: every printed bound lands past the stable range.
 
 
+def _stable_range_case(args: tuple[int, int]) -> tuple[bool, int, str]:
+    n, l = args
+    if not stable_range_check(2 * n + l - 3, n, l):
+        return False, 0, f"boundary-1 fails at n={n}, l={l}"
+    if stable_range_check(2 * n + l - 2, n, l):
+        return False, 0, f"boundary fails at n={n}, l={l}"
+    if stable_range_check(bound_main1(l, n) + 1, n, l):
+        return False, 0, f"bound+1 inside stable range at n={n}, l={l}"
+    return True, 1, ""
+
+
 def suite_stable_range(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
-    cap = 10 if max_degree is None else max_degree
-    for n in range(1, cap + 1):
-        for l in range(1, cap + 1):
-            if not stable_range_check(2 * n + l - 3, n, l):
-                return SuiteResult("stable-range", False, f"boundary-1 fails at n={n}, l={l}")
-            if stable_range_check(2 * n + l - 2, n, l):
-                return SuiteResult("stable-range", False, f"boundary fails at n={n}, l={l}")
-            if stable_range_check(bound_main1(l, n) + 1, n, l):
-                return SuiteResult(
-                    "stable-range", False, f"bound+1 inside stable range at n={n}, l={l}"
-                )
-    details = f"1 <= l, n <= {cap}: bound_main1 + 1 always falls beyond the stable range"
-    return SuiteResult("stable-range", True, details)
+    cap = _cap("stable-range", max_degree)
+    cases = [(n, l) for n in range(1, cap + 1) for l in range(1, cap + 1)]
+    return _sweep("stable-range", _stable_range_case, cases, jobs, lambda _: (
+        f"1 <= l, n <= {cap}: bound_main1 + 1 always falls beyond the stable range"))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +427,7 @@ def check_scope(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for name in chosen:
-        if name in CAPS:
-            _cap(name, max_degree)
+        _cap(name, max_degree)
     return chosen
 
 

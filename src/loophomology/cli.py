@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     screen = sub.add_parser("screen", help="spherical-candidate screen")
     screen.add_argument("--space", required=True, help="qs0, qsn, or a JSON file path")
     screen.add_argument("--n", type=int, help="sphere dimension for --space qsn")
-    screen.add_argument("--degree", type=int, required=True)
+    screen.add_argument("--degree", type=_int_at_least(1), required=True)
     screen.add_argument("--loop", type=_int_at_least(1), help="loop filtration level")
     screen.add_argument("--json", action="store_true")
     screen.set_defaults(fn=_cmd_screen)
@@ -157,9 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
     thr.set_defaults(fn=_cmd_immersion_threshold)
 
     srange = sub.add_parser("stable-range", help="d + l < 2(n + l - 1) query")
-    srange.add_argument("--d", type=int, required=True)
-    srange.add_argument("--n", type=int, required=True)
-    srange.add_argument("--l", type=int, required=True)
+    srange.add_argument("--d", type=_int_at_least(0), required=True)
+    srange.add_argument("--n", type=_int_at_least(1), required=True)
+    srange.add_argument("--l", type=_int_at_least(1), required=True)
     srange.set_defaults(fn=_cmd_stable_range)
 
     verify = sub.add_parser("verify", help="run certification suites")

@@ -332,17 +332,6 @@ class EvenSquareDegree:
         return self.kernel_ok and not self.failures
 
 
-@dataclass(frozen=True)
-class EvenSquareReport:
-    space: SpaceDesc
-    max_half_degree: int
-    entries: tuple[EvenSquareDegree, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-
 def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
     """Refute annihilated primitive squares with a root of one even dimension.
 
@@ -400,24 +389,6 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
             )
         )
     return EvenSquareDegree(degree, not meet, witnesses, tuple(entries))
-
-
-def verify_no_even_squares(space: SpaceDesc, max_half_degree: int) -> EvenSquareReport:
-    """Run the even-square refutation for every even root dimension up to the cap.
-
-    Raises CounterexampleFound with the witness if either route fails; a
-    genuine failure would falsify the no-even-square claim at desk scale.
-    """
-    entries = []
-    for degree in range(2, max_half_degree + 1, 2):
-        entry = even_square_screen_at(space, degree)
-        if not entry.ok:
-            raise CounterexampleFound(
-                f"even-square refutation failed at root dimension {degree}: "
-                + "; ".join(entry.failures)
-            )
-        entries.append(entry)
-    return EvenSquareReport(space, max_half_degree, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_bad_arguments_are_rejected_before_any_suite_runs(monkeypatch, names, kw
         run_suites(names, **kwargs)
 
 
-@pytest.mark.parametrize("name", sorted(certify.CAPS))
+@pytest.mark.parametrize("name", sorted(SUITES))
 def test_a_suite_called_directly_refuses_a_cap_below_its_floor(name):
     below = certify.FLOORS.get(name, 1) - 1
     with pytest.raises(ValueError, match=f"{name} scope is empty: max degree {below} is below"):
@@ -151,10 +151,29 @@ def test_dimension_bounds_is_under_the_budget(monkeypatch):
 
 
 def test_parallel_jobs_agree():
-    seq = run_suites(["wellington"], max_degree=9, jobs=1)
-    par = run_suites(["wellington"], max_degree=9, jobs=2)
-    assert seq[0].passed and par[0].passed
-    assert seq[0].details == par[0].details
+    names = ["wellington", "sum-identity", "stable-range", "dimension-bounds"]
+    seq = run_suites(names, max_degree=9, jobs=1)
+    par = run_suites(names, max_degree=9, jobs=2)
+    assert all(r.passed for r in seq + par)
+    assert [r.details for r in seq] == [r.details for r in par]
+
+
+def test_every_suite_resolves_its_cap_and_runs_its_cases_through_the_one_runner(monkeypatch):
+    calls = []
+
+    def recorded(fn):
+        def wrapper(name, *args):
+            calls.append((fn.__name__, name))
+            return fn(name, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(certify, "_cap", recorded(certify._cap))
+    monkeypatch.setattr(certify, "_sweep", recorded(certify._sweep))
+    for name, suite in SUITES.items():
+        calls.clear()
+        assert suite(max_degree=certify.FLOORS.get(name, 2)).passed
+        assert calls == [("_cap", name), ("_sweep", name)]
 
 
 class _RecordingPool:

@@ -4,12 +4,28 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from loophomology.cli import main
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """python -m with src/ on the path, so no install is needed."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -75,8 +91,10 @@ def test_screen_json_schema(capsys):
 
 
 def test_screen_rejects_degree_zero(capsys):
-    code, _, err = run_cli(capsys, "screen", "--space", "qsn", "--n", "1", "--degree", "0")
-    assert code == 2 and err
+    with pytest.raises(SystemExit) as exc:
+        main(["screen", "--space", "qsn", "--n", "1", "--degree", "0"])
+    assert exc.value.code == 2
+    assert "argument --degree: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_deterministic_output(capsys):
@@ -198,9 +216,7 @@ def test_packed_field_overflow_is_a_limit(capsys, monkeypatch):
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["screen", "--space", "qsn", "--n", "1", "--degree", "9", "--loop", "3"]
     code, out, err = run_cli(capsys, *argv)
-    proc = subprocess.run(
-        [sys.executable, "-m", "loophomology", *argv], capture_output=True, text=True
-    )
+    proc = run_module("loophomology", *argv)
     assert code == 0 and err == "" and "candidate Q^(5,3) x_1" in out
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
@@ -212,11 +228,7 @@ def test_importing_the_main_module_runs_nothing(capsys):
 
 
 def test_console_script_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "loophomology.cli", "bounds", "--l", "3", "--k", "-1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("loophomology.cli", "bounds", "--l", "3", "--k", "-1")
     assert proc.returncode == 0
     assert proc.stdout == "printed 14, oracle 18, discrepancy=true\n"
 
@@ -231,6 +243,10 @@ def test_console_script_subprocess():
         (("verify", "--max-degree", "-1"), "--max-degree"),
         (("verify", "--suite", "sum-identity", "--jobs", "0"), "--jobs"),
         (("verify", "--suite", "sum-identity", "--jobs", "-3"), "--jobs"),
+        (("screen", "--space", "/nonexistent.json", "--degree", "0"), "--degree"),
+        (("stable-range", "--d", "-5", "--n", "1", "--l", "1"), "--d"),
+        (("stable-range", "--d", "0", "--n", "0", "--l", "1"), "--n"),
+        (("stable-range", "--d", "0", "--n", "1", "--l", "0"), "--l"),
     ],
 )
 def test_invalid_values_are_rejected_before_any_work(capsys, monkeypatch, argv, flag):
@@ -240,7 +256,7 @@ def test_invalid_values_are_rejected_before_any_work(capsys, monkeypatch, argv, 
     def no_work(*args, **kwargs):
         raise AssertionError("work started on an invalid value")
 
-    for name in ("screen_degree", "basis_enumerate", "run_suites"):
+    for name in ("screen_degree", "basis_enumerate", "run_suites", "stable_range_check", "load_space"):
         monkeypatch.setattr(cli, name, no_work)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from loophomology import screener
+from loophomology.certify import suite_even_squares
 from loophomology.dlops import _admissible_factor
 from loophomology.errors import UnsupportedOperand
 from loophomology.f2algebra import Element, generator_monomial, translation_monomial
@@ -27,7 +28,6 @@ from loophomology.screener import (
     screen_degree,
     stable_range_check,
     sum_identity_check,
-    verify_no_even_squares,
     wellington_check,
 )
 from loophomology.seqcore import sphere_class, upper
@@ -215,12 +215,11 @@ def test_even_square_screen_guards():
         even_square_screen_at(qs0_space(), 4)
 
 
-def test_verify_no_even_squares_small():
-    report = verify_no_even_squares(QS1, 6)
-    assert report.ok
-    assert [e.degree for e in report.entries] == [2, 4, 6]
-    tc = verify_no_even_squares(two_cell_space(), 6)
-    assert tc.ok
+def test_even_squares_suite_small():
+    # roots 2, 4 and 6 over qs1 and over the two-cell model
+    result = suite_even_squares(max_degree=12)
+    assert result.passed
+    assert result.details.startswith("roots of even dimension <= 6 over qs1, <= 6 over the two-cell")
 
 
 # --- quantitative bounds ------------------------------------------------------

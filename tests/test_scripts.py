@@ -105,3 +105,17 @@ def test_bound_tables_prints_its_three_tables():
         "# immersion thresholds n_min(d, k)",
     ]
     assert "discrepancy" in proc.stdout
+
+
+@pytest.mark.parametrize("flag", ["--max-l", "--max-k"])
+def test_bound_tables_rejects_a_table_that_lists_nothing(flag):
+    proc = run_script("bound_tables.py", flag, "0")
+    assert_one_line_error(proc)
+    assert proc.returncode == 1 and f"{flag} must be >= 1, got 0" in proc.stderr
+
+
+def test_bound_tables_stays_inside_the_degree_budget():
+    # the exhaustive oracle is exponential in the level
+    proc = run_script("bound_tables.py", "--max-l", "5", LOOPHOMOLOGY_MAX_DEGREE="4")
+    assert_one_line_error(proc)
+    assert proc.returncode == 1 and "degree 5 exceeds the budget of 4" in proc.stderr
