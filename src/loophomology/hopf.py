@@ -95,6 +95,11 @@ def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
     return frozenset(acc)
 
 
+def _psi(p: Packing, m: int) -> frozenset[Pair]:
+    """psi(m), every term, on one packed monomial."""
+    return _psi_monomial(p, m, _degree(m))
+
+
 def _psi_cut(p: Packing, m: int, k: int) -> frozenset[Pair]:
     """_psi_monomial with k clipped to |m|, so equal results share one entry."""
     return _psi_monomial(p, m, min(k, _degree(m)))
@@ -105,7 +110,7 @@ def _reduced_psi(p: Packing, m: int, k: int | None = None) -> frozenset[Pair]:
     x (x) y with |x| <= k when k is given."""
     d = _degree(m)
     if k is None or k >= d:
-        return _psi_monomial(p, m, d) ^ {(m, ONE_CODE), (ONE_CODE, m)}
+        return _psi(p, m) ^ {(m, ONE_CODE), (ONE_CODE, m)}
     return _psi_monomial(p, m, k) ^ {(ONE_CODE, m)}
 
 
@@ -113,8 +118,7 @@ def coproduct(e: Element) -> TensorElement:
     p = _packing(e.space)
     acc: set[Pair] = set()
     for m in e.terms:
-        code = p.encode(m)
-        acc ^= _psi_monomial(p, code, _degree(code))
+        acc ^= _psi(p, p.encode(m))
     return p.tensor(acc)
 
 

@@ -185,9 +185,13 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, basis: list[Monomial]) -> lis
     Only the rows the kernel needs are built.  The Steenrod rows are the
     Sq^(2^i)_*, which generate the Steenrod algebra, and the coproduct rows
     are the terms x (x) y with |x| <= degree // 2, which fix the rest because
-    psi is cocommutative.  Every returned vector is re-verified against the
-    full reduced coproduct and every Sq^r_*, so a bug in the kernel
-    bookkeeping, or a row set that is too small, cannot silently pass.
+    psi is cocommutative.  The top row Sq^(2^t)_*, 2^t <= degree < 2^(t+1),
+    stays: instability would make it zero, but a description file need not
+    be unstable (cells a:1, b:5 with Sq^4_* b -> a put a_3 under b_7, and
+    only that row keeps b_7 out of the degree-7 kernel).  Every returned
+    vector is re-verified against the full reduced coproduct and every
+    Sq^r_*, so a bug in the kernel bookkeeping, or a row set that is too
+    small, cannot silently pass.
     """
     p = _packing(space)
     powers = [1 << i for i in range(degree.bit_length())]

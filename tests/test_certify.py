@@ -14,7 +14,7 @@ from loophomology.certify import (
     run_suites,
 )
 from loophomology.errors import DegreeBudgetExceeded
-from loophomology.f2algebra import TensorElement
+from loophomology.f2algebra import ONE_CODE, _packing, _square, basis_enumerate
 from loophomology.spaces import qsn_space
 
 
@@ -87,16 +87,47 @@ def test_closed_form_suites_stay_outside_the_budget(monkeypatch):
     assert all(r.passed for r in results)
 
 
+def _change_psi_of_x1(monkeypatch, change):
+    """Add change(x_1) mod 2 to psi(x_1) in the packed psi the case runs on."""
+    real = certify._psi
+    space = qsn_space(1)
+    (x1,) = map(_packing(space).encode, basis_enumerate(space, 1))
+    monkeypatch.setattr(
+        certify, "_psi", lambda p, code: real(p, code) ^ change(x1) if code == x1 else real(p, code)
+    )
+
+
 def test_hopf_consistency_catches_a_coproduct_that_is_not_cocommutative(monkeypatch):
     # x_1 -> x_1 (x) 1 alone is coassociative but not cocommutative
-    real = certify.coproduct
-
-    def lopsided(e):
-        full = real(e)
-        return TensorElement(full.space, 2, frozenset(t for t in full.terms if t[0] in e.terms))
-
-    monkeypatch.setattr(certify, "coproduct", lopsided)
+    _change_psi_of_x1(monkeypatch, lambda x: {(ONE_CODE, x)})
     assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "cocommutativity fails on x_1")
+
+
+def test_hopf_consistency_catches_a_coproduct_that_is_not_coassociative(monkeypatch):
+    # x_1 -> x_1 (x) 1 + 1 (x) x_1 + x_1^2 (x) 1: (psi (x) 1) psi(x_1) has
+    # x_1^2 (x) 1 (x) 1 twice, (1 (x) psi) psi(x_1) once
+    _change_psi_of_x1(monkeypatch, lambda x: {(_square(x), ONE_CODE)})
+    assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "coassociativity fails on x_1")
+
+
+def test_hopf_consistency_catches_a_coproduct_that_breaks_the_counit(monkeypatch):
+    # psi(x_1) = 0 is coassociative and cocommutative, but not counital
+    _change_psi_of_x1(monkeypatch, lambda x: {(x, ONE_CODE), (ONE_CODE, x)})
+    assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "counit law fails on x_1")
+
+
+def test_hopf_consistency_catches_a_coproduct_that_is_not_multiplicative(monkeypatch):
+    # x_1 -> x_1 (x) 1 + 1 (x) x_1 + x_1 (x) x_1 is a coalgebra on its own,
+    # but psi(x_1)^2 gains x_1^2 (x) x_1^2, which psi(x_1^2) lacks
+    _change_psi_of_x1(monkeypatch, lambda x: {(x, x)})
+    assert certify._hopf_case((qsn_space(1), 1)) == (True, 1, "")
+    assert certify._hopf_case((qsn_space(1), 2)) == (
+        False, 0, "multiplicativity fails on x_1 | x_1")
+
+
+def test_hopf_consistency_catches_a_sq1_that_does_not_square_to_zero(monkeypatch):
+    monkeypatch.setattr(certify, "_sq_monomial", lambda p, r, code: frozenset({code}))
+    assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "Sq^1 Sq^1 != 0 on x_1")
 
 
 def test_suite_names_are_stable():
@@ -205,3 +236,20 @@ def test_pmap_caps_workers(monkeypatch):
     monkeypatch.setattr(certify.os, "cpu_count", lambda: None)
     assert certify._pmap(abs, range(-5, 0), jobs=64) == [5, 4, 3, 2, 1]
     assert _RecordingPool.requested == [3, 2, 2]  # one worker: no pool at all
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs) -> None:
+        raise AssertionError("a process pool was started")
+
+
+def test_closed_form_suites_run_inline_at_any_job_count(monkeypatch):
+    names = list(certify.CLOSED_FORM_CAPS)
+    inline = run_suites(names, jobs=1)
+    monkeypatch.setattr(certify, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
+    assert run_suites(names, jobs=2) == inline
+    assert all(r.passed for r in inline)
+    # the stub does refuse a suite whose cases go to a pool
+    with pytest.raises(AssertionError, match="process pool"):
+        run_suites(["kernel-of-r"], max_degree=2, jobs=2)

@@ -22,9 +22,9 @@ from loophomology.f2algebra import (
     element_from_mask,
     masks_for_term_sets,
 )
-from loophomology.hopf import _psi_monomial, _reduced_psi, coproduct
+from loophomology.hopf import _psi_monomial, _reduced_psi, coproduct, is_primitive
 from loophomology.linalg_f2 import kernel_of_images
-from loophomology.screener import _pri_ann_kernel, generator_span
+from loophomology.screener import _pri_ann_kernel, generator_span, primitive_annihilated_basis
 from loophomology.spaces import qs0_space, qsn_space, space_from_dict, two_cell_space
 from loophomology.steenrod import _sq_monomial
 
@@ -143,11 +143,31 @@ def test_byte_masks_equal_sum_masks_on_kernel_rows(space):
 
 @spaces
 def test_sq_vanishes_past_half_the_degree(space):
-    # instability: Sq^r_* is zero on H_n once 2r > n.  So the top row
-    # Sq^(2^t)_*, 2^t <= d < 2^(t+1), is always zero and dropping it alone
-    # leaves the kernel unchanged; the kernel tests catch any lower row dropped
+    # instability: Sq^r_* is zero on H_n once 2r > n.  It holds on these
+    # spaces, so the top row Sq^(2^t)_*, 2^t <= d < 2^(t+1), is zero here;
+    # a description file need not be unstable, so the kernel keeps that row
     p = _packing(space)
     for degree in range(1, MAX_DEGREE + 1):
         for m in map(p.encode, basis_enumerate(space, degree)):
             for r in range(degree // 2 + 1, degree + 1):
                 assert not _sq_monomial(p, r, m), (space.label, m, r)
+
+
+def test_the_top_row_stays_for_a_description_that_is_not_unstable():
+    # a description file need not satisfy instability: here Sq^4_* b_7 = a_3
+    # with 2 * 4 > 7.  b_7 is primitive and Sq^1_*, Sq^2_* kill it, so only
+    # the top row Sq^4_* keeps it out of the kernel; cutting the rows to
+    # 2^i <= d // 2 would raise CounterexampleFound on b_7
+    space = space_from_dict({
+        "model": "sigma2",
+        "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 5}],
+        "sq_action": [{"r": 4, "from": "b", "to": ["a"]}],
+    })
+    p = _packing(space)
+    basis = basis_enumerate(space, 7)
+    (b7,) = [m for m in basis if str(m) == "b_7"]
+    code = p.encode(b7)
+    assert {str(p.decode(w)) for w in _sq_monomial(p, 4, code)} == {"a_3"}
+    assert not _sq_monomial(p, 1, code) and not _sq_monomial(p, 2, code)
+    assert is_primitive(Element(space, frozenset({b7})))
+    assert primitive_annihilated_basis(space, 7) == full_row_kernel(space, 7, basis) == []
