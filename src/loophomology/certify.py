@@ -24,9 +24,10 @@ from .f2algebra import (
     Element,
     _degree,
     _mul_pairs,
+    _basis_codes,
+    _gen_length,
     _packing,
     _times,
-    basis_enumerate,
     masks_for_term_sets,
 )
 from .hopf import (
@@ -252,10 +253,10 @@ def suite_wellington(max_degree: int | None = None, jobs: int = 1) -> SuiteResul
 
 def _suspension_kernel_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
     space, degree = args
-    basis = basis_enumerate(space, degree)
+    codes = _basis_codes(space, degree)
     # both sides as masks over the basis indices
-    kernel = _suspension_kernel(space, basis)
-    decomposables = [1 << i for i, m in enumerate(basis) if m.gen_length >= 2]
+    kernel = _suspension_kernel(space, codes)
+    decomposables = [1 << i for i, c in enumerate(codes) if _gen_length(c) >= 2]
     k_rank, d_rank = rank(kernel), rank(decomposables)
     joint = rank(kernel + decomposables)
     ok = k_rank == d_rank == joint and k_rank == len(kernel) == len(decomposables)
@@ -296,11 +297,10 @@ def suite_sum_identity(max_degree: int | None = None, jobs: int = 1) -> SuiteRes
 def _hopf_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
     space, degree = args
     p = _packing(space)
-    # every basis of degree <= d once, each monomial kept next to its code
-    # only to name it in a failure
-    bases = [[(m, p.encode(m)) for m in basis_enumerate(space, k)] for k in range(degree + 1)]
+    # every basis of degree <= d once; a code is decoded only to name a failure
+    bases = [_basis_codes(space, k) for k in range(degree + 1)]
     checked = 0
-    for m, code in bases[degree]:
+    for code in bases[degree]:
         pairs = _psi(p, code)
         # (psi (x) 1) psi against (1 (x) psi) psi, as sets of packed triples
         split_left: set = set()
@@ -309,10 +309,10 @@ def _hopf_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
             split_left ^= {(a, b, v) for a, b in _psi(p, u)}
             split_right ^= {(u, a, b) for a, b in _psi(p, v)}
         if split_left != split_right:
-            return False, 0, f"coassociativity fails on {m}"
+            return False, 0, f"coassociativity fails on {p.decode(code)}"
         # the primitive-annihilated kernels keep half the coproduct on this
         if {(v, u) for u, v in pairs} != pairs:
-            return False, 0, f"cocommutativity fails on {m}"
+            return False, 0, f"cocommutativity fails on {p.decode(code)}"
         left: set = set()
         right: set = set()
         for u, v in pairs:
@@ -321,19 +321,19 @@ def _hopf_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
             if _degree(v) == 0:
                 right ^= {u}
         if left != {code} or right != {code}:
-            return False, 0, f"counit law fails on {m}"
+            return False, 0, f"counit law fails on {p.decode(code)}"
         twice: set = set()
         for w in _sq_monomial(p, 1, code):
             twice ^= _sq_monomial(p, 1, w)
         if twice:
-            return False, 0, f"Sq^1 Sq^1 != 0 on {m}"
+            return False, 0, f"Sq^1 Sq^1 != 0 on {p.decode(code)}"
         checked += 1
     for d_left in range(1, degree):
-        for u, cu in bases[d_left]:
-            psi_u = _psi(p, cu)
-            for v, cv in bases[degree - d_left]:
-                if _psi(p, _times(cu, cv)) != _mul_pairs(psi_u, _psi(p, cv)):
-                    return False, 0, f"multiplicativity fails on {u} | {v}"
+        for u in bases[d_left]:
+            psi_u = _psi(p, u)
+            for v in bases[degree - d_left]:
+                if _psi(p, _times(u, v)) != _mul_pairs(psi_u, _psi(p, v)):
+                    return False, 0, f"multiplicativity fails on {p.decode(u)} | {p.decode(v)}"
                 checked += 1
     return True, checked, ""
 

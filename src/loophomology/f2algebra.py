@@ -19,6 +19,7 @@ written once here: Packing.split, Packing.peel and _cartan.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -317,39 +318,80 @@ def single_generators(space: SpaceDesc, degree: int) -> list[Monomial]:
     return out
 
 
+def _base_translation(space: SpaceDesc, charge: int | None) -> int:
+    """The translation of a basis monomial before its factors' charges come off.
+
+    A basis of the unit-loop model lists one component, charge 0 by default;
+    the other models have one component, and a charge must not be given.
+    """
+    if space.has_charge():
+        return 0 if charge is None else charge
+    if charge is not None:
+        raise ValueError(f"{space.label} has a single component; omit charge")
+    return 0
+
+
+def _basis_walk(space: SpaceDesc, degree: int, acc, step, leaf) -> list:
+    """The basis of one degree in canonical order, one leaf(factors, acc) per monomial.
+
+    One depth-first pass takes generators in generator order and exponents
+    in ascending order, on one stack of (g, e) pairs that every leaf below a
+    pair shares, so the factor lists come out in lexicographic order, which
+    is the Monomial order.  Each leaf goes to the bucket of its gen_length,
+    and the buckets are joined shortest first: that is canonical_key's order,
+    with no sort.  A leaf's acc is the given acc plus step(g, e) for every
+    pair on the stack.
+    """
+    if degree <= 0:
+        return []
+    gens = sorted(generators_up_to(space, degree))
+    dims = [g.dimension for g in gens]
+    pairs = [
+        [((g, e), step(g, e)) for e in range(1, degree // d + 1)] for g, d in zip(gens, dims)
+    ]
+    # fits[r]: the indices of the generators of dimension at most r;
+    # bit r of ends[i]: r is a sum of dimensions of generators i, i + 1, ...
+    fits = [[i for i, d in enumerate(dims) if d <= r] for r in range(degree + 1)]
+    ends = [1] * (len(gens) + 1)
+    for i in reversed(range(len(gens))):
+        for e in range(len(pairs[i]) + 1):
+            ends[i] |= ends[i + 1] << e * dims[i]
+    buckets: list[list] = [[] for _ in range(degree + 1)]
+    stack: list[tuple[Generator, int]] = []
+
+    def extend(first: int, remaining: int, length: int, acc) -> None:
+        candidates = fits[remaining]
+        for i in candidates[bisect_left(candidates, first):]:
+            d, tails = dims[i], ends[i + 1]
+            rest = remaining
+            for pair, s in pairs[i]:
+                rest -= d
+                if rest < 0:
+                    break
+                if rest == 0:
+                    stack.append(pair)
+                    buckets[length + pair[1]].append(leaf(stack, acc + s))
+                    stack.pop()
+                elif tails >> rest & 1:
+                    stack.append(pair)
+                    extend(i + 1, rest, length + pair[1], acc + s)
+                    stack.pop()
+
+    extend(0, degree, 0, acc)
+    return [x for bucket in buckets for x in bucket]
+
+
 def basis_enumerate(space: SpaceDesc, degree: int, charge: int | None = None) -> list[Monomial]:
     """Sorted monomial basis of the given degree (reduced: degree 0 is empty).
 
     For the unit-loop model the basis of one component is listed; charge
-    defaults to 0 there and must be omitted elsewhere.
+    defaults to 0 there and must be omitted elsewhere.  The engine takes the
+    same basis as packed codes from _basis_codes.
     """
-    if space.has_charge():
-        charge = 0 if charge is None else charge
-    elif charge is not None:
-        raise ValueError(f"{space.label} has a single component; omit charge")
-    if degree <= 0:
-        return []
-    gens = generators_up_to(space, degree)
-    out: list[Monomial] = []
-
-    def extend(idx: int, remaining: int, picked: list[tuple[Generator, int]]) -> None:
-        if remaining == 0:
-            factors = tuple(sorted(picked))
-            t = 0
-            if space.has_charge():
-                t = charge - sum(e * g.charge for g, e in factors)
-            out.append(Monomial(factors, t))
-            return
-        if idx == len(gens) or gens[idx].dimension > remaining:
-            return
-        extend(idx + 1, remaining, picked)
-        d = gens[idx].dimension
-        for e in range(1, remaining // d + 1):
-            extend(idx + 1, remaining - e * d, picked + [(gens[idx], e)])
-
-    extend(0, degree, [])
-    out.sort(key=canonical_key)
-    return out
+    return _basis_walk(
+        space, degree, _base_translation(space, charge), lambda g, e: -e * g.charge,
+        lambda factors, t: Monomial(tuple(factors), t),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +524,20 @@ def _degree(code: int) -> int:
     return code >> TRANSLATION_BITS & _DEGREE_MASK
 
 
+def _exponents(code: int) -> bytes:
+    """The exponent bytes of a code, generator 0 first."""
+    gens = code >> GENERATOR_SHIFT
+    return gens.to_bytes((gens.bit_length() + 7) // 8, "little")
+
+
 def _factors(code: int) -> list[tuple[int, int]]:
     """(generator index, exponent) of every factor of a code."""
-    gens = code >> GENERATOR_SHIFT
-    exps = gens.to_bytes((gens.bit_length() + 7) // 8, "little")
-    return [(i, e) for i, e in enumerate(exps) if e]
+    return [(i, e) for i, e in enumerate(_exponents(code)) if e]
+
+
+def _gen_length(code: int) -> int:
+    """Monomial.gen_length of a code: its factors counted with multiplicity."""
+    return sum(_exponents(code))
 
 
 #: A tensor of two packed monomial codes.
@@ -619,12 +670,16 @@ class Packing:
     def encode(self, m: Monomial) -> int:
         code = self._encoded.get(m)
         if code is None:
-            code = _translation_code(m.translation)
-            for g, e in m.factors:
-                code += self.generator_code(g, e) - ONE_CODE
-            if code & _GUARDS:
-                raise _overflow(code)
-            self._encoded[m] = code
+            code = self._encoded[m] = self.code(m.factors, m.translation)
+        return code
+
+    def code(self, factors, translation: int) -> int:
+        """Code of the monomial with these sorted (g, e) factors, unmemoized."""
+        code = _translation_code(translation)
+        for g, e in factors:
+            code += self.generator_code(g, e) - ONE_CODE
+        if code & _GUARDS:
+            raise _overflow(code)
         return code
 
     def decode(self, code: int) -> Monomial:
@@ -654,6 +709,42 @@ class Packing:
 @lru_cache(maxsize=None)
 def _packing(space: SpaceDesc) -> Packing:
     return Packing(space)
+
+
+#: Marks, in a code under construction, a factor whose generator is not yet
+#: interned; it lies above every field, so it cannot mix with them.
+_UNINTERNED = 1 << GENERATOR_SHIFT + EXPONENT_BITS * (MAX_GENERATORS + 1)
+
+
+def _basis_codes(space: SpaceDesc, degree: int, charge: int | None = None) -> list[int]:
+    """basis_enumerate as packed codes, with no Monomial built.
+
+    Generators are interned as the first code in basis order holds them, as
+    map(p.encode, basis_enumerate(...)) does: the interning order decides
+    which factor Packing.split peels, and so what the operation caches hold.
+    A code is summed along the walk from the factors already interned; a
+    leaf with a new generator keeps its factors, and its code is made once
+    the walk is done, in basis order.
+    """
+    p = _packing(space)
+
+    def step(g: Generator, e: int) -> int:
+        if g in p._index:
+            return p.generator_code(g, e) - ONE_CODE - e * g.charge
+        return _UNINTERNED - e * g.charge
+
+    def leaf(factors: list, acc: int):
+        if acc & _GUARDS:
+            raise _overflow(acc)
+        return acc if acc < _UNINTERNED else (tuple(factors), _translation(acc))
+
+    codes = _basis_walk(
+        space, degree, _translation_code(_base_translation(space, charge)), step, leaf
+    )
+    for k, code in enumerate(codes):
+        if not isinstance(code, int):
+            codes[k] = p.code(*code)
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -694,3 +785,8 @@ def _picked(mask: int, items: list) -> frozenset:
 
 def element_from_mask(space: SpaceDesc, mask: int, ordered_basis: list[Monomial]) -> Element:
     return Element(space, _picked(mask, ordered_basis))
+
+
+def _element_from_codes(space: SpaceDesc, mask: int, codes: list[int]) -> Element:
+    """element_from_mask over packed codes: only the picked codes are decoded."""
+    return Element(space, _packing(space).decode_set(_picked(mask, codes)))

@@ -45,13 +45,14 @@ from .f2algebra import (
     Packing,
     Pair,
     TensorElement,
+    _basis_codes,
     _cartan,
     _degree,
+    _element_from_codes,
+    _gen_length,
     _mul_pairs,
     _packing,
     _picked,
-    basis_enumerate,
-    element_from_mask,
     generator_monomial,
     masks_for_term_sets,
     single_generators,
@@ -156,10 +157,10 @@ def primitive_space(space: SpaceDesc, degree: int, charge: int | None = None) ->
     """Basis (as elements) of the primitives in one degree."""
     if space.model == MODEL_QS0 and charge not in (0, None):
         raise ChargeNonzero("primitives live on the charge-zero component")
-    basis = basis_enumerate(space, degree, charge)
+    codes = _basis_codes(space, degree, charge)
     p = _packing(space)
-    masks, _ = masks_for_term_sets([_reduced_psi(p, p.encode(m)) for m in basis])
-    return [element_from_mask(space, combo, basis) for combo in kernel_of_images(masks)]
+    masks, _ = masks_for_term_sets([_reduced_psi(p, c) for c in codes])
+    return [_element_from_codes(space, combo, codes) for combo in kernel_of_images(masks)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +267,12 @@ def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
         Generator(space.base_classes()[0], seq), translation=-(2 ** len(entries))
     )
     lead = Element(space, frozenset({top}))
-    decomposables = [m for m in basis_enumerate(space, degree, 0) if m.gen_length >= 2]
     p = _packing(space)
     target = _reduced_psi(p, p.encode(top))
     if not target:
         return PrimitiveBasisElement(seq, lead, Element(space, frozenset()))
-    images = [_reduced_psi(p, p.encode(m)) for m in decomposables]
+    decomposables = [c for c in _basis_codes(space, degree, 0) if _gen_length(c) >= 2]
+    images = [_reduced_psi(p, c) for c in decomposables]
     masks, _ = masks_for_term_sets(images + [target])
     col_masks, target_mask = masks[:-1], masks[-1]
     try:
@@ -280,7 +281,7 @@ def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
         raise NonUnique(f"decomposable correction for p_{entries} is not unique") from None
     except NoSolution:
         raise NoSolution(f"no primitive of the shape Q^{entries}[1] + decomposables") from None
-    correction = element_from_mask(space, combo, decomposables)
+    correction = _element_from_codes(space, combo, decomposables)
     value = lead + correction
     if reduced_coproduct(value):
         raise NoSolution(f"correction for p_{entries} failed the primitivity check")

@@ -22,11 +22,12 @@ from .errors import CounterexampleFound, UnsupportedOperand
 from .f2algebra import (
     Element,
     Monomial,
+    _basis_codes,
+    _element_from_codes,
     _packing,
     _picked,
     _square,
     base_element,
-    basis_enumerate,
     element_from_mask,
     masks_for_term_sets,
     single_generators,
@@ -179,8 +180,9 @@ def wellington_check(space: SpaceDesc, degree: int) -> WellingtonReport:
 # Candidate screens over the honest homology.
 
 
-def _pri_ann_kernel(space: SpaceDesc, degree: int, basis: list[Monomial]) -> list[Element]:
-    """Kernel of the stacked (reduced coproduct, Steenrod) map on a span.
+def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Element]:
+    """Kernel of the stacked (reduced coproduct, Steenrod) map on the span of
+    packed codes.
 
     Only the rows the kernel needs are built.  The Steenrod rows are the
     Sq^(2^i)_*, which generate the Steenrod algebra, and the coproduct rows
@@ -196,7 +198,7 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, basis: list[Monomial]) -> lis
     p = _packing(space)
     powers = [1 << i for i in range(degree.bit_length())]
     term_sets = []
-    for m in map(p.encode, basis):
+    for m in codes:
         # Steenrod terms are tagged (-r, out): packed codes are nonnegative, so
         # a tag never equals a coproduct pair (u, v)
         sq_tags = {(-r, out) for r in powers for out in _sq_monomial(p, r, m)}
@@ -204,7 +206,7 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, basis: list[Monomial]) -> lis
     masks, _ = masks_for_term_sets(term_sets)
     out = []
     for combo in kernel_of_images(masks):
-        vec = element_from_mask(space, combo, basis)
+        vec = _element_from_codes(space, combo, codes)
         if not is_primitive(vec) or not is_A_annihilated(vec):
             raise CounterexampleFound(f"kernel vector failed re-verification: {vec}")
         out.append(vec)
@@ -216,7 +218,7 @@ def primitive_annihilated_basis(space: SpaceDesc, degree: int) -> list[Element]:
 
     Charge zero on the unit-loop model.
     """
-    return _pri_ann_kernel(space, degree, basis_enumerate(space, degree))
+    return _pri_ann_kernel(space, degree, _basis_codes(space, degree))
 
 
 def generator_span(
@@ -278,13 +280,16 @@ def screen_degree(
         raise ValueError("screening runs in positive degrees")
     if loop is not None and loop < 1:
         raise ValueError(f"loop filtration level must be >= 1, got {loop}")
-    candidates = _pri_ann_kernel(space, degree, generator_span(space, degree, loop))
+    p = _packing(space)
+    span = [p.encode(m) for m in generator_span(space, degree, loop)]
+    candidates = _pri_ann_kernel(space, degree, span)
 
     squares: list[Element] = []
     t = (degree & -degree).bit_length() - 1  # 2-adic valuation
     core = degree >> t
     if t and core >= 1:
-        for root in _pri_ann_kernel(space, core, generator_span(space, core, loop)):
+        span = [p.encode(m) for m in generator_span(space, core, loop)]
+        for root in _pri_ann_kernel(space, core, span):
             power = root
             for _ in range(t):
                 power = power.square()
@@ -356,8 +361,9 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
 
     upstairs = primitive_annihilated_basis(pred, 2 * degree - 1)
     p = _packing(space)
-    images = [_suspend_codes(pred, p, w.terms) for w in upstairs]
-    squares = [{_square(p.encode(m))} for m in basis_enumerate(space, degree)]
+    source = _packing(pred)
+    images = [_suspend_codes(source, p, source.encode_set(w.terms)) for w in upstairs]
+    squares = [{_square(c)} for c in _basis_codes(space, degree)]
     masks, ordered = masks_for_term_sets(images + squares)
     meet = span_intersection(masks[: len(images)], masks[len(images) :])
     witnesses: tuple[str, ...] = ()

@@ -15,9 +15,11 @@ from .f2algebra import (
     Element,
     Monomial,
     Packing,
+    _basis_codes,
+    _element_from_codes,
+    _factors,
+    _gen_length,
     _packing,
-    basis_enumerate,
-    element_from_mask,
     masks_for_term_sets,
 )
 from .linalg_f2 import in_span, kernel_of_images
@@ -47,14 +49,15 @@ def within_loop_filtration(m: Monomial, level: int | None) -> bool:
     return level is None or loop_level(m) <= level
 
 
-def _suspend_codes(space: SpaceDesc, target: Packing, terms) -> frozenset[int]:
-    """Image of a sum of monomials of space, packed for the successor space."""
+def _suspend_codes(source: Packing, target: Packing, codes) -> frozenset[int]:
+    """Image of a sum of monomials packed by source, packed by target, the
+    packing of the successor space."""
     out: set[int] = set()
-    for m in terms:
-        if m.gen_length != 1:
+    for code in codes:
+        if _gen_length(code) != 1:
             continue  # decomposables and pure translations die
-        g = m.factors[0][0]
-        factor = _admissible_factor(g.seq.entries, space.suspended_base(g.base))
+        g = source.gens[_factors(code)[0][0]]
+        factor = _admissible_factor(g.seq.entries, source.space.suspended_base(g.base))
         if factor is not None:
             out ^= {_factor_code(target, factor)}
     return frozenset(out)
@@ -62,8 +65,9 @@ def _suspend_codes(space: SpaceDesc, target: Packing, terms) -> frozenset[int]:
 
 def suspend(e: Element) -> Element:
     """Image of e under the homology suspension into the successor space."""
-    target = _packing(e.space.successor())
-    return Element(target.space, target.decode_set(_suspend_codes(e.space, target, e.terms)))
+    source, target = _packing(e.space), _packing(e.space.successor())
+    codes = _suspend_codes(source, target, source.encode_set(e.terms))
+    return Element(target.space, target.decode_set(codes))
 
 
 def suspension_kernel_basis(space: SpaceDesc, degree: int) -> list[Element]:
@@ -71,14 +75,14 @@ def suspension_kernel_basis(space: SpaceDesc, degree: int) -> list[Element]:
 
     On the unit-loop model this is the charge-zero component.
     """
-    basis = basis_enumerate(space, degree)
-    return [element_from_mask(space, combo, basis) for combo in _suspension_kernel(space, basis)]
+    codes = _basis_codes(space, degree)
+    return [_element_from_codes(space, combo, codes) for combo in _suspension_kernel(space, codes)]
 
 
-def _suspension_kernel(space: SpaceDesc, basis: list[Monomial]) -> list[int]:
-    """Kernel basis of the suspension on the span of basis, as masks over its indices."""
-    target = _packing(space.successor())
-    masks, _ = masks_for_term_sets([_suspend_codes(space, target, (m,)) for m in basis])
+def _suspension_kernel(space: SpaceDesc, codes: list[int]) -> list[int]:
+    """Kernel basis of the suspension on the span of packed codes, as masks over their indices."""
+    source, target = _packing(space), _packing(space.successor())
+    masks, _ = masks_for_term_sets([_suspend_codes(source, target, (c,)) for c in codes])
     return kernel_of_images(masks)
 
 
@@ -87,7 +91,7 @@ def in_suspension_image(e: Element) -> bool:
     if not e.terms:
         return True
     pred = e.space.predecessor()  # raises NoSuccessor at the bottom of the tower
-    target = _packing(e.space)
-    images = [_suspend_codes(pred, target, (m,)) for m in basis_enumerate(pred, e.dimension - 1)]
+    source, target = _packing(pred), _packing(e.space)
+    images = [_suspend_codes(source, target, (c,)) for c in _basis_codes(pred, e.dimension - 1)]
     masks, _ = masks_for_term_sets(images + [target.encode_set(e.terms)])
     return in_span(masks[-1], masks[:-1])

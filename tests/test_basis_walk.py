@@ -1,0 +1,145 @@
+"""The canonical-order basis walk against the enumerator it replaced.
+
+`f2algebra._basis_walk` emits the basis of one degree already in canonical
+order: one depth-first pass in generator order, bucketed by gen_length.  The
+oracle below is the former enumerator: a recursion over generators sorted by
+dimension that sorts each factor list and then the whole basis by
+`canonical_key`.  `basis_enumerate` and the packed `_basis_codes` must give
+exactly its list, order included.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from loophomology import certify
+from loophomology.f2algebra import (
+    Monomial,
+    Packing,
+    _basis_codes,
+    _packing,
+    basis_enumerate,
+    canonical_key,
+    generators_up_to,
+)
+from loophomology.hopf import primitive_space
+from loophomology.spaces import (
+    SpaceDesc,
+    qs0_space,
+    qsn_space,
+    space_from_dict,
+    two_cell_space,
+)
+
+MAX_DEGREE = 14
+
+SPACES = {
+    "qs1": qsn_space(1),
+    "qs2": qsn_space(2),
+    "qs3": qsn_space(3),
+    "two-cell": two_cell_space(),
+    "sigma2-a1b2-sq1": space_from_dict({
+        "model": "sigma2",
+        "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 2}],
+        "sq_action": [{"r": 1, "from": "b", "to": ["a"]}],
+    }),
+    # not unstable: Sq^4_* b_7 = a_3 with 2 * 4 > 7 (see test_kernel_rows)
+    "a1b5-sq4": space_from_dict({
+        "model": "sigma2",
+        "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 5}],
+        "sq_action": [{"r": 4, "from": "b", "to": ["a"]}],
+    }),
+}
+CASES = [pytest.param(space, None, id=name) for name, space in SPACES.items()]
+CASES += [pytest.param(qs0_space(), c, id=f"qs0-charge-{c}") for c in (None, 0, 5, -3)]
+
+
+def recursive_basis(space: SpaceDesc, degree: int, charge: int | None = None) -> list[Monomial]:
+    """The former enumerator: recurse, sort each factor list, sort the basis."""
+    if space.has_charge():
+        charge = 0 if charge is None else charge
+    if degree <= 0:
+        return []
+    gens = generators_up_to(space, degree)
+    out: list[Monomial] = []
+
+    def extend(idx, remaining, picked):
+        if remaining == 0:
+            factors = tuple(sorted(picked))
+            t = 0
+            if space.has_charge():
+                t = charge - sum(e * g.charge for g, e in factors)
+            out.append(Monomial(factors, t))
+            return
+        if idx == len(gens) or gens[idx].dimension > remaining:
+            return
+        extend(idx + 1, remaining, picked)
+        d = gens[idx].dimension
+        for e in range(1, remaining // d + 1):
+            extend(idx + 1, remaining - e * d, picked + [(gens[idx], e)])
+
+    extend(0, degree, [])
+    out.sort(key=canonical_key)
+    return out
+
+
+@pytest.mark.parametrize("space, charge", CASES)
+def test_the_walk_lists_the_recursive_basis_in_order(space, charge):
+    p = _packing(space)
+    for degree in range(MAX_DEGREE + 1):
+        expected = recursive_basis(space, degree, charge)
+        assert basis_enumerate(space, degree, charge) == expected, degree
+        codes = _basis_codes(space, degree, charge)
+        assert [p.decode(c) for c in codes] == expected, degree
+
+
+@pytest.mark.parametrize("space", [qs0_space(), qsn_space(1), two_cell_space()],
+                         ids=lambda s: s.label)
+def test_basis_codes_intern_generators_in_encode_order(space, monkeypatch):
+    # a fresh Packing each time: the first code that holds a generator interns it
+    for degree in range(1, MAX_DEGREE + 1):
+        walked, encoded = Packing(space), Packing(space)
+        monkeypatch.setattr("loophomology.f2algebra._packing", lambda _: walked)
+        codes = _basis_codes(space, degree)
+        assert codes == list(map(encoded.encode, basis_enumerate(space, degree)))
+        assert walked.gens == encoded.gens, degree
+
+
+def test_basis_enumerate_leaves_the_decode_memo_alone():
+    for space in (qs0_space(), qsn_space(1), two_cell_space()):
+        p = _packing(space)
+        before = dict(p._decoded)
+        for degree in range(1, MAX_DEGREE + 1):
+            basis_enumerate(space, degree)
+        assert p._decoded == before
+
+
+@pytest.fixture
+def monomials_built(monkeypatch):
+    """A counter of Monomial.__post_init__ calls, the validation every
+    Monomial runs."""
+    built = [0]
+    validate = Monomial.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counted)
+    return built
+
+
+def test_the_suspension_kernel_case_builds_no_monomial(monomials_built):
+    ok, _, _ = certify._suspension_kernel_case((qs0_space(), 12))
+    assert ok and monomials_built[0] == 0
+
+
+def test_primitive_space_builds_only_the_kernel_terms(monomials_built):
+    space = qsn_space(1)
+    first = primitive_space(space, 9)
+    terms = set().union(*(v.terms for v in first))
+    assert terms and monomials_built[0] <= len(terms)
+    # decoding is memoized, so with the kernel's terms decoded nothing is built
+    monomials_built[0] = 0
+    assert primitive_space(space, 9) == first
+    assert monomials_built[0] == 0

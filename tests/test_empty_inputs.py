@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from loophomology.f2algebra import basis_enumerate, zero
+from loophomology.f2algebra import _basis_codes, basis_enumerate, zero
 from loophomology.hopf import is_primitive, kernel_of_r, primitive_space
 from loophomology.screener import MInfinityModule, _pri_ann_kernel, primitive_annihilated_basis
 from loophomology.spaces import MODEL_QS0, qs0_space, qsn_space, two_cell_space
@@ -31,6 +31,7 @@ def test_the_zero_element_is_primitive(space):
 @pytest.mark.parametrize("space, degree", EMPTY, ids=lambda v: getattr(v, "label", v))
 def test_an_empty_degree_has_empty_kernels(space, degree):
     assert basis_enumerate(space, degree) == []
+    assert _basis_codes(space, degree) == []
     assert primitive_space(space, degree) == []
     assert primitive_annihilated_basis(space, degree) == []
     assert _pri_ann_kernel(space, degree, []) == []
@@ -43,3 +44,13 @@ def test_an_empty_degree_has_empty_kernels(space, degree):
 def test_an_empty_generator_family_has_an_empty_halving_kernel():
     # degrees <= 0 are swept in test_hopf; here the family is empty in degree 5
     assert kernel_of_r(5, max_length=0) == []
+
+
+@pytest.mark.parametrize("enumerate_basis", [basis_enumerate, _basis_codes],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("space, degree", [(qsn_space(1), 3), (two_cell_space(), 0)],
+                         ids=lambda v: getattr(v, "label", v))
+def test_a_charge_on_a_one_component_space_is_refused(enumerate_basis, space, degree):
+    # the charge is checked before the degree, in the one check both share
+    with pytest.raises(ValueError, match="single component; omit charge"):
+        enumerate_basis(space, degree, charge=0)

@@ -73,16 +73,20 @@ def full_row_kernel(space, degree, basis):
 
 @spaces
 def test_kernel_matches_the_full_rows_on_the_whole_basis(space):
+    p = _packing(space)
     for degree in range(1, MAX_DEGREE + 1):
         basis = basis_enumerate(space, degree)
-        assert _pri_ann_kernel(space, degree, basis) == full_row_kernel(space, degree, basis)
+        codes = list(map(p.encode, basis))
+        assert _pri_ann_kernel(space, degree, codes) == full_row_kernel(space, degree, basis)
 
 
 @spaces
 def test_kernel_matches_the_full_rows_on_the_generator_span(space):
+    p = _packing(space)
     for degree in range(1, MAX_DEGREE + 1):
         basis = generator_span(space, degree)
-        assert _pri_ann_kernel(space, degree, basis) == full_row_kernel(space, degree, basis)
+        codes = list(map(p.encode, basis))
+        assert _pri_ann_kernel(space, degree, codes) == full_row_kernel(space, degree, basis)
 
 
 @spaces
