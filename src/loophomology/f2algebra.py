@@ -11,9 +11,11 @@ symmetric difference.  Everything is immutable and hashable.
 
 Inside the engine a monomial is a packed int instead (see Packing below): the
 operation layers memoize on those, and Monomial objects are built only at the
-boundary, for printing, JSON and the public functions.  The Cartan formula,
-which extends Q^a, Sq^r_* and the coproduct from generators to products, is
-written once here: Packing.split, Packing.peel and _cartan.
+boundary, for printing, JSON and the public functions.  Each space's
+generators are listed once per dimension (_generators_of), and a basis walk
+interns them in that order before it runs.  The Cartan formula, which
+extends Q^a, Sq^r_* and the coproduct from generators to products, is written
+once here: Packing.split, Packing.peel and _cartan.
 """
 
 from __future__ import annotations
@@ -292,30 +294,31 @@ def split_decomposable(e: Element) -> tuple[Element, Element]:
     return Element(e.space, linear), Element(e.space, e.terms - linear)
 
 
+@lru_cache(maxsize=None)
+def _generators_of(space: SpaceDesc, dim: int) -> tuple[Generator, ...]:
+    """The polynomial generators of one dimension, in generator order.
+
+    The unit-loop base [1] has dimension 0, so starting at dimension 1 skips
+    its empty sequence, which is the translation [1] rather than a generator.
+    """
+    if dim < 1:
+        return ()
+    return tuple(sorted(
+        Generator(base, seq)
+        for base in space.base_classes()
+        for seq in enumerate_admissible(dim, base.dimension, base.dimension)
+    ))
+
+
 def generators_up_to(space: SpaceDesc, max_dim: int) -> list[Generator]:
     """All polynomial generators of dimension <= max_dim, sorted by dimension."""
-    out: list[Generator] = []
-    for base in space.base_classes():
-        lo = 1 if base.kind == "unit_loop" else base.dimension
-        for d in range(lo, max_dim + 1):
-            for seq in enumerate_admissible(d, base.dimension, base.dimension):
-                if base.kind == "unit_loop" and not seq:
-                    continue
-                out.append(Generator(base, seq))
-    out.sort(key=lambda g: (g.dimension, g))
-    return out
+    return [g for d in range(1, max_dim + 1) for g in _generators_of(space, d)]
 
 
 def single_generators(space: SpaceDesc, degree: int) -> list[Monomial]:
     """The monomials Q^I(b) of one degree, sorted; on the unit-loop model each
     is translated back to charge zero."""
-    out = [
-        generator_monomial(g, 1, -g.charge)
-        for g in generators_up_to(space, degree)
-        if g.dimension == degree
-    ]
-    out.sort(key=canonical_key)
-    return out
+    return [generator_monomial(g, 1, -g.charge) for g in _generators_of(space, degree)]
 
 
 def _base_translation(space: SpaceDesc, charge: int | None) -> int:
@@ -464,7 +467,9 @@ def expand_slot(te: TensorElement, slot: int, fn) -> TensorElement:
 #   one byte per generator, its exponent      (generator i at bit
 #                                              GENERATOR_SHIFT + 8 i).
 #
-# Each space interns its generators to small indices as they are first seen.
+# Each space interns its generators to small indices: a basis walk interns
+# every generator of its degree in generators_up_to's order, and a generator
+# an operation makes outside the walked degrees is interned when first seen.
 # Every field is additive, so a product is a + b - ONE_CODE and a square
 # 2 a - ONE_CODE, and the dimension is read off without unpacking.
 #
@@ -606,9 +611,11 @@ def _cartan(op, p: Packing, r: int, u, v, mul=_mul_sets, top: int | None = None)
 class Packing:
     """Packed-int codes for the monomials of one space.
 
-    Generators are interned on first sight, so nothing is built before a
-    computation needs it.  Both directions are memoized, so equal codes decode
-    to one shared Monomial, whose hash is then computed once.
+    _basis_codes interns the generators of its degree in table order, by
+    dimension; index interns any other generator when it is first seen, so
+    a single high-degree query interns only what it uses.  Both directions
+    are memoized, so equal codes decode to one shared Monomial, whose hash is
+    then computed once.
     """
 
     def __init__(self, space: SpaceDesc) -> None:
@@ -645,13 +652,15 @@ class Packing:
 
         u is the translation [k] when the code has one, and then i is None; a
         pure translation, the unit [0] included, splits as [k] times 1.
-        Otherwise u is one factor of the lowest-indexed generator i.
+        Otherwise u is one factor of the highest-indexed generator i.  Basis
+        walks index generators by dimension, so v keeps the small ones, and
+        the Cartan remainders of one degree are few and shared.
         """
         gens = code >> GENERATOR_SHIFT
         t = code & _TRANSLATION_MASK
         if t != ONE_CODE or not gens:
             return None, t, code - t + ONE_CODE
-        i = ((gens & -gens).bit_length() - 1) // EXPONENT_BITS
+        i = (gens.bit_length() - 1) // EXPONENT_BITS
         unit = self.units[i]
         return i, ONE_CODE + unit, code - unit
 
@@ -670,16 +679,12 @@ class Packing:
     def encode(self, m: Monomial) -> int:
         code = self._encoded.get(m)
         if code is None:
-            code = self._encoded[m] = self.code(m.factors, m.translation)
-        return code
-
-    def code(self, factors, translation: int) -> int:
-        """Code of the monomial with these sorted (g, e) factors, unmemoized."""
-        code = _translation_code(translation)
-        for g, e in factors:
-            code += self.generator_code(g, e) - ONE_CODE
-        if code & _GUARDS:
-            raise _overflow(code)
+            code = _translation_code(m.translation)
+            for g, e in m.factors:
+                code += self.generator_code(g, e) - ONE_CODE
+            if code & _GUARDS:
+                raise _overflow(code)
+            self._encoded[m] = code
         return code
 
     def decode(self, code: int) -> Monomial:
@@ -711,40 +716,29 @@ def _packing(space: SpaceDesc) -> Packing:
     return Packing(space)
 
 
-#: Marks, in a code under construction, a factor whose generator is not yet
-#: interned; it lies above every field, so it cannot mix with them.
-_UNINTERNED = 1 << GENERATOR_SHIFT + EXPONENT_BITS * (MAX_GENERATORS + 1)
-
-
 def _basis_codes(space: SpaceDesc, degree: int, charge: int | None = None) -> list[int]:
     """basis_enumerate as packed codes, with no Monomial built.
 
-    Generators are interned as the first code in basis order holds them, as
-    map(p.encode, basis_enumerate(...)) does: the interning order decides
-    which factor Packing.split peels, and so what the operation caches hold.
-    A code is summed along the walk from the factors already interned; a
-    leaf with a new generator keeps its factors, and its code is made once
-    the walk is done, in basis order.
+    The generators of dimension at most degree are interned first, in
+    generators_up_to's order, so a space whose bases are walked before any
+    operation runs numbers its generators by dimension.  Each code is then
+    summed along the walk.
     """
     p = _packing(space)
+    for g in generators_up_to(space, degree):
+        p.index(g)
 
     def step(g: Generator, e: int) -> int:
-        if g in p._index:
-            return p.generator_code(g, e) - ONE_CODE - e * g.charge
-        return _UNINTERNED - e * g.charge
+        return p.generator_code(g, e) - ONE_CODE - e * g.charge
 
-    def leaf(factors: list, acc: int):
+    def leaf(factors: list, acc: int) -> int:
         if acc & _GUARDS:
             raise _overflow(acc)
-        return acc if acc < _UNINTERNED else (tuple(factors), _translation(acc))
+        return acc
 
-    codes = _basis_walk(
+    return _basis_walk(
         space, degree, _translation_code(_base_translation(space, charge)), step, leaf
     )
-    for k, code in enumerate(codes):
-        if not isinstance(code, int):
-            codes[k] = p.code(*code)
-    return codes
 
 
 # ---------------------------------------------------------------------------

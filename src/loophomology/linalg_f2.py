@@ -88,21 +88,6 @@ def in_span(vector: int, basis_rows: list[int]) -> bool:
     return not _reduce(piv, vector, 0)[0]
 
 
-def reduce_against(vector: int, reduced_rows: list[int]) -> int:
-    """Remainder of vector modulo an already echelonized list of rows.
-
-    The rows need distinct top bits, which an `echelon` result has; the
-    remainder has every one of those bits cleared.
-    """
-    piv = {row.bit_length() - 1: row for row in reduced_rows}
-    mask = _pivot_mask(piv)
-    hits = vector & mask
-    while hits:
-        vector ^= piv[hits.bit_length() - 1]  # clears that bit, touches only lower ones
-        hits = vector & mask
-    return vector
-
-
 def kernel_of_images(images: list[int]) -> list[int]:
     """Kernel basis of the map e_i -> images[i].
 

@@ -69,9 +69,15 @@ class SpaceDesc:
         for name, d in self.x_cells:
             if d < 1:
                 raise ValueError(f"cell {name!r} needs dimension >= 1")
+        rows = set()
         for entry in self.x_actions:
             if entry.r < 1:
                 raise ValueError("action rows need r >= 1")
+            if (entry.r, entry.source) in rows:
+                raise ValueError(f"Sq^{entry.r} of {entry.source!r} has more than one row")
+            rows.add((entry.r, entry.source))
+            if len(set(entry.targets)) != len(entry.targets):
+                raise ValueError(f"Sq^{entry.r} of {entry.source!r} names a target twice")
             if entry.source not in dims:
                 raise ValueError(f"action row names unknown cell {entry.source!r}")
             for t in entry.targets:

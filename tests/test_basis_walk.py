@@ -6,6 +6,9 @@ oracle below is the former enumerator: a recursion over generators sorted by
 dimension that sorts each factor list and then the whole basis by
 `canonical_key`.  `basis_enumerate` and the packed `_basis_codes` must give
 exactly its list, order included.
+
+The generator table is checked the same way, against the former
+`generators_up_to`, which rebuilt and sorted every generator on each call.
 """
 
 from __future__ import annotations
@@ -14,15 +17,19 @@ import pytest
 
 from loophomology import certify
 from loophomology.f2algebra import (
+    Generator,
     Monomial,
     Packing,
     _basis_codes,
     _packing,
     basis_enumerate,
     canonical_key,
+    generator_monomial,
     generators_up_to,
+    single_generators,
 )
 from loophomology.hopf import primitive_space
+from loophomology.seqcore import enumerate_admissible
 from loophomology.spaces import (
     SpaceDesc,
     qs0_space,
@@ -54,13 +61,27 @@ CASES = [pytest.param(space, None, id=name) for name, space in SPACES.items()]
 CASES += [pytest.param(qs0_space(), c, id=f"qs0-charge-{c}") for c in (None, 0, 5, -3)]
 
 
+def former_generators_up_to(space: SpaceDesc, max_dim: int) -> list[Generator]:
+    """The former generator listing: every base and dimension, then one sort."""
+    out: list[Generator] = []
+    for base in space.base_classes():
+        lo = 1 if base.kind == "unit_loop" else base.dimension
+        for d in range(lo, max_dim + 1):
+            for seq in enumerate_admissible(d, base.dimension, base.dimension):
+                if base.kind == "unit_loop" and not seq:
+                    continue
+                out.append(Generator(base, seq))
+    out.sort(key=lambda g: (g.dimension, g))
+    return out
+
+
 def recursive_basis(space: SpaceDesc, degree: int, charge: int | None = None) -> list[Monomial]:
     """The former enumerator: recurse, sort each factor list, sort the basis."""
     if space.has_charge():
         charge = 0 if charge is None else charge
     if degree <= 0:
         return []
-    gens = generators_up_to(space, degree)
+    gens = former_generators_up_to(space, degree)
     out: list[Monomial] = []
 
     def extend(idx, remaining, picked):
@@ -93,16 +114,48 @@ def test_the_walk_lists_the_recursive_basis_in_order(space, charge):
         assert [p.decode(c) for c in codes] == expected, degree
 
 
+TABLE_SPACES = list(SPACES.values()) + [qs0_space()]
+
+
+@pytest.mark.parametrize("space", TABLE_SPACES, ids=lambda s: s.label)
+def test_the_generator_table_lists_the_former_generators(space):
+    for degree in range(-1, MAX_DEGREE + 1):
+        expected = former_generators_up_to(space, degree)
+        assert generators_up_to(space, degree) == expected, degree
+        singles = [generator_monomial(g, 1, -g.charge) for g in expected if g.dimension == degree]
+        assert single_generators(space, degree) == sorted(singles, key=canonical_key), degree
+
+
+def test_a_second_table_lookup_builds_no_generator(monkeypatch):
+    space = space_from_dict({
+        "model": "sigma2", "cells": [{"name": "u", "dim": 2}, {"name": "w", "dim": 3}],
+    })
+    built = [0]
+    validate = Generator.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(Generator, "__post_init__", counted)
+    first = generators_up_to(space, 19)
+    assert built[0] == len(first)  # each generator validated once
+    built[0] = 0
+    assert generators_up_to(space, 19) == first
+    assert built[0] == 0
+
+
 @pytest.mark.parametrize("space", [qs0_space(), qsn_space(1), two_cell_space()],
                          ids=lambda s: s.label)
-def test_basis_codes_intern_generators_in_encode_order(space, monkeypatch):
-    # a fresh Packing each time: the first code that holds a generator interns it
+def test_basis_codes_intern_the_generator_table_in_order(space, monkeypatch):
+    # fresh: one walk on a new Packing; climbing: every lower degree walked first
+    climbing = Packing(space)
     for degree in range(1, MAX_DEGREE + 1):
-        walked, encoded = Packing(space), Packing(space)
-        monkeypatch.setattr("loophomology.f2algebra._packing", lambda _: walked)
-        codes = _basis_codes(space, degree)
-        assert codes == list(map(encoded.encode, basis_enumerate(space, degree)))
-        assert walked.gens == encoded.gens, degree
+        for p in (Packing(space), climbing):
+            monkeypatch.setattr("loophomology.f2algebra._packing", lambda _: p)
+            codes = _basis_codes(space, degree)
+            assert p.gens == generators_up_to(space, degree), degree
+            assert [p.decode(c) for c in codes] == basis_enumerate(space, degree)
 
 
 def test_basis_enumerate_leaves_the_decode_memo_alone():

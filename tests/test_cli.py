@@ -192,6 +192,27 @@ def test_space_file_errors(tmp_path, capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"r": 1, "from": "b", "to": ["a"]}, {"r": 1, "from": "b", "to": []}],
+        [{"r": 1, "from": "b", "to": []}, {"r": 1, "from": "b", "to": ["a"]}],
+        [{"r": 1, "from": "b", "to": ["a", "a"]}],
+    ],
+    ids=["two-rows", "two-rows-reversed", "repeated-target"],
+)
+def test_ambiguous_sq_action_rows_exit_2(tmp_path, capsys, rows):
+    desc = {
+        "model": "sigma2",
+        "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 2}],
+        "sq_action": rows,
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(desc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "screen", "--space", str(path), "--degree", "4")
+    assert code == 2 and out == "" and err
+
+
 def test_qsn_needs_n(capsys):
     code, _, err = run_cli(capsys, "basis", "--space", "qsn", "--degree", "3")
     assert code == 2 and err

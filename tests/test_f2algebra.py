@@ -310,6 +310,7 @@ def test_split_and_peel_on_every_basis_monomial(space, charges, max_degree):
                     assert _translation(u) == m.translation
                     continue
                 assert m.translation == 0 and _factors(u) == [(i, 1)]
+                assert i == max(j for j, _ in _factors(code))  # the top generator
                 assert _translation(u) == 0 and _degree(u) == packing.gens[i].dimension
                 g = packing.gens[i]
                 if not g.seq:

@@ -14,11 +14,19 @@ from loophomology.linalg_f2 import (
     in_span,
     kernel_of_images,
     rank,
-    reduce_against,
     solve_linear,
     solve_unique,
     span_intersection,
 )
+
+
+def reduce_against(vector: int, reduced_rows: list[int]) -> int:
+    """Remainder of vector modulo rows with distinct top bits, as an
+    `echelon` result has: each row clears its top bit, highest first."""
+    for row in sorted(reduced_rows, reverse=True):
+        if vector >> (row.bit_length() - 1) & 1:
+            vector ^= row
+    return vector
 
 
 def brute_span(rows: list[int]) -> set[int]:

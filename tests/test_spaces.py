@@ -56,6 +56,11 @@ def test_model_validation():
     with pytest.raises(ValueError):
         # Sq^1 must drop dimension by exactly one
         suspension_space({"a": 1, "b": 3}, (SqEntry(1, "b", ("a",)),))
+    # a second row for one (r, from) would be ignored, a repeated target cancel
+    with pytest.raises(ValueError, match="more than one row"):
+        suspension_space({"a": 1, "b": 2}, (SqEntry(1, "b", ("a",)), SqEntry(1, "b", ())))
+    with pytest.raises(ValueError, match="names a target twice"):
+        suspension_space({"a": 1, "b": 2}, (SqEntry(1, "b", ("a", "a")),))
 
 
 def test_cell_action_lookup():
