@@ -15,8 +15,7 @@ raises DegreeBudgetExceeded instead of thrashing.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dlops import apply_Q_iterated
 from .errors import CounterexampleFound, DegreeBudgetExceeded, LoopHomologyError
@@ -79,8 +78,7 @@ def ensure_degree_allowed(degree: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     details: str
@@ -91,7 +89,11 @@ def _pmap(fn, items, jobs: int):
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # imported here, where a pool starts: concurrent.futures pulls in
+    # multiprocessing, which a one-query command line would pay for unused
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotASquare, PackedFieldOverflow, SpaceMismatch, UnsupportedOperand
 from .seqcore import (
     BaseClass,
     UpperSeq,
+    _Frozen,
+    _Ordered,
+    _set,
     enumerate_admissible,
     excess,
     is_admissible,
@@ -38,8 +40,7 @@ from .seqcore import (
 from .spaces import MODEL_QS0, SpaceDesc
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
+class Generator(_Ordered):
     """Polynomial generator Q^I(b), admissible I with excess(I) > dim b.
 
     The empty sequence stands for the base class itself.  On the unit-loop
@@ -47,8 +48,25 @@ class Generator:
     nonempty.
     """
 
-    base: BaseClass
-    seq: UpperSeq
+    __slots__ = _fields = ("base", "seq")
+
+    def __init__(self, base: BaseClass, seq: UpperSeq) -> None:
+        _set(self, "base", base)
+        _set(self, "seq", seq)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.seq) == (other.base, other.seq)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.seq) < (other.base, other.seq)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.seq))
 
     def __post_init__(self) -> None:
         if not is_admissible(self.seq):
@@ -85,12 +103,37 @@ class Generator:
         return f"Q^({body}) {head}" if head[0] != "[" else f"Q^({body}){head}"
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
+class Monomial(_Ordered):
     """Product of generator powers times a translation [k]."""
 
-    factors: tuple[tuple[Generator, int], ...] = ()
-    translation: int = 0
+    #: _hash is set by Packing.decode on the shared monomials it builds,
+    #: which the boundary's term sets hash over and over; it is not a field,
+    #: so it does not travel with a pickle, as it is only valid in the
+    #: process that computed it.
+    __slots__ = ("factors", "translation", "_hash")
+    _fields = ("factors", "translation")
+
+    def __init__(
+        self, factors: tuple[tuple[Generator, int], ...] = (), translation: int = 0
+    ) -> None:
+        _set(self, "factors", factors)
+        _set(self, "translation", translation)
+        _set(self, "_hash", None)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.factors, self.translation) == (other.factors, other.translation)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.factors, self.translation) < (other.factors, other.translation)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return hash((self.factors, self.translation)) if h is None else h
 
     def __post_init__(self) -> None:
         gens = [g for g, _ in self.factors]
@@ -100,18 +143,6 @@ class Monomial:
             raise ValueError("repeated generator; merge exponents instead")
         if any(e < 1 for _, e in self.factors):
             raise ValueError("exponents must be >= 1")
-
-    #: Set by Packing.decode on the shared monomials it builds, which the
-    #: boundary's term sets hash over and over; not a dataclass field.
-    _hash = None
-
-    def __hash__(self) -> int:
-        h = self._hash
-        return hash((self.factors, self.translation)) if h is None else h
-
-    def __reduce__(self):
-        # a cached hash is only valid in the process that computed it
-        return Monomial, (self.factors, self.translation)
 
     @property
     def dimension(self) -> int:
@@ -182,12 +213,14 @@ def canonical_key(m: Monomial) -> tuple:
     return (m.gen_length, m)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(_Frozen):
     """GF(2) sum of monomials in the homology of one space."""
 
-    space: SpaceDesc
-    terms: frozenset[Monomial]
+    __slots__ = _fields = ("space", "terms")
+
+    def __init__(self, space: SpaceDesc, terms: frozenset[Monomial]) -> None:
+        _set(self, "space", space)
+        _set(self, "terms", terms)
 
     def __add__(self, other: Element) -> Element:
         if self.space != other.space:
@@ -401,13 +434,17 @@ def basis_enumerate(space: SpaceDesc, degree: int, charge: int | None = None) ->
 # Tensor powers, used by the coproduct layer.
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(_Frozen):
     """GF(2) sum of arity-fold tensors of monomials over one space."""
 
-    space: SpaceDesc
-    arity: int
-    terms: frozenset[tuple[Monomial, ...]]
+    __slots__ = _fields = ("space", "arity", "terms")
+
+    def __init__(
+        self, space: SpaceDesc, arity: int, terms: frozenset[tuple[Monomial, ...]]
+    ) -> None:
+        _set(self, "space", space)
+        _set(self, "arity", arity)
+        _set(self, "terms", terms)
 
     def __add__(self, other: TensorElement) -> TensorElement:
         if self.space != other.space or self.arity != other.arity:

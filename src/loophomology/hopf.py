@@ -25,8 +25,8 @@ residual that the spherical-class screening inspects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dlops import _q_monomial, apply_Q_iterated
 from .errors import (
@@ -240,8 +240,7 @@ def qualifies_for_primitive(seq: UpperSeq) -> bool:
     return head % 2 == 1 and all(i % 2 == 0 for i in tail)
 
 
-@dataclass(frozen=True)
-class PrimitiveBasisElement:
+class PrimitiveBasisElement(NamedTuple):
     seq: UpperSeq
     value: Element
     correction: Element
@@ -307,8 +306,7 @@ def is_diff_of_powers_of_two(k: int) -> bool:
     return shifted & (shifted + 1) == 0
 
 
-@dataclass(frozen=True)
-class DecompositionTerm:
+class DecompositionTerm(NamedTuple):
     prefix: UpperSeq
     primitive: PrimitiveBasisElement
     translation_offset: int
@@ -317,8 +315,7 @@ class DecompositionTerm:
         return apply_Q_iterated(self.prefix, self.primitive.value)
 
 
-@dataclass(frozen=True)
-class PrimitiveDecomposition:
+class PrimitiveDecomposition(NamedTuple):
     element: Element
     terms: tuple[DecompositionTerm, ...]
     residual: Element

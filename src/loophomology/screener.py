@@ -15,7 +15,7 @@ Three layers live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dlops import _admissible_factor, _factor_code, apply_Q, apply_Q_iterated
 from .errors import CounterexampleFound, UnsupportedOperand
@@ -39,6 +39,8 @@ from .linalg_f2 import echelon, kernel_of_images, span_intersection
 from .seqcore import (
     BaseClass,
     UpperSeq,
+    _Ordered,
+    _set,
     all_entries_odd,
     enumerate_admissible,
     excess,
@@ -53,16 +55,19 @@ from .suspension import _suspend_codes, within_loop_filtration
 # The extended module M(X).
 
 
-@dataclass(frozen=True, order=True)
-class MSymbol:
+class MSymbol(_Ordered):
     """Basis symbol Q^I(b) of the extended module: excess(I) >= dim b.
 
     Equality of excess and base dimension is allowed here; those symbols embed
     as power monomials of the honest homology rather than as generators.
     """
 
-    base: BaseClass
-    seq: UpperSeq
+    __slots__ = _fields = ("base", "seq")
+
+    def __init__(self, base: BaseClass, seq: UpperSeq) -> None:
+        _set(self, "base", base)
+        _set(self, "seq", seq)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not is_admissible(self.seq):
@@ -149,8 +154,7 @@ class MInfinityModule:
         return [_picked(combo, syms) for combo in kernel_of_images(masks)]
 
 
-@dataclass(frozen=True)
-class WellingtonReport:
+class WellingtonReport(NamedTuple):
     space: SpaceDesc
     degree: int
     annihilated: tuple[tuple[MSymbol, ...], ...]
@@ -234,8 +238,7 @@ def generator_span(
     return [m for m in single_generators(space, degree) if within_loop_filtration(m, loop)]
 
 
-@dataclass(frozen=True)
-class ScreenReport:
+class ScreenReport(NamedTuple):
     """One degree's screening verdict: surviving candidates and squares."""
 
     space: SpaceDesc
@@ -312,16 +315,14 @@ def screen_degree(
 # Even-degree squares: two independent refutations.
 
 
-@dataclass(frozen=True)
-class MechanismEntry:
+class MechanismEntry(NamedTuple):
     root: str
     has_linear_part: bool
     product_nonzero: bool | None
     identity_holds: bool | None
 
 
-@dataclass(frozen=True)
-class EvenSquareDegree:
+class EvenSquareDegree(NamedTuple):
     degree: int
     kernel_ok: bool
     kernel_witnesses: tuple[str, ...]
@@ -459,8 +460,7 @@ def oracle_main1(length_bound: int, k: int) -> int:
     return 2 * max_generator_dim(length_bound, k + 2)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Printed closed-form bound next to its exhaustive oracle, never merged."""
 
     kind: str
@@ -485,8 +485,7 @@ def bounds_report(l: int, k: int) -> BoundsReport:
     return BoundsReport("main-1", l, k, bound_main1(l, k), oracle_main1(l, k))
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     d: int
     k: int
     bound: int

@@ -9,7 +9,6 @@ the dimension of the class each operation acts on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NegativeLowerIndex
@@ -24,12 +23,103 @@ def _check_entries(entries: tuple[int, ...]) -> None:
             raise ValueError(f"sequence entries must be nonnegative integers, got {entries!r}")
 
 
-@dataclass(frozen=True, order=True)
-class _Seq:
-    entries: tuple[int, ...] = ()
+# ---------------------------------------------------------------------------
+# Immutable records.
+#
+# The value classes are slotted classes with hand-written methods instead of
+# frozen dataclasses: @dataclass generates and compiles its methods when the
+# module is imported, which a one-query command line pays on every call.
+
+_set = object.__setattr__
+
+
+class _Frozen:
+    """An immutable record, as @dataclass(frozen=True) gave one.
+
+    A subclass lists its fields in _fields and its slots in __slots__; its
+    __init__ sets each field with _set, then calls __post_init__ where it
+    validates.  Records are equal, and hash, by their field tuples, only
+    within one exact class.  The hot value classes override __eq__, __lt__
+    and __hash__ with methods that build their field tuples directly.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        # rebuilt through __init__, so only the fields travel
+        return self.__class__, self._astuple()
+
+
+class _Ordered(_Frozen):
+    """A _Frozen record ordered by its field tuple, as order=True gave."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() < other._astuple()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() <= other._astuple()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() > other._astuple()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() >= other._astuple()
+        return NotImplemented
+
+
+class _Seq(_Ordered):
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...] = ()) -> None:
+        _set(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_entries(self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries < other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -44,9 +134,13 @@ class _Seq:
 class UpperSeq(_Seq):
     """Upper-indexed sequence (i_1, ..., i_s), outermost operation first."""
 
+    __slots__ = ()
+
 
 class LowerSeq(_Seq):
     """Lower-indexed sequence (j_1, ..., j_s), outermost operation first."""
+
+    __slots__ = ()
 
 
 def upper(*entries: int) -> UpperSeq:
@@ -167,8 +261,7 @@ KIND_UNIT_LOOP = "unit_loop"
 KIND_CELL = "cell"
 
 
-@dataclass(frozen=True, order=True)
-class BaseClass:
+class BaseClass(_Ordered):
     """A homology base class an operation sequence is applied to.
 
     sphere:    the fundamental class x_n of S^n inside QS^n (dimension n >= 1)
@@ -176,9 +269,13 @@ class BaseClass:
     cell:      a cell of a suspension, carrying its ambient dimension
     """
 
-    kind: str
-    dimension: int
-    name: str = ""
+    __slots__ = _fields = ("kind", "dimension", "name")
+
+    def __init__(self, kind: str, dimension: int, name: str = "") -> None:
+        _set(self, "kind", kind)
+        _set(self, "dimension", dimension)
+        _set(self, "name", name)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_SPHERE, KIND_UNIT_LOOP, KIND_CELL):
@@ -189,6 +286,23 @@ class BaseClass:
             raise ValueError("unit loop class lives in dimension 0")
         if self.kind == KIND_CELL and self.dimension < 1:
             raise ValueError("cell base class needs dimension >= 1")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.dimension, self.name) == (
+                other.kind, other.dimension, other.name
+            )
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.dimension, self.name) < (
+                other.kind, other.dimension, other.name
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.dimension, self.name))
 
 
 def sphere_class(n: int) -> BaseClass:

@@ -13,10 +13,9 @@ Steenrod action commutes with suspension, so it transports to every level.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import NoSuccessor
-from .seqcore import BaseClass, cell_class, sphere_class, unit_loop_class
+from .seqcore import BaseClass, _Ordered, _set, cell_class, sphere_class, unit_loop_class
 
 MODEL_QS0 = "qs0"
 MODEL_QSN = "qsn"
@@ -26,22 +25,51 @@ MODEL_SUSPENSION = "suspension"
 FILE_MODEL_SIGMA2 = "sigma2"
 
 
-@dataclass(frozen=True, order=True)
-class SqEntry:
+class SqEntry(_Ordered):
     """One row of a cell-level lower Steenrod action table: Sq^r_* source = sum(targets)."""
 
-    r: int
-    source: str
-    targets: tuple[str, ...]
+    __slots__ = _fields = ("r", "source", "targets")
+
+    def __init__(self, r: int, source: str, targets: tuple[str, ...]) -> None:
+        _set(self, "r", r)
+        _set(self, "source", source)
+        _set(self, "targets", targets)
 
 
-@dataclass(frozen=True, order=True)
-class SpaceDesc:
-    model: str
-    n: int = 0
-    x_cells: tuple[tuple[str, int], ...] = ()
-    x_actions: tuple[SqEntry, ...] = ()
-    level: int = 0
+class SpaceDesc(_Ordered):
+    __slots__ = _fields = ("model", "n", "x_cells", "x_actions", "level")
+
+    def __init__(
+        self,
+        model: str,
+        n: int = 0,
+        x_cells: tuple[tuple[str, int], ...] = (),
+        x_actions: tuple[SqEntry, ...] = (),
+        level: int = 0,
+    ) -> None:
+        _set(self, "model", model)
+        _set(self, "n", n)
+        _set(self, "x_cells", x_cells)
+        _set(self, "x_actions", x_actions)
+        _set(self, "level", level)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.model, self.n, self.x_cells, self.x_actions, self.level) == (
+                other.model, other.n, other.x_cells, other.x_actions, other.level
+            )
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.model, self.n, self.x_cells, self.x_actions, self.level) < (
+                other.model, other.n, other.x_cells, other.x_actions, other.level
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.model, self.n, self.x_cells, self.x_actions, self.level))
 
     def __post_init__(self) -> None:
         if self.model == MODEL_QS0:

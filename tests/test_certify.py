@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
 from loophomology import certify
@@ -226,7 +228,7 @@ class _RecordingPool:
 
 
 def test_pmap_caps_workers(monkeypatch):
-    monkeypatch.setattr(certify, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "requested", [])
     monkeypatch.setattr(certify.os, "cpu_count", lambda: 3)
     assert certify._pmap(abs, range(-5, 0), jobs=64) == [5, 4, 3, 2, 1]
@@ -246,7 +248,7 @@ class _NoPool:
 def test_closed_form_suites_run_inline_at_any_job_count(monkeypatch):
     names = list(certify.CLOSED_FORM_CAPS)
     inline = run_suites(names, jobs=1)
-    monkeypatch.setattr(certify, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
     assert run_suites(names, jobs=2) == inline
     assert all(r.passed for r in inline)

@@ -254,6 +254,31 @@ def test_console_script_subprocess():
     assert proc.stdout == "printed 14, oracle 18, discrepancy=true\n"
 
 
+#: Modules a one-query process must not pay for: the process pool (with
+#: multiprocessing, logging, socket and pickle behind it) and the dataclass
+#: machinery (with inspect, ast and dis behind it).
+HEAVY_IMPORTS = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+
+
+def test_a_fresh_cli_import_loads_no_pool_and_no_dataclasses():
+    # a fresh interpreter, importing from src/ with bytecode caching on, as an
+    # installed command line does; only what the import itself adds counts,
+    # so a site hook that loads one of these cannot fail the test
+    script = (
+        "import sys; before = set(sys.modules); import loophomology.cli; "
+        f"print(sorted(m for m in {HEAVY_IMPORTS!r} if m in sys.modules and m not in before))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": SRC},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
 from itertools import combinations_with_replacement
 
 import pytest
+from test_seqcore import check_record
 
 from loophomology.errors import (
     LoopHomologyError,
@@ -21,6 +23,7 @@ from loophomology.f2algebra import (
     Generator,
     Monomial,
     Packing,
+    TensorElement,
     _degree,
     _factors,
     _square,
@@ -34,12 +37,14 @@ from loophomology.f2algebra import (
     generators_up_to,
     one,
     split_decomposable,
+    tensor_of,
     translation_class,
     translation_monomial,
     zero,
 )
+from loophomology.screener import MSymbol
 from loophomology.seqcore import UpperSeq, upper
-from loophomology.spaces import qs0_space, qsn_space, two_cell_space
+from loophomology.spaces import SpaceDesc, SqEntry, qs0_space, qsn_space, two_cell_space
 
 QS0 = qs0_space()
 QS1 = qsn_space(1)
@@ -227,6 +232,123 @@ def test_generators_up_to_sorted_and_complete():
     assert [g.dimension for g in gens] == sorted(g.dimension for g in gens)
     nine = [g for g in gens if g.dimension == 9]
     assert {str(g) for g in nine} == {"Q^8 x_1", "Q^(5,3) x_1"}
+
+
+
+# --- the value-class contract -------------------------------------------------
+
+_UNIT = QS0.base_classes()[0]
+_X1 = QS1.base_classes()[0]
+_Q21 = Generator(_UNIT, upper(2, 1))
+_Q21_TEXT = (
+    "Generator(base=BaseClass(kind='unit_loop', dimension=0, name=''), "
+    "seq=UpperSeq(entries=(2, 1)))"
+)
+_QS1_TEXT = "SpaceDesc(model='qsn', n=1, x_cells=(), x_actions=(), level=0)"
+_X1_MONOMIAL = generator_monomial(Generator(_X1, upper()))
+_X1_TEXT = (
+    "Monomial(factors=((Generator(base=BaseClass(kind='sphere', dimension=1, name=''), "
+    "seq=UpperSeq(entries=())), 1),), translation=0)"
+)
+
+#: (value, its field names, its field tuple, its repr), one per other value class
+RECORDS = [
+    (_Q21, ("base", "seq"), (_UNIT, upper(2, 1)), _Q21_TEXT),
+    (
+        Monomial(((_Q21, 1),), -4),
+        ("factors", "translation"),
+        (((_Q21, 1),), -4),
+        f"Monomial(factors=(({_Q21_TEXT}, 1),), translation=-4)",
+    ),
+    (
+        element_of(QS1, _X1_MONOMIAL),
+        ("space", "terms"),
+        (QS1, frozenset({_X1_MONOMIAL})),
+        f"Element(space={_QS1_TEXT}, terms=frozenset({{{_X1_TEXT}}}))",
+    ),
+    (
+        tensor_of(element_of(QS1, _X1_MONOMIAL), one(QS1)),
+        ("space", "arity", "terms"),
+        (QS1, 2, frozenset({(_X1_MONOMIAL, Monomial())})),
+        f"TensorElement(space={_QS1_TEXT}, arity=2, terms=frozenset({{({_X1_TEXT}, "
+        "Monomial(factors=(), translation=0))}))",
+    ),
+    (
+        SqEntry(1, "b", ("a",)),
+        ("r", "source", "targets"),
+        (1, "b", ("a",)),
+        "SqEntry(r=1, source='b', targets=('a',))",
+    ),
+    (
+        two_cell_space(),
+        ("model", "n", "x_cells", "x_actions", "level"),
+        ("suspension", 0, (("a", 1), ("b", 2)), (), 2),
+        "SpaceDesc(model='suspension', n=0, x_cells=(('a', 1), ('b', 2)), x_actions=(), level=2)",
+    ),
+    (
+        MSymbol(_X1, upper(2)),
+        ("base", "seq"),
+        (_X1, upper(2)),
+        "MSymbol(base=BaseClass(kind='sphere', dimension=1, name=''), seq=UpperSeq(entries=(2,)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, names, fields, text", RECORDS, ids=lambda v: type(v).__name__)
+def test_value_classes_are_frozen_records(value, names, fields, text):
+    check_record(value, names, fields, text)
+
+
+def test_a_decoded_monomial_keeps_its_field_hash():
+    p = Packing(QS0)
+    m = Monomial(((_Q21, 2),), 3)
+    decoded = p.decode(p.encode(m))
+    assert decoded == m and hash(decoded) == hash(m) == hash((((_Q21, 2),), 3))
+    twin = pickle.loads(pickle.dumps(decoded))
+    assert twin == m and hash(twin) == hash(m)
+
+
+def test_generators_and_monomials_sort_by_their_field_tuples():
+    gens = generators_up_to(QS1, 7)[::-1] + generators_up_to(QS0, 7)
+    by_fields = sorted(gens, key=lambda g: (g.base, g.seq))
+    assert sorted(gens) == by_fields
+    assert sorted(gens, reverse=True) == by_fields[::-1]
+    monomials = [m for d in range(1, 8) for m in basis_enumerate(QS0, d, d % 3 - 1)]
+    by_fields = sorted(monomials, key=lambda m: (m.factors, m.translation))
+    assert sorted(monomials[::-1]) == by_fields
+    first, last = by_fields[0], by_fields[-1]
+    assert first < last and first <= last and last > first and last >= first
+    assert not first > last and min(monomials) == first and max(monomials) == last
+    assert Monomial() != Element(QS0, frozenset()) and Monomial() != ((), 0)
+    with pytest.raises(TypeError):
+        _Q21 < _X1_MONOMIAL
+    with pytest.raises(TypeError):
+        element_of(QS1, _X1_MONOMIAL) < one(QS1)  # elements are not ordered
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Generator(_X1, upper(1, 3)),
+         "excess -2 does not exceed base dimension 1; not a polynomial generator"),
+        (lambda: Generator(_X1, upper(3, 1)), "sequence (3, 1) is not admissible"),
+        (lambda: Generator(_UNIT, upper()),
+         "the unit-loop base class itself is the translation [1]"),
+        (lambda: Monomial(((_Q21, 0),)), "exponents must be >= 1"),
+        (lambda: Monomial(((_Q21, 1), (_Q21, 1))), "repeated generator; merge exponents instead"),
+        (lambda: SpaceDesc("qsn"), "qsn needs n >= 1"),
+        (lambda: SpaceDesc("qs0", n=2), "qs0 takes no extra data"),
+        (lambda: MSymbol(_X1, upper(1, 3)), "excess below base dimension; the symbol vanishes"),
+    ],
+)
+def test_invalid_input_raises_through_post_init(build, message, monkeypatch):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+    # __post_init__ is the one validation hook: without it the input is taken
+    for cls in (Generator, Monomial, SpaceDesc, MSymbol):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: None)
+    build()
 
 
 # --- packed monomials ---------------------------------------------------------

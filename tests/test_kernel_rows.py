@@ -4,7 +4,9 @@
 instead of every Sq^r_*, the coproduct terms x (x) y with |x| <= d // 2, and
 masks set through bytes.  The oracle below is the full construction: every
 r in 1..d, the whole reduced coproduct, and masks summed one bit at a time.
-Both must give exactly the same kernel vectors.
+Both must give exactly the same kernel vectors.  The last two tests pin why
+a kernel over the single generators cannot drop the square part of the
+Sq^1_* row.
 """
 
 from __future__ import annotations
@@ -16,17 +18,24 @@ import pytest
 from loophomology.f2algebra import (
     ONE_CODE,
     Element,
+    Generator,
+    _basis_codes,
     _degree,
     _packing,
+    _picked,
+    _square,
     basis_enumerate,
     element_from_mask,
+    generator_monomial,
     masks_for_term_sets,
 )
 from loophomology.hopf import _psi_monomial, _reduced_psi, coproduct, is_primitive
-from loophomology.linalg_f2 import kernel_of_images
+from loophomology.linalg_f2 import in_span, kernel_of_images, span_intersection
 from loophomology.screener import _pri_ann_kernel, generator_span, primitive_annihilated_basis
+from loophomology.seqcore import upper
 from loophomology.spaces import qs0_space, qsn_space, space_from_dict, two_cell_space
-from loophomology.steenrod import _sq_monomial
+from loophomology.steenrod import _sq_monomial, sq_lower
+from loophomology.suspension import _suspend_codes, suspend
 
 MAX_DEGREE = 12
 
@@ -175,3 +184,63 @@ def test_the_top_row_stays_for_a_description_that_is_not_unstable():
     assert not _sq_monomial(p, 1, code) and not _sq_monomial(p, 2, code)
     assert is_primitive(Element(space, frozenset({b7})))
     assert primitive_annihilated_basis(space, 7) == full_row_kernel(space, 7, basis) == []
+
+
+
+def steenrod_rows(p, codes: list[int], degree: int, relaxed: bool) -> list[set]:
+    """The Sq^(2^i)_* rows of each code; relaxed drops the square terms of Sq^1_*."""
+    powers = [1 << i for i in range(degree.bit_length())]
+    return [
+        {(-r, w) for r in powers for w in _sq_monomial(p, r, c)
+         if not (relaxed and r == 1 and p.decode(w).is_square())}
+        for c in codes
+    ]
+
+
+def test_the_square_part_of_the_sq1_row_is_load_bearing():
+    # A relaxed kernel K' over the single generators of degree 2 root - 1,
+    # with the square part of the Sq^1_* row dropped, is not small enough to
+    # refute the even squares: at root 4 it holds g = Q^(4,3)[1] * [-4],
+    # whose suspension is the square (Q^3 x_1)^2.  With the square part kept,
+    # the Sq^1_* row alone keeps g out; the exact kernel does too, as g is not
+    # primitive.
+    space = qs0_space()
+    p = _packing(space)
+    unit = space.base_classes()[0]
+    g = generator_monomial(Generator(unit, upper(4, 3)), 1, -4)
+    element = Element(space, frozenset({g}))
+    square = generator_monomial(Generator(unit, upper(3)), 2, -4)
+    assert str(square) == "(Q^3[1])^2 * [-4]" and square.is_square()
+    assert sq_lower(1, element) == Element(space, frozenset({square}))
+    assert not sq_lower(2, element) and not sq_lower(4, element)
+    sigma = suspend(element)
+    assert str(sigma) == "(Q^3 x_1)^2" and sigma.is_square()
+    assert not is_primitive(element)
+
+    codes = [p.encode(m) for m in generator_span(space, 7)]
+    bit = 1 << codes.index(p.encode(g))
+    for relaxed in (True, False):
+        rows = steenrod_rows(p, codes, 7, relaxed)
+        assert in_span(bit, kernel_of_images(masks_for_term_sets(rows)[0])) == relaxed
+
+
+def test_the_relaxed_kernel_meets_the_squares_at_most_default_roots():
+    # sigma(K') against the squares of qs1 at the even roots of even-squares'
+    # default scope: a route on K' would fall back to the exact kernel at
+    # three of the five
+    qs0, qs1 = qs0_space(), qsn_space(1)
+    p, q = _packing(qs0), _packing(qs1)
+    meets = []
+    for root in range(2, 11, 2):
+        degree = 2 * root - 1
+        codes = [p.encode(m) for m in generator_span(qs0, degree)]
+        rows = steenrod_rows(p, codes, degree, relaxed=True)
+        images = [
+            _suspend_codes(p, q, _picked(k, codes))
+            for k in kernel_of_images(masks_for_term_sets(rows)[0])
+        ]
+        squares = [{_square(c)} for c in _basis_codes(qs1, root)]
+        masks, _ = masks_for_term_sets(images + squares)
+        if span_intersection(masks[: len(images)], masks[len(images) :]):
+            meets.append(root)
+    assert meets == [2, 4, 8]

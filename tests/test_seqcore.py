@@ -7,19 +7,25 @@ the package.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
 from loophomology.errors import NegativeLowerIndex
 from loophomology.seqcore import (
+    BaseClass,
     LowerSeq,
     UpperSeq,
+    cell_class,
     enumerate_admissible,
     excess,
     is_admissible,
     lower_to_upper,
+    unit_loop_class,
+    upper,
     upper_dim,
     upper_to_lower,
 )
@@ -93,3 +99,88 @@ def test_enumerate_degree_nine_sphere():
 def test_enumerate_excludes_vanishing_and_powers():
     for seq in enumerate_admissible(8, 1, 1):
         assert excess(seq) > 1
+
+
+# --- the value-class contract -------------------------------------------------
+#
+# The value classes are hand-written slotted classes; they keep what
+# @dataclass(frozen=True, order=True) gave them, which these tests pin.
+
+#: (value, its field names, its field tuple, its repr)
+RECORDS = [
+    (UpperSeq((5, 3)), ("entries",), ((5, 3),), "UpperSeq(entries=(5, 3))"),
+    (LowerSeq((1, 2)), ("entries",), ((1, 2),), "LowerSeq(entries=(1, 2))"),
+    (UpperSeq(()), ("entries",), ((),), "UpperSeq(entries=())"),
+    (
+        cell_class("a", 2),
+        ("kind", "dimension", "name"),
+        ("cell", 2, "a"),
+        "BaseClass(kind='cell', dimension=2, name='a')",
+    ),
+    (
+        unit_loop_class(),
+        ("kind", "dimension", "name"),
+        ("unit_loop", 0, ""),
+        "BaseClass(kind='unit_loop', dimension=0, name='')",
+    ),
+]
+
+
+def check_record(value, names: tuple[str, ...], fields: tuple, text: str) -> None:
+    """The frozen-dataclass contract of one value, shared with test_f2algebra."""
+    assert tuple(getattr(value, n) for n in names) == fields
+    assert hash(value) == hash(fields)
+    assert repr(value) == text
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert not twin != value
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, n) for n in names) == fields
+
+
+@pytest.mark.parametrize("value, names, fields, text", RECORDS, ids=lambda v: repr(v)[:30])
+def test_sequences_and_base_classes_are_frozen_records(value, names, fields, text):
+    check_record(value, names, fields, text)
+
+
+def test_equality_and_order_hold_within_one_exact_class():
+    assert UpperSeq((1, 2)) != LowerSeq((1, 2))
+    assert not UpperSeq((1, 2)) == LowerSeq((1, 2))
+    assert UpperSeq((1, 2)) != (1, 2) and UpperSeq((1, 2)) == upper(1, 2)
+    assert len({UpperSeq((1, 2)), LowerSeq((1, 2))}) == 2
+    for less in (UpperSeq((1,)).__lt__, UpperSeq((1,)).__le__, UpperSeq((1,)).__gt__):
+        assert less(LowerSeq((2,))) is NotImplemented
+    with pytest.raises(TypeError):
+        UpperSeq((1,)) < LowerSeq((2,))
+    with pytest.raises(TypeError):
+        cell_class("a", 1) <= UpperSeq((1,))
+    seqs = [UpperSeq(e) for e in [(3,), (1, 5), (), (1, 2, 0), (2, 1)]]
+    assert sorted(seqs) == sorted(seqs, key=lambda s: (s.entries,))
+    bases = [cell_class("b", 2), cell_class("a", 2), unit_loop_class(), cell_class("c", 1)]
+    assert sorted(bases) == sorted(bases, key=lambda b: (b.kind, b.dimension, b.name))
+    assert max(seqs) == UpperSeq((3,)) and UpperSeq((2,)) >= UpperSeq((1, 9))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: UpperSeq((1, -2)), "sequence entries must be nonnegative integers, got (1, -2)"),
+        (lambda: LowerSeq((True,)), "sequence entries must be nonnegative integers, got (True,)"),
+        (lambda: BaseClass("torus", 1), "unknown base class kind 'torus'"),
+        (lambda: BaseClass("sphere", 0), "sphere base class needs dimension >= 1"),
+        (lambda: BaseClass("unit_loop", 1), "unit loop class lives in dimension 0"),
+        (lambda: cell_class("a", 0), "cell base class needs dimension >= 1"),
+    ],
+)
+def test_invalid_input_raises_through_post_init(build, message, monkeypatch):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+    # __post_init__ is the one validation hook: without it the input is taken
+    for cls in (UpperSeq, LowerSeq, BaseClass):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: None)
+    build()
