@@ -33,7 +33,7 @@ from .errors import (
     LoopHomologyError,
     PackedFieldOverflow,
 )
-from .f2algebra import basis_enumerate
+from .f2algebra import basis_lines
 from .screener import bounds_report, immersion_threshold_report, screen_degree, stable_range_check
 from .spaces import load_space
 
@@ -60,12 +60,11 @@ def _print_json(payload: dict) -> None:
 def _cmd_basis(args: argparse.Namespace) -> int:
     space = load_space(args.space, args.n)
     ensure_degree_allowed(args.degree)
-    basis = basis_enumerate(space, args.degree, args.charge)
+    lines = basis_lines(space, args.degree, args.charge)
     if args.json:
-        _print_json({"basis": [str(m) for m in basis]})
+        _print_json({"basis": lines})
     else:
-        for m in basis:
-            print(m)
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
 
 

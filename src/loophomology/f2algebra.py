@@ -11,7 +11,8 @@ symmetric difference.  Everything is immutable and hashable.
 
 Inside the engine a monomial is a packed int instead (see Packing below): the
 operation layers memoize on those, and Monomial objects are built only at the
-boundary, for printing, JSON and the public functions.  Each space's
+boundary, for printing, JSON and the public functions; a printed basis needs
+none (basis_lines).  Each space's
 generators are listed once per dimension (_generators_of), and a basis walk
 interns them in that order before it runs.  The Cartan formula, which
 extends Q^a, Sq^r_* and the coproduct from generators to products, is written
@@ -181,16 +182,26 @@ class Monomial(_Ordered):
         )
 
     def __str__(self) -> str:
-        # bare base classes need no parentheses under an exponent
-        parts = [
-            str(g) if e == 1 else (f"{g}^{e}" if not g.seq else f"({g})^{e}")
-            for g, e in sorted(self.factors, reverse=True)
-        ]
-        if not parts:
-            return f"[{self.translation}]" if self.translation else "1"
-        if self.translation:
-            return " ".join(parts) + f" * [{self.translation}]"
-        return " ".join(parts)
+        # the factors are ascending (__post_init__), and print highest first
+        return _monomial_text(
+            [_factor_text(g, e) for g, e in reversed(self.factors)], self.translation
+        )
+
+
+def _factor_text(g: Generator, e: int) -> str:
+    """How a monomial prints g^e: a bare base class needs no parentheses."""
+    text = str(g)
+    if e == 1:
+        return text
+    return f"({text})^{e}" if g.seq else f"{text}^{e}"
+
+
+def _monomial_text(parts, translation: int) -> str:
+    """A monomial's text from its factors' texts, highest generator first."""
+    text = " ".join(parts)
+    if not text:
+        return f"[{translation}]" if translation else "1"
+    return f"{text} * [{translation}]" if translation else text
 
 
 UNIT_MONOMIAL = Monomial()
@@ -367,23 +378,32 @@ def _base_translation(space: SpaceDesc, charge: int | None) -> int:
     return 0
 
 
-def _basis_walk(space: SpaceDesc, degree: int, acc, step, leaf) -> list:
-    """The basis of one degree in canonical order, one leaf(factors, acc) per monomial.
+def _translation_step(g: Generator, e: int) -> int:
+    """What the factor g^e takes off a basis monomial's translation."""
+    return -e * g.charge
+
+
+def _basis_walk(
+    space: SpaceDesc, degree: int, acc, step, leaf, item=lambda g, e: (g, e)
+) -> list:
+    """The basis of one degree in canonical order, one leaf(stack, acc) per monomial.
 
     One depth-first pass takes generators in generator order and exponents
-    in ascending order, on one stack of (g, e) pairs that every leaf below a
-    pair shares, so the factor lists come out in lexicographic order, which
-    is the Monomial order.  Each leaf goes to the bucket of its gen_length,
-    and the buckets are joined shortest first: that is canonical_key's order,
-    with no sort.  A leaf's acc is the given acc plus step(g, e) for every
-    pair on the stack.
+    in ascending order, on one stack that every leaf below a factor shares,
+    so the factor lists come out in lexicographic order, which is the
+    Monomial order.  Each leaf goes to the bucket of its gen_length, and the
+    buckets are joined shortest first: that is canonical_key's order, with
+    no sort.  The stack holds item(g, e) for each factor g^e, ascending; a
+    leaf's acc is the given acc plus step(g, e) for every factor.  Both are
+    computed once per (g, e) and walk.
     """
     if degree <= 0:
         return []
     gens = sorted(generators_up_to(space, degree))
     dims = [g.dimension for g in gens]
     pairs = [
-        [((g, e), step(g, e)) for e in range(1, degree // d + 1)] for g, d in zip(gens, dims)
+        [(item(g, e), e, step(g, e)) for e in range(1, degree // d + 1)]
+        for g, d in zip(gens, dims)
     ]
     # fits[r]: the indices of the generators of dimension at most r;
     # bit r of ends[i]: r is a sum of dimensions of generators i, i + 1, ...
@@ -393,24 +413,24 @@ def _basis_walk(space: SpaceDesc, degree: int, acc, step, leaf) -> list:
         for e in range(len(pairs[i]) + 1):
             ends[i] |= ends[i + 1] << e * dims[i]
     buckets: list[list] = [[] for _ in range(degree + 1)]
-    stack: list[tuple[Generator, int]] = []
+    stack: list = []
 
     def extend(first: int, remaining: int, length: int, acc) -> None:
         candidates = fits[remaining]
         for i in candidates[bisect_left(candidates, first):]:
             d, tails = dims[i], ends[i + 1]
             rest = remaining
-            for pair, s in pairs[i]:
+            for x, e, s in pairs[i]:
                 rest -= d
                 if rest < 0:
                     break
                 if rest == 0:
-                    stack.append(pair)
-                    buckets[length + pair[1]].append(leaf(stack, acc + s))
+                    stack.append(x)
+                    buckets[length + e].append(leaf(stack, acc + s))
                     stack.pop()
                 elif tails >> rest & 1:
-                    stack.append(pair)
-                    extend(i + 1, rest, length + pair[1], acc + s)
+                    stack.append(x)
+                    extend(i + 1, rest, length + e, acc + s)
                     stack.pop()
 
     extend(0, degree, 0, acc)
@@ -422,11 +442,22 @@ def basis_enumerate(space: SpaceDesc, degree: int, charge: int | None = None) ->
 
     For the unit-loop model the basis of one component is listed; charge
     defaults to 0 there and must be omitted elsewhere.  The engine takes the
-    same basis as packed codes from _basis_codes.
+    same basis as packed codes from _basis_codes, the basis command as text
+    from basis_lines.
     """
     return _basis_walk(
-        space, degree, _base_translation(space, charge), lambda g, e: -e * g.charge,
+        space, degree, _base_translation(space, charge), _translation_step,
         lambda factors, t: Monomial(tuple(factors), t),
+    )
+
+
+def basis_lines(space: SpaceDesc, degree: int, charge: int | None = None) -> list[str]:
+    """[str(m) for m in basis_enumerate(space, degree, charge)], with no
+    Monomial built: each factor's text is formatted once per walk, and each
+    leaf joins its stack's texts highest generator first."""
+    return _basis_walk(
+        space, degree, _base_translation(space, charge), _translation_step,
+        lambda texts, t: _monomial_text(reversed(texts), t), _factor_text,
     )
 
 

@@ -273,7 +273,10 @@ def space_from_dict(data: dict) -> SpaceDesc:
 
 def load_space(selector: str, n: int | None = None) -> SpaceDesc:
     """The space a command line selects: "qs0", "qsn" with n, or the path of a
-    description file."""
+    description file.  n selects a sphere of qsn only, so it is refused with
+    any other selector rather than ignored."""
+    if n is not None and selector != MODEL_QSN:
+        raise ValueError(f"--n selects the sphere of --space qsn, not of {selector!r}")
     if selector == MODEL_QS0:
         return qs0_space()
     if selector == MODEL_QSN:

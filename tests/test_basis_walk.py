@@ -9,6 +9,9 @@ exactly its list, order included.
 
 The generator table is checked the same way, against the former
 `generators_up_to`, which rebuilt and sorted every generator on each call.
+
+`basis_lines`, the walk's text leaf that the `basis` command prints, is
+checked against `str` of every validated monomial `basis_enumerate` lists.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from loophomology import certify
+from loophomology.cli import main
 from loophomology.f2algebra import (
     Generator,
     Monomial,
@@ -23,6 +27,7 @@ from loophomology.f2algebra import (
     _basis_codes,
     _packing,
     basis_enumerate,
+    basis_lines,
     canonical_key,
     generator_monomial,
     generators_up_to,
@@ -45,10 +50,18 @@ SPACES = {
     "qs2": qsn_space(2),
     "qs3": qsn_space(3),
     "two-cell": two_cell_space(),
+    "sigma2-a1b2": space_from_dict({
+        "model": "sigma2", "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 2}],
+    }),
     "sigma2-a1b2-sq1": space_from_dict({
         "model": "sigma2",
         "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 2}],
         "sq_action": [{"r": 1, "from": "b", "to": ["a"]}],
+    }),
+    "sigma2-a1b3-sq2": space_from_dict({
+        "model": "sigma2",
+        "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 3}],
+        "sq_action": [{"r": 2, "from": "b", "to": ["a"]}],
     }),
     # not unstable: Sq^4_* b_7 = a_3 with 2 * 4 > 7 (see test_kernel_rows)
     "a1b5-sq4": space_from_dict({
@@ -112,6 +125,40 @@ def test_the_walk_lists_the_recursive_basis_in_order(space, charge):
         assert basis_enumerate(space, degree, charge) == expected, degree
         codes = _basis_codes(space, degree, charge)
         assert [p.decode(c) for c in codes] == expected, degree
+
+
+@pytest.mark.parametrize("space, charge", CASES)
+def test_basis_lines_print_the_validated_basis(space, charge):
+    # the qs0 cases reach the degrees of the benchmark's heaviest queries
+    for degree in range(-2, (22 if space.has_charge() else 16) + 1):
+        expected = [str(m) for m in basis_enumerate(space, degree, charge)]
+        assert basis_lines(space, degree, charge) == expected, degree
+
+
+@pytest.mark.parametrize("degree", [0, 3])
+def test_basis_lines_refuse_a_charge_as_basis_enumerate_does(degree):
+    space = qsn_space(1)
+    with pytest.raises(ValueError) as enumerated:
+        basis_enumerate(space, degree, 0)
+    with pytest.raises(ValueError) as printed:
+        basis_lines(space, degree, 0)
+    assert str(printed.value) == str(enumerated.value)
+
+
+def test_the_basis_command_builds_no_monomial(monkeypatch, capsys):
+    built = [0]
+    init = Monomial.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Monomial, "__init__", counted)
+    assert main(["basis", "--space", "qs0", "--degree", "12"]) == 0
+    assert built[0] == 0
+    expected = basis_enumerate(qs0_space(), 12)
+    assert built[0] == len(expected)  # the counter sees every Monomial built
+    assert capsys.readouterr().out.splitlines() == [str(m) for m in expected]
 
 
 TABLE_SPACES = list(SPACES.values()) + [qs0_space()]

@@ -213,6 +213,27 @@ def test_ambiguous_sq_action_rows_exit_2(tmp_path, capsys, rows):
     assert code == 2 and out == "" and err
 
 
+@pytest.mark.parametrize("command", ["basis", "screen"])
+@pytest.mark.parametrize("selector", ["qs0", "file"])
+def test_n_outside_qsn_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, selector):
+    import loophomology.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an --n that selects nothing")
+
+    for name in ("screen_degree", "basis_lines"):
+        monkeypatch.setattr(cli, name, no_work)
+    if selector == "file":
+        path = tmp_path / "space.json"
+        path.write_text(
+            json.dumps({"model": "sigma2", "cells": [{"name": "a", "dim": 1}]}), encoding="utf-8"
+        )
+        selector = str(path)
+    code, out, err = run_cli(capsys, command, "--space", selector, "--n", "3", "--degree", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: --n selects the sphere of --space qsn, not of {selector!r}\n"
+
+
 def test_qsn_needs_n(capsys):
     code, _, err = run_cli(capsys, "basis", "--space", "qsn", "--degree", "3")
     assert code == 2 and err
@@ -302,7 +323,7 @@ def test_invalid_values_are_rejected_before_any_work(capsys, monkeypatch, argv, 
     def no_work(*args, **kwargs):
         raise AssertionError("work started on an invalid value")
 
-    for name in ("screen_degree", "basis_enumerate", "run_suites", "stable_range_check", "load_space"):
+    for name in ("screen_degree", "basis_lines", "run_suites", "stable_range_check", "load_space"):
         monkeypatch.setattr(cli, name, no_work)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

@@ -42,6 +42,12 @@ def test_screen_space_rejects_a_scope_that_checks_nothing(flag):
     assert "must be >= 1, got 0" in proc.stderr
 
 
+def test_screen_space_refuses_an_n_outside_qsn():
+    proc = run_script("screen_space.py", "--space", "qs0", "--n", "3", "--max-degree", "3")
+    assert_one_line_error(proc)
+    assert proc.returncode == 1 and "--n selects the sphere of --space qsn" in proc.stderr
+
+
 def test_screen_space_stays_inside_the_degree_budget():
     proc = run_script(
         "screen_space.py", "--space", "qsn", "--n", "1", "--max-degree", "5",
