@@ -190,26 +190,46 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
 
     Only the rows the kernel needs are built.  The Steenrod rows are the
     Sq^(2^i)_*, which generate the Steenrod algebra, and the coproduct rows
-    are the terms x (x) y with |x| <= degree // 2, which fix the rest because
-    psi is cocommutative.  The top row Sq^(2^t)_*, 2^t <= degree < 2^(t+1),
-    stays: instability would make it zero, but a description file need not
-    be unstable (cells a:1, b:5 with Sq^4_* b -> a put a_3 under b_7, and
-    only that row keeps b_7 out of the degree-7 kernel).  Every returned
-    vector is re-verified against the full reduced coproduct and every
-    Sq^r_*, so a bug in the kernel bookkeeping, or a row set that is too
-    small, cannot silently pass.
+    are the terms x (x) y with |x| <= top = degree // 2, which fix the rest
+    because psi is cocommutative.  The top row Sq^(2^t)_*, 2^t <= degree <
+    2^(t+1), stays: instability would make it zero, but a description file
+    need not be unstable (cells a:1, b:5 with Sq^4_* b -> a put a_3 under
+    b_7, and only that row keeps b_7 out of the degree-7 kernel).
+
+    The kernel is sieved cut by cut.  With the Steenrod rows, the coproduct
+    rows cut at |x| <= k are taken for k = 1, 2, 4, ... up to top; each
+    stage keeps only the codes in the support of its kernel, and an empty
+    kernel ends the sieve.  This is exact: the terms with |x| <= k are a
+    subset of those with |x| <= top, so ker(rows_top) lies in ker(rows_k),
+    which lies in the span of its support, and the last stage gives exactly
+    ker(rows_top).  kernel_of_images returns the reduced basis of a kernel
+    for a given column order, so dropping columns outside the support gives
+    the same vectors in the same order.
+
+    Every returned vector is re-verified against the full reduced coproduct
+    and every Sq^r_*, so a bug in the kernel bookkeeping, or a row set that
+    is too small, cannot silently pass.
     """
     p = _packing(space)
     powers = [1 << i for i in range(degree.bit_length())]
-    term_sets = []
-    for m in codes:
-        # Steenrod terms are tagged (-r, out): packed codes are nonnegative, so
-        # a tag never equals a coproduct pair (u, v)
-        sq_tags = {(-r, out) for r in powers for out in _sq_monomial(p, r, m)}
-        term_sets.append(_reduced_psi(p, m, degree // 2) | sq_tags)
-    masks, _ = masks_for_term_sets(term_sets)
+    # Steenrod terms are tagged (-r, out): packed codes are nonnegative, so a
+    # tag never equals a coproduct pair (u, v)
+    rows = [(m, {(-r, out) for r in powers for out in _sq_monomial(p, r, m)}) for m in codes]
+    top = degree // 2
+    k = min(1, top)
+    while True:
+        masks, _ = masks_for_term_sets([_reduced_psi(p, m, k) | tags for m, tags in rows])
+        kernel = kernel_of_images(masks)
+        if not kernel or k == top:
+            break
+        support = 0
+        for combo in kernel:
+            support |= combo
+        rows = [row for j, row in enumerate(rows) if support >> j & 1]
+        k = min(2 * k, top)
+    codes = [m for m, _ in rows]
     out = []
-    for combo in kernel_of_images(masks):
+    for combo in kernel:
         vec = _element_from_codes(space, combo, codes)
         if not is_primitive(vec) or not is_A_annihilated(vec):
             raise CounterexampleFound(f"kernel vector failed re-verification: {vec}")

@@ -2,11 +2,17 @@
 
 `screener._pri_ann_kernel` builds only the rows its kernel needs: Sq^(2^i)_*
 instead of every Sq^r_*, the coproduct terms x (x) y with |x| <= d // 2, and
-masks set through bytes.  The oracle below is the full construction: every
-r in 1..d, the whole reduced coproduct, and masks summed one bit at a time.
-Both must give exactly the same kernel vectors.  The last two tests pin why
-a kernel over the single generators cannot drop the square part of the
-Sq^1_* row.
+masks set through bytes.  It sieves the kernel cut by cut: the coproduct
+rows cut at |x| <= k for k = 1, 2, 4, ... up to d // 2, each stage over only
+the codes in the support of the last stage's kernel.  The cut terms are a
+subset of the terms at d // 2, so each stage's kernel contains the final
+one, and since kernel_of_images returns the reduced basis for a given column
+order, dropping columns outside the support changes no vector.  The oracle
+below is the full construction: every r in 1..d, the whole reduced
+coproduct, every code at once, and masks summed one bit at a time.  Both
+must give exactly the same kernel vectors; the spy tests pin how many codes
+each cut builds rows for.  The last two tests pin why a kernel over the
+single generators cannot drop the square part of the Sq^1_* row.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import random
 
 import pytest
 
+from loophomology import screener
 from loophomology.f2algebra import (
     ONE_CODE,
     Element,
@@ -96,6 +103,56 @@ def test_kernel_matches_the_full_rows_on_the_generator_span(space):
         basis = generator_span(space, degree)
         codes = list(map(p.encode, basis))
         assert _pri_ann_kernel(space, degree, codes) == full_row_kernel(space, degree, basis)
+
+
+# the top upstairs degree of the even-squares suite at --max-degree 16: root 8
+# over qs1 and over the two-cell model
+@pytest.mark.parametrize(
+    "space", [qs0_space(), two_cell_space().predecessor()], ids=["qs0", "two-cell-pred"]
+)
+@pytest.mark.parametrize("span", [basis_enumerate, generator_span], ids=["basis", "generators"])
+def test_kernel_matches_the_full_rows_at_degree_15(space, span):
+    basis = span(space, 15)
+    codes = list(map(_packing(space).encode, basis))
+    assert _pri_ann_kernel(space, 15, codes) == full_row_kernel(space, 15, basis)
+
+
+def rows_per_cut(monkeypatch, degree: int) -> dict:
+    """How many codes of qs0's degree basis get coproduct rows at each cut k."""
+    built: dict = {}
+    real = screener._reduced_psi
+
+    def spy(p, m, k=None):
+        built[k] = built.get(k, 0) + 1
+        return real(p, m, k)
+
+    monkeypatch.setattr(screener, "_reduced_psi", spy)
+    space = qs0_space()
+    _pri_ann_kernel(space, degree, _basis_codes(space, degree))
+    monkeypatch.undo()
+    return built
+
+
+def test_the_sieve_builds_the_last_cut_on_few_codes(monkeypatch):
+    # 613 codes in qs0 degree 15; the kernel of each cut shrinks the next
+    assert len(_basis_codes(qs0_space(), 15)) == 613
+    assert rows_per_cut(monkeypatch, 15) == {1: 613, 2: 376, 4: 358, 7: 103}
+
+
+def test_the_sieve_stops_at_an_empty_kernel(monkeypatch):
+    # qs0 degree 11 has no primitive annihilated class and the k = 4 kernel
+    # is already empty, so the rows at the top cut k = 5 are never built
+    assert primitive_annihilated_basis(qs0_space(), 11) == []
+    assert rows_per_cut(monkeypatch, 11) == {1: 137, 2: 61, 4: 42}
+
+
+def test_low_degrees_take_one_cut(monkeypatch):
+    # top = d // 2 is 0 in degree 1 and 1 in degrees 2 and 3: a single stage
+    # over every code, as without the sieve
+    sizes = {d: len(_basis_codes(qs0_space(), d)) for d in (1, 2, 3)}
+    assert rows_per_cut(monkeypatch, 1) == {0: sizes[1]}
+    assert rows_per_cut(monkeypatch, 2) == {1: sizes[2]}
+    assert rows_per_cut(monkeypatch, 3) == {1: sizes[3]}
 
 
 @spaces
