@@ -345,7 +345,7 @@ def suite_hopf_consistency(max_degree: int | None = None, jobs: int = 1) -> Suit
     cases = [(space, d) for space in (qsn_space(1), qs0_space()) for d in range(1, cap + 1)]
     return _sweep("hopf-consistency", _hopf_case, cases, jobs, lambda n: (
         f"degrees <= {cap} on qs1 and charge-0 qs0: {n} identities "
-        "(coassociativity, counit, multiplicativity, Sq^1 Sq^1 = 0)"))
+        "(coassociativity, cocommutativity, counit, multiplicativity, Sq^1 Sq^1 = 0)"))
 
 
 # ---------------------------------------------------------------------------

@@ -56,19 +56,6 @@ class Generator(_Ordered):
         _set(self, "seq", seq)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.seq) == (other.base, other.seq)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.seq) < (other.base, other.seq)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.seq))
-
     def __post_init__(self) -> None:
         if not is_admissible(self.seq):
             raise ValueError(f"sequence {self.seq.entries} is not admissible")
@@ -98,10 +85,10 @@ class Generator(_Ordered):
             head = f"{self.base.name}_{self.base.dimension}"
         if not self.seq:
             return head
-        if len(self.seq) == 1:
-            return f"Q^{self.seq.entries[0]} {head}" if head[0] != "[" else f"Q^{self.seq.entries[0]}{head}"
-        body = ",".join(str(i) for i in self.seq.entries)
-        return f"Q^({body}) {head}" if head[0] != "[" else f"Q^({body}){head}"
+        body = ",".join(map(str, self.seq.entries))
+        ops = f"Q^{body}" if len(self.seq) == 1 else f"Q^({body})"
+        # [1] is written against its operations: Q^3[1], Q^(2,1)[1]
+        return f"{ops}{head}" if head[0] == "[" else f"{ops} {head}"
 
 
 class Monomial(_Ordered):
@@ -122,19 +109,10 @@ class Monomial(_Ordered):
         _set(self, "_hash", None)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.factors, self.translation) == (other.factors, other.translation)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.factors, self.translation) < (other.factors, other.translation)
-        return NotImplemented
-
+    # term sets hash the shared decoded monomials over and over: keep the cache
     def __hash__(self) -> int:
         h = self._hash
-        return hash((self.factors, self.translation)) if h is None else h
+        return hash(self._key(self)) if h is None else h
 
     def __post_init__(self) -> None:
         gens = [g for g, _ in self.factors]
@@ -761,7 +739,7 @@ class Packing:
             gens = self.gens
             factors = tuple(sorted((gens[i], e) for i, e in _factors(code)))
             m = self._decoded[code] = Monomial(factors, _translation(code))
-            object.__setattr__(m, "_hash", hash((m.factors, m.translation)))
+            _set(m, "_hash", hash(m._key(m)))
         return m
 
     def encode_set(self, monomials) -> frozenset[int]:

@@ -9,6 +9,7 @@ the dimension of the class each operation acts on.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 from .errors import NegativeLowerIndex
@@ -26,11 +27,23 @@ def _check_entries(entries: tuple[int, ...]) -> None:
 # ---------------------------------------------------------------------------
 # Immutable records.
 #
-# The value classes are slotted classes with hand-written methods instead of
-# frozen dataclasses: @dataclass generates and compiles its methods when the
-# module is imported, which a one-query command line pays on every call.
+# The value classes are slotted classes, not frozen dataclasses: @dataclass
+# compiles its methods on import, which a one-query command line pays on every
+# call.  Each class gets one C-level field key (an operator.attrgetter, built
+# once per class) that equality, hashing, ordering and pickling all read.  Two
+# measured hot paths keep methods of their own: _Seq's, and Monomial's hash.
 
 _set = object.__setattr__
+
+
+def _compare(op):
+    """A comparison of field keys within one exact class."""
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return op(key(self), key(other))
+        return NotImplemented
+    return compare
 
 
 class _Frozen:
@@ -38,24 +51,24 @@ class _Frozen:
 
     A subclass lists its fields in _fields and its slots in __slots__; its
     __init__ sets each field with _set, then calls __post_init__ where it
-    validates.  Records are equal, and hash, by their field tuples, only
-    within one exact class.  The hot value classes override __eq__, __lt__
-    and __hash__ with methods that build their field tuples directly.
+    validates.  Records are equal and hash by _key, only within one exact class.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if len(cls._fields) == 1:  # still the 1-tuple, as a dataclass hashes it
+            get = operator.attrgetter(*cls._fields)
+            cls._key = staticmethod(lambda record: (get(record),))
+        elif cls._fields:
+            cls._key = staticmethod(operator.attrgetter(*cls._fields))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
-        return NotImplemented
+    __eq__ = _compare(operator.eq)
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -69,33 +82,17 @@ class _Frozen:
 
     def __reduce__(self):
         # rebuilt through __init__, so only the fields travel
-        return self.__class__, self._astuple()
+        return self.__class__, self._key(self)
 
 
 class _Ordered(_Frozen):
     """A _Frozen record ordered by its field tuple, as order=True gave."""
 
     __slots__ = ()
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() < other._astuple()
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() <= other._astuple()
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() > other._astuple()
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() >= other._astuple()
-        return NotImplemented
+    __lt__ = _compare(operator.lt)
+    __le__ = _compare(operator.le)
+    __gt__ = _compare(operator.gt)
+    __ge__ = _compare(operator.ge)
 
 
 class _Seq(_Ordered):
@@ -108,6 +105,7 @@ class _Seq(_Ordered):
     def __post_init__(self) -> None:
         _check_entries(self.entries)
 
+    # hot: inside every Generator comparison (sorting is 1.7x slower through the key)
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.entries == other.entries
@@ -286,23 +284,6 @@ class BaseClass(_Ordered):
             raise ValueError("unit loop class lives in dimension 0")
         if self.kind == KIND_CELL and self.dimension < 1:
             raise ValueError("cell base class needs dimension >= 1")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.dimension, self.name) == (
-                other.kind, other.dimension, other.name
-            )
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.dimension, self.name) < (
-                other.kind, other.dimension, other.name
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.dimension, self.name))
 
 
 def sphere_class(n: int) -> BaseClass:

@@ -54,23 +54,6 @@ class SpaceDesc(_Ordered):
         _set(self, "level", level)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.model, self.n, self.x_cells, self.x_actions, self.level) == (
-                other.model, other.n, other.x_cells, other.x_actions, other.level
-            )
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.model, self.n, self.x_cells, self.x_actions, self.level) < (
-                other.model, other.n, other.x_cells, other.x_actions, other.level
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.model, self.n, self.x_cells, self.x_actions, self.level))
-
     def __post_init__(self) -> None:
         if self.model == MODEL_QS0:
             if self.n or self.x_cells or self.x_actions or self.level:

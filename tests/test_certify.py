@@ -99,6 +99,15 @@ def _change_psi_of_x1(monkeypatch, change):
     )
 
 
+def test_hopf_consistency_names_every_identity_it_checks():
+    (result,) = run_suites(["hopf-consistency"], max_degree=3)
+    assert result.passed
+    for identity in (
+        "coassociativity", "cocommutativity", "counit", "multiplicativity", "Sq^1 Sq^1 = 0"
+    ):
+        assert identity in result.details
+
+
 def test_hopf_consistency_catches_a_coproduct_that_is_not_cocommutative(monkeypatch):
     # x_1 -> x_1 (x) 1 alone is coassociative but not cocommutative
     _change_psi_of_x1(monkeypatch, lambda x: {(ONE_CODE, x)})

@@ -8,17 +8,22 @@ the package.
 from __future__ import annotations
 
 import copy
+import importlib
 import itertools
 import math
 import pickle
+import pkgutil
 
 import pytest
 
+import loophomology
 from loophomology.errors import NegativeLowerIndex
 from loophomology.seqcore import (
     BaseClass,
     LowerSeq,
     UpperSeq,
+    _Frozen,
+    _Ordered,
     cell_class,
     enumerate_admissible,
     excess,
@@ -163,6 +168,30 @@ def test_equality_and_order_hold_within_one_exact_class():
     bases = [cell_class("b", 2), cell_class("a", 2), unit_loop_class(), cell_class("c", 1)]
     assert sorted(bases) == sorted(bases, key=lambda b: (b.kind, b.dimension, b.name))
     assert max(seqs) == UpperSeq((3,)) and UpperSeq((2,)) >= UpperSeq((1, 9))
+
+
+def _record_classes(cls=_Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def test_records_compare_and_hash_only_through_the_field_key():
+    # _Frozen and _Ordered write the contract once; the two measured hot-path
+    # exceptions are _Seq's direct entries methods and Monomial's cached hash
+    for mod in pkgutil.iter_modules(loophomology.__path__):
+        if mod.name != "__main__":
+            importlib.import_module(f"loophomology.{mod.name}")
+    own = {
+        (cls.__qualname__, name)
+        for cls in _record_classes()
+        if cls is not _Ordered
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__")
+        if name in vars(cls)
+    }
+    assert own == {
+        ("_Seq", "__eq__"), ("_Seq", "__lt__"), ("_Seq", "__hash__"), ("Monomial", "__hash__")
+    }
 
 
 @pytest.mark.parametrize(

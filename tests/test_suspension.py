@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from loophomology.certify import DEFAULT_DEGREE_BUDGET
 from loophomology.dlops import apply_Q, apply_Q_iterated
 from loophomology.errors import NoSuccessor
 from loophomology.f2algebra import base_element, basis_enumerate, element_of, zero
 from loophomology.seqcore import upper
-from loophomology.spaces import qs0_space, qsn_space, two_cell_space
+from loophomology.spaces import SqEntry, qs0_space, qsn_space, suspension_space, two_cell_space
+from loophomology.steenrod import sq_lower
 from loophomology.suspension import (
     in_suspension_image,
     loop_level,
@@ -27,6 +29,32 @@ def test_suspend_generators():
     assert suspend(apply_Q_iterated(upper(5, 3), X1)) == apply_Q_iterated(upper(5, 3), X2)
     # the image normalizes through the excess-equals-base rewrite
     assert str(suspend(apply_Q_iterated(upper(5, 3), X1))) == "(Q^3 x_2)^2"
+
+
+COMMUTING_CASES = [
+    (QS0, 12),
+    (QS1, 12),
+    (two_cell_space(), 10),
+    (suspension_space({"a": 1, "b": 2}, (SqEntry(1, "b", ("a",)),)), 10),
+    (suspension_space({"a": 1, "b": 5}, (SqEntry(4, "b", ("a",)),)), 12),
+]
+
+
+@pytest.mark.parametrize(
+    "space, top", COMMUTING_CASES, ids=["qs0", "qs1", "two-cell", "a1b2-sq1", "a1b5-sq4"]
+)
+def test_suspension_commutes_with_the_operations(space, top):
+    # sigma Sq^r_* = Sq^r_* sigma and sigma Q^a = Q^a sigma (Cohen-Lada-May),
+    # on every basis monomial m with |m| <= top, for 1 <= r <= |m| and every
+    # a >= |m| with |Q^a m| inside the degree budget
+    for degree in range(1, top + 1):
+        for m in basis_enumerate(space, degree):
+            x = element_of(space, m)
+            sx = suspend(x)
+            for r in range(1, degree + 1):
+                assert suspend(sq_lower(r, x)) == sq_lower(r, sx), (str(m), "Sq", r)
+            for a in range(degree, DEFAULT_DEGREE_BUDGET - degree + 1):
+                assert suspend(apply_Q(a, x)) == apply_Q(a, sx), (str(m), "Q", a)
 
 
 def test_suspend_kills_decomposables():
