@@ -15,6 +15,7 @@ raises DegreeBudgetExceeded instead of thrashing.
 from __future__ import annotations
 
 import os
+from functools import cache
 from typing import NamedTuple
 
 from .dlops import apply_Q_iterated
@@ -26,6 +27,7 @@ from .f2algebra import (
     _basis_codes,
     _gen_length,
     _packing,
+    _slots,
     _times,
     masks_for_term_sets,
 )
@@ -301,19 +303,21 @@ def _hopf_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
     p = _packing(space)
     # every basis of degree <= d once; a code is decoded only to name a failure
     bases = [_basis_codes(space, k) for k in range(degree + 1)]
+    # psi of each distinct code, unpacked into its (x, y) slots once per case
+    psi_slots = cache(lambda code: [_slots(t) for t in _psi(p, code)])
     checked = 0
     for code in bases[degree]:
-        pairs = _psi(p, code)
-        # (psi (x) 1) psi against (1 (x) psi) psi, as sets of packed triples
+        pairs = psi_slots(code)
+        # (psi (x) 1) psi against (1 (x) psi) psi, as sets of triples of codes
         split_left: set = set()
         split_right: set = set()
         for u, v in pairs:
-            split_left ^= {(a, b, v) for a, b in _psi(p, u)}
-            split_right ^= {(u, a, b) for a, b in _psi(p, v)}
+            split_left ^= {(a, b, v) for a, b in psi_slots(u)}
+            split_right ^= {(u, a, b) for a, b in psi_slots(v)}
         if split_left != split_right:
             return False, 0, f"coassociativity fails on {p.decode(code)}"
         # the primitive-annihilated kernels keep half the coproduct on this
-        if {(v, u) for u, v in pairs} != pairs:
+        if {(v, u) for u, v in pairs} != set(pairs):
             return False, 0, f"cocommutativity fails on {p.decode(code)}"
         left: set = set()
         right: set = set()

@@ -14,9 +14,10 @@ operation layers memoize on those, and Monomial objects are built only at the
 boundary, for printing, JSON and the public functions; a printed basis needs
 none (basis_lines).  Each space's
 generators are listed once per dimension (_generators_of), and a basis walk
-interns them in that order before it runs.  The Cartan formula, which
-extends Q^a, Sq^r_* and the coproduct from generators to products, is written
-once here: Packing.split, Packing.peel and _cartan.
+interns them in that order before it runs; a tensor of two codes is one int
+too (_pair).  The Cartan formula, which extends Q^a and Sq^r_* from
+generators to products, is written once here: Packing.split, Packing.peel
+and _cartan; the coproduct multiplies packed tensors with _mul_pairs.
 """
 
 from __future__ import annotations
@@ -519,12 +520,19 @@ def expand_slot(te: TensorElement, slot: int, fn) -> TensorElement:
 # Every field is additive, so a product is a + b - ONE_CODE and a square
 # 2 a - ONE_CODE, and the dimension is read off without unpacking.
 #
+# A tensor x (x) y is a monomial in twice the generators, so it packs the
+# same way, into one int (a Pair) holding each field of x next to the same
+# field of y: the two translations, the two dimensions, then per generator the
+# exponent byte of x and that of y.  A product of tensors is a + b - ONE_PAIR,
+# and the left dimension, which the coproduct's cut reads, is one field.
+#
 # The top bit of every field is a guard that valid codes keep clear.  Adding
 # two valid codes can set a guard bit but never carry into the neighbouring
-# field, so every product is checked against _GUARDS, and an exponent,
-# dimension or translation outside its field raises PackedFieldOverflow
-# instead of turning into a wrong monomial.  An exponent is at most the
-# monomial's dimension, as every generator has positive dimension.
+# field, so every product is checked against _GUARDS (_PAIR_GUARDS for
+# tensors), and an exponent, dimension or translation outside its field
+# raises PackedFieldOverflow instead of turning into a wrong monomial.  An
+# exponent is at most the monomial's dimension, as every generator has
+# positive dimension.
 
 TRANSLATION_BITS = 32
 DEGREE_BITS = 16
@@ -545,8 +553,8 @@ _GUARDS = (
 )
 
 
-def _overflow(code: int) -> PackedFieldOverflow:
-    return PackedFieldOverflow(f"packed monomial {code:#x} left one of its fields")
+def _overflow(code: int, what: str = "monomial") -> PackedFieldOverflow:
+    return PackedFieldOverflow(f"packed {what} {code:#x} left one of its fields")
 
 
 def _times(a: int, b: int) -> int:
@@ -591,8 +599,44 @@ def _gen_length(code: int) -> int:
     return sum(_exponents(code))
 
 
-#: A tensor of two packed monomial codes.
-Pair = tuple[int, int]
+#: A tensor x (x) y of two packed codes, as one int: see _pair.
+Pair = int
+
+PAIR_SHIFT = 2 * GENERATOR_SHIFT  # where the exponent bytes of a Pair start
+
+
+def _pair(x: int, y: int) -> Pair:
+    """x (x) y: from the low end the translations of x and y, their
+    dimensions, and per generator i the exponent byte of x, then of y."""
+    xs, ys = _exponents(x), _exponents(y)
+    buf = bytearray(2 * max(len(xs), len(ys)))
+    buf[0 : 2 * len(xs) : 2], buf[1 : 2 * len(ys) : 2] = xs, ys
+    return (
+        x & _TRANSLATION_MASK | (y & _TRANSLATION_MASK) << TRANSLATION_BITS
+        | (x & _DEGREE_FIELD) << TRANSLATION_BITS | (y & _DEGREE_FIELD) << GENERATOR_SHIFT
+        | int.from_bytes(buf, "little") << PAIR_SHIFT
+    )
+
+
+def _slots(t: Pair) -> tuple[int, int]:
+    """(x, y) of the tensor t = x (x) y."""
+    buf = (t >> PAIR_SHIFT).to_bytes(t.bit_length() // 8 + 1, "little")
+    xs, ys = (int.from_bytes(buf[i::2], "little") << GENERATOR_SHIFT for i in (0, 1))
+    return (
+        t & _TRANSLATION_MASK | t >> TRANSLATION_BITS & _DEGREE_FIELD | xs,
+        t >> TRANSLATION_BITS & _TRANSLATION_MASK | t >> GENERATOR_SHIFT & _DEGREE_FIELD | ys,
+    )
+
+
+def _left_degree(t: Pair) -> int:
+    """|x| of the tensor t = x (x) y."""
+    return (t & _LEFT_DEGREE_FIELD) >> 2 * TRANSLATION_BITS
+
+
+#: Code of the tensor 1 (x) 1, the unit of the tensor products.
+ONE_PAIR = _pair(ONE_CODE, ONE_CODE)
+_PAIR_GUARDS = _pair(_GUARDS, _GUARDS)
+_LEFT_DEGREE_FIELD = _DEGREE_FIELD << TRANSLATION_BITS
 
 _EMPTY: frozenset = frozenset()
 
@@ -614,43 +658,38 @@ def _mul_sets(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
 
 
 def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair], k: int = MAX_DEGREE) -> frozenset[Pair]:
-    """GF(2) product of two sums of tensors of packed monomials, slot by slot.
+    """GF(2) product of two sums of packed tensors.
 
     Only the products whose left slot has degree at most k are kept; the
     default keeps them all.
     """
     acc: set[Pair] = set()
-    bound = k << TRANSLATION_BITS  # k, placed in the degree field
-    for u1, v1 in a:
-        u1 -= ONE_CODE
-        v1 -= ONE_CODE
-        for u2, v2 in b:
-            u, v = u1 + u2, v1 + v2
-            if (u | v) & _GUARDS:
-                raise _overflow(u if u & _GUARDS else v)
-            if u & _DEGREE_FIELD > bound:
+    bound = k << 2 * TRANSLATION_BITS  # k, placed in the left degree field
+    for s in a:
+        s -= ONE_PAIR
+        for t in b:
+            c = s + t
+            if c & _PAIR_GUARDS:
+                raise _overflow(c, "tensor")
+            if c & _LEFT_DEGREE_FIELD > bound:
                 continue
-            pair = (u, v)
-            if pair in acc:
-                acc.remove(pair)
+            if c in acc:
+                acc.remove(c)
             else:
-                acc.add(pair)
+                acc.add(c)
     return frozenset(acc)
 
 
-def _cartan(op, p: Packing, r: int, u, v, mul=_mul_sets, top: int | None = None) -> frozenset:
+def _cartan(op, p: Packing, r: int, u: int, v: int) -> frozenset[int]:
     """The Cartan formula: sum over j of op(p, j, u) * op(p, r - j, v).
 
-    op is an operation on one factor, such as Q^j or Sq^j_*, and mul the
-    product of its values: _mul_sets on monomials, _mul_pairs on tensors.
-    With top, the sum stops at j = top.
+    op is an operation on one factor, such as Q^j or Sq^j_*.
     """
-    acc: set = set()
-    last = r if top is None else min(r, top)
-    for j in range(last + 1):
+    acc: set[int] = set()
+    for j in range(r + 1):
         left = op(p, j, u)
         if left:
-            acc ^= mul(left, op(p, r - j, v))
+            acc ^= _mul_sets(left, op(p, r - j, v))
     return frozenset(acc)
 
 
@@ -749,11 +788,11 @@ class Packing:
         return frozenset(map(self.decode, codes))
 
     def encode_pairs(self, tensors) -> frozenset[Pair]:
-        return frozenset((self.encode(u), self.encode(v)) for u, v in tensors)
+        return frozenset(_pair(self.encode(u), self.encode(v)) for u, v in tensors)
 
     def tensor(self, pairs) -> TensorElement:
         """The arity-2 TensorElement of a sum of packed pairs."""
-        terms = frozenset((self.decode(u), self.decode(v)) for u, v in pairs)
+        terms = frozenset((self.decode(x), self.decode(y)) for x, y in map(_slots, pairs))
         return TensorElement(self.space, 2, terms)
 
 

@@ -46,13 +46,14 @@ from .f2algebra import (
     Pair,
     TensorElement,
     _basis_codes,
-    _cartan,
     _degree,
     _element_from_codes,
     _gen_length,
     _mul_pairs,
     _packing,
+    _pair,
     _picked,
+    _slots,
     generator_monomial,
     masks_for_term_sets,
     single_generators,
@@ -61,15 +62,6 @@ from .f2algebra import (
 from .linalg_f2 import kernel_of_images, solve_unique
 from .seqcore import UpperSeq, excess, is_admissible, upper
 from .spaces import MODEL_QS0, SpaceDesc, qs0_space
-
-def _q_slot(p: Packing, a: int, pair: Pair) -> frozenset[Pair]:
-    """Q^a on x (x) 1 or 1 (x) y: Q^a of the unit is 0 for a > 0, so the
-    operation acts on the slot that is not the unit."""
-    x, y = pair
-    if y == ONE_CODE:
-        return frozenset((q, y) for q in _q_monomial(p, a, x))
-    return frozenset((x, q) for q in _q_monomial(p, a, y))
-
 
 @lru_cache(maxsize=None)
 def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
@@ -83,16 +75,22 @@ def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
     if v != ONE_CODE:
         return _mul_pairs(_psi_cut(p, u, k), _psi_cut(p, v, k), k)
     if i is None:
-        return frozenset({(m, m)})
+        return frozenset({_pair(m, m)})
     if not p.gens[i].seq:
-        return frozenset({(m, ONE_CODE), (ONE_CODE, m)} if k >= _degree(m) else {(ONE_CODE, m)})
-    # psi(Q^a z) = Q^a psi(z), with Q^a acting on x (x) y = (x (x) 1)(1 (x) y)
-    # by the Cartan formula; the left slot Q^j x has degree |x| + j
+        right = _pair(ONE_CODE, m)
+        return frozenset({_pair(m, ONE_CODE), right} if k >= _degree(m) else {right})
+    # psi(Q^a z) = Q^a psi(z), and by the Cartan formula Q^a (x (x) y) is the
+    # sum over j of Q^j x (x) Q^(a-j) y; the left slot Q^j x has degree
+    # |x| + j, so the sum stops at j = k - |x|
     a, z = p.peel(i)
     acc: set[Pair] = set()
-    for x, y in _psi_cut(p, z, k):
-        top = k - _degree(x)
-        acc ^= _cartan(_q_slot, p, a, (x, ONE_CODE), (ONE_CODE, y), _mul_pairs, top)
+    for t in _psi_cut(p, z, k):
+        x, y = _slots(t)
+        for j in range(min(a, k - _degree(x)) + 1):
+            left = _q_monomial(p, j, x)
+            if left:
+                right = _q_monomial(p, a - j, y)
+                acc ^= {_pair(qx, qy) for qx in left for qy in right}
     return frozenset(acc)
 
 
@@ -111,8 +109,8 @@ def _reduced_psi(p: Packing, m: int, k: int | None = None) -> frozenset[Pair]:
     x (x) y with |x| <= k when k is given."""
     d = _degree(m)
     if k is None or k >= d:
-        return _psi(p, m) ^ {(m, ONE_CODE), (ONE_CODE, m)}
-    return _psi_monomial(p, m, k) ^ {(ONE_CODE, m)}
+        return _psi(p, m) ^ {_pair(m, ONE_CODE), _pair(ONE_CODE, m)}
+    return _psi_monomial(p, m, k) ^ {_pair(ONE_CODE, m)}
 
 
 def coproduct(e: Element) -> TensorElement:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 from .dlops import _admissible_factor, _factor_code, apply_Q, apply_Q_iterated
 from .errors import CounterexampleFound, UnsupportedOperand
 from .f2algebra import (
+    DEGREE_BITS,
     Element,
     Monomial,
     _basis_codes,
@@ -212,9 +213,10 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
     """
     p = _packing(space)
     powers = [1 << i for i in range(degree.bit_length())]
-    # Steenrod terms are tagged (-r, out): packed codes are nonnegative, so a
-    # tag never equals a coproduct pair (u, v)
-    rows = [(m, {(-r, out) for r in powers for out in _sq_monomial(p, r, m)}) for m in codes]
+    # the term out of Sq^r_* m is tagged -(out << DEGREE_BITS | r): packed
+    # tensors are positive, so a tag never equals a coproduct term
+    rows = [(m, {-(out << DEGREE_BITS | r) for r in powers for out in _sq_monomial(p, r, m)})
+            for m in codes]
     top = degree // 2
     k = min(1, top)
     while True:

@@ -8,6 +8,8 @@ suspension QX for X an iterated suspension with named cells; `level` counts how
 
 Cell Steenrod data is recorded once on the unsuspended complex; the lower
 Steenrod action commutes with suspension, so it transports to every level.
+It must make the cells an A-module: a table that breaks an Adem relation is
+refused.
 """
 
 from __future__ import annotations
@@ -34,6 +36,41 @@ class SqEntry(_Ordered):
         _set(self, "r", r)
         _set(self, "source", source)
         _set(self, "targets", targets)
+
+
+def _check_adem(space: SpaceDesc) -> None:
+    """Refuse a cell action that is not an A-module: for a < 2b, the dual of
+    the Adem relation for Sq^a Sq^b must hold on every cell y,
+
+        Sq^b_* Sq^a_* y = sum over c of C(b-c-1, a-2c) Sq^c_* Sq^(a+b-c)_* y,
+
+    with Sq^0_* the identity.  Instability is not required.
+    """
+    table = {(e.r, e.source): set(e.targets) for e in space.x_actions}
+
+    def sq(r: int, cells: set[str]) -> set[str]:
+        if r == 0:
+            return cells
+        out: set[str] = set()
+        for y in cells:
+            out ^= table.get((r, y), set())
+        return out
+
+    for y, d in space.x_cells:
+        for b in range(1, d):
+            for a in range(1, min(2 * b, d - b + 1)):
+                # C(n, k) is odd exactly when the bits of k lie among those of n
+                right = set()
+                for c in range(a // 2 + 1):
+                    if (b - c - 1) & (a - 2 * c) == a - 2 * c:
+                        right ^= sq(c, sq(a + b - c, {y}))
+                left = sq(b, sq(a, {y}))
+                if left != right:
+                    raise ValueError(
+                        f"sq_action is not an A-module: the Adem relation for Sq^{a} Sq^{b} "
+                        f"fails on cell {y!r} (Sq^{b}_* Sq^{a}_* {y} = {sorted(left)}, "
+                        f"the relation gives {sorted(right)})"
+                    )
 
 
 class SpaceDesc(_Ordered):
@@ -99,6 +136,7 @@ class SpaceDesc(_Ordered):
                         f"Sq^{entry.r} must drop dimension by exactly {entry.r}: "
                         f"{entry.source!r} -> {t!r}"
                     )
+        _check_adem(self)
 
     # -- base class inventory ------------------------------------------------
 

@@ -16,7 +16,7 @@ from loophomology.certify import (
     run_suites,
 )
 from loophomology.errors import DegreeBudgetExceeded
-from loophomology.f2algebra import ONE_CODE, _packing, _square, basis_enumerate
+from loophomology.f2algebra import ONE_CODE, _packing, _pair, _square, basis_enumerate
 from loophomology.spaces import qsn_space
 
 
@@ -110,27 +110,27 @@ def test_hopf_consistency_names_every_identity_it_checks():
 
 def test_hopf_consistency_catches_a_coproduct_that_is_not_cocommutative(monkeypatch):
     # x_1 -> x_1 (x) 1 alone is coassociative but not cocommutative
-    _change_psi_of_x1(monkeypatch, lambda x: {(ONE_CODE, x)})
+    _change_psi_of_x1(monkeypatch, lambda x: {_pair(ONE_CODE, x)})
     assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "cocommutativity fails on x_1")
 
 
 def test_hopf_consistency_catches_a_coproduct_that_is_not_coassociative(monkeypatch):
     # x_1 -> x_1 (x) 1 + 1 (x) x_1 + x_1^2 (x) 1: (psi (x) 1) psi(x_1) has
     # x_1^2 (x) 1 (x) 1 twice, (1 (x) psi) psi(x_1) once
-    _change_psi_of_x1(monkeypatch, lambda x: {(_square(x), ONE_CODE)})
+    _change_psi_of_x1(monkeypatch, lambda x: {_pair(_square(x), ONE_CODE)})
     assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "coassociativity fails on x_1")
 
 
 def test_hopf_consistency_catches_a_coproduct_that_breaks_the_counit(monkeypatch):
     # psi(x_1) = 0 is coassociative and cocommutative, but not counital
-    _change_psi_of_x1(monkeypatch, lambda x: {(x, ONE_CODE), (ONE_CODE, x)})
+    _change_psi_of_x1(monkeypatch, lambda x: {_pair(x, ONE_CODE), _pair(ONE_CODE, x)})
     assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "counit law fails on x_1")
 
 
 def test_hopf_consistency_catches_a_coproduct_that_is_not_multiplicative(monkeypatch):
     # x_1 -> x_1 (x) 1 + 1 (x) x_1 + x_1 (x) x_1 is a coalgebra on its own,
     # but psi(x_1)^2 gains x_1^2 (x) x_1^2, which psi(x_1^2) lacks
-    _change_psi_of_x1(monkeypatch, lambda x: {(x, x)})
+    _change_psi_of_x1(monkeypatch, lambda x: {_pair(x, x)})
     assert certify._hopf_case((qsn_space(1), 1)) == (True, 1, "")
     assert certify._hopf_case((qsn_space(1), 2)) == (
         False, 0, "multiplicativity fails on x_1 | x_1")

@@ -213,6 +213,47 @@ def test_ambiguous_sq_action_rows_exit_2(tmp_path, capsys, rows):
     assert code == 2 and out == "" and err
 
 
+NOT_A_MODULES = {
+    # Sq^1_* Sq^1_* c = a, but Sq^1 Sq^1 = 0; without the check, screen
+    # --degree 12 exits 0 and prints "square a_3^4"
+    "sq1-sq1": (
+        {"a": 1, "b": 2, "c": 3},
+        [{"r": 1, "from": "c", "to": ["b"]}, {"r": 1, "from": "b", "to": ["a"]}],
+        "12",
+        "the Adem relation for Sq^1 Sq^1 fails on cell 'c'",
+    ),
+    # Sq^3_* b = a, but Sq^3 = Sq^1 Sq^2 and Sq^1_* b = 0; without the check,
+    # screen --degree 7 exits 3 on a kernel vector that fails re-verification
+    "sq3": (
+        {"a": 2, "b": 5},
+        [{"r": 3, "from": "b", "to": ["a"]}],
+        "7",
+        "the Adem relation for Sq^1 Sq^2 fails on cell 'b'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NOT_A_MODULES)
+def test_a_description_that_is_not_an_A_module_exits_2(tmp_path, capsys, monkeypatch, name):
+    import loophomology.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a description that is not an A-module")
+
+    monkeypatch.setattr(cli, "screen_degree", no_work)
+    cells, rows, degree, message = NOT_A_MODULES[name]
+    desc = {
+        "model": "sigma2",
+        "cells": [{"name": c, "dim": d} for c, d in cells.items()],
+        "sq_action": rows,
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(desc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "screen", "--space", str(path), "--degree", degree)
+    assert code == 2 and out == ""
+    assert err.startswith("error: sq_action is not an A-module: ") and message in err
+
+
 @pytest.mark.parametrize("command", ["basis", "screen"])
 @pytest.mark.parametrize("selector", ["qs0", "file"])
 def test_n_outside_qsn_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, selector):

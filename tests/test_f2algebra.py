@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -24,11 +25,17 @@ from loophomology.f2algebra import (
     Monomial,
     Packing,
     TensorElement,
+    _basis_codes,
     _degree,
     _factors,
+    _left_degree,
+    _mul_pairs,
+    _pair,
+    _slots,
     _square,
     _times,
     _translation,
+    _translation_code,
     basis_enumerate,
     base_element,
     canonical_key,
@@ -446,3 +453,74 @@ def test_split_and_peel_on_every_basis_monomial(space, charges, max_degree):
                     inner = generator_monomial(Generator(g.base, rest))
                 assert (a, packing.decode(z)) == (g.seq.entries[0], inner)
                 assert apply_Q(a, Element(space, frozenset({inner}))).terms == {generator_monomial(g)}
+
+
+# --- packed tensors -----------------------------------------------------------
+
+
+def tensor_codes(space, charges, max_degree=8):
+    """Basis codes of degrees 1..max_degree, with the translations [k] on qs0."""
+    degrees = range(1, max_degree + 1)
+    codes = [c for ch in charges for d in degrees for c in _basis_codes(space, d, ch)]
+    if space.has_charge():
+        codes += [_translation_code(k) for k in range(-3, 4)]
+    return codes
+
+
+TENSOR_SPACES = [(QS0, (-1, 0, 1)), (QS1, (None,)), (two_cell_space(), (None,))]
+
+
+@pytest.mark.parametrize("space, charges", TENSOR_SPACES, ids=["qs0", "qs1", "two-cell"])
+def test_a_packed_tensor_unpacks_to_its_slots(space, charges):
+    codes = tensor_codes(space, charges)
+    if space.has_charge():
+        assert min(map(_translation, codes)) < 0  # negative translations are in
+    tensors = set()
+    for x in codes:
+        for y in codes:
+            t = _pair(x, y)
+            assert _slots(t) == (x, y)
+            assert _left_degree(t) == _degree(x) == _degree(_slots(t)[0])
+            tensors.add(t)
+    assert len(tensors) == len(codes) ** 2
+
+
+@pytest.mark.parametrize("space, charges", TENSOR_SPACES, ids=["qs0", "qs1", "two-cell"])
+def test_a_product_of_packed_tensors_is_the_product_slot_by_slot(space, charges):
+    codes = tensor_codes(space, charges)
+    rng = random.Random(5)
+    for _ in range(3000):
+        a, b, c, d = (rng.choice(codes) for _ in range(4))
+        assert _mul_pairs({_pair(a, b)}, {_pair(c, d)}) == {_pair(_times(a, c), _times(b, d))}
+
+
+def overflowing_products():
+    """(space, a, b) whose product a b leaves the exponent, degree or
+    translation field of a code."""
+    packing, base = Packing(QS1), QS1.base_classes()[0]
+    x1 = Generator(base, upper())
+    # Q^20000 x_1 has dimension 20001, so its square leaves the degree field
+    big = packing.generator_code(Generator(base, upper(20000)))
+    top, bottom = _translation_code(ONE_CODE - 1), _translation_code(-ONE_CODE)
+    return {
+        "exponent": (packing.generator_code(x1, MAX_EXPONENT), packing.generator_code(x1)),
+        "degree": (big, big),
+        "translation-top": (top, _translation_code(1)),
+        "translation-bottom": (bottom, _translation_code(-1)),
+    }
+
+
+@pytest.mark.parametrize("field", list(overflowing_products()))
+@pytest.mark.parametrize("slot", ["left", "right"])
+def test_a_tensor_product_that_leaves_a_field_raises(field, slot):
+    a, b = overflowing_products()[field]
+    with pytest.raises(PackedFieldOverflow):
+        _times(a, b)
+    for other in (ONE_CODE, _translation_code(1), a):  # the other slot's content
+        # the product stays in range in the other slot: its factors are other, 1
+        if slot == "left":
+            lhs, rhs = _pair(a, other), _pair(b, ONE_CODE)
+        else:
+            lhs, rhs = _pair(other, a), _pair(ONE_CODE, b)
+        with pytest.raises(PackedFieldOverflow, match="packed tensor"):
+            _mul_pairs({lhs}, {rhs})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from loophomology.errors import NoSuccessor
@@ -102,6 +104,52 @@ def test_file_sigma2():
     )
     assert space.level == 2
     assert [b.dimension for b in space.base_classes()] == [3, 4]
+
+
+def sigma2(cells: dict, rows: list) -> dict:
+    return {
+        "model": "sigma2",
+        "cells": [{"name": c, "dim": d} for c, d in cells.items()],
+        "sq_action": [{"r": r, "from": src, "to": to} for r, src, to in rows],
+    }
+
+
+@pytest.mark.parametrize(
+    "cells, rows, relation, cell",
+    [
+        ({"a": 1, "b": 2, "c": 3}, [(1, "c", ["b"]), (1, "b", ["a"])], "Sq^1 Sq^1", "c"),
+        ({"a": 2, "b": 5}, [(3, "b", ["a"])], "Sq^1 Sq^2", "b"),
+        # Sq^2 Sq^2 = Sq^3 Sq^1: Sq^2_* Sq^2_* d = a, but Sq^3_* d = 0
+        ({"a": 1, "b": 3, "d": 5}, [(2, "d", ["b"]), (2, "b", ["a"])], "Sq^2 Sq^2", "d"),
+    ],
+    ids=["sq1-sq1", "sq3-alone", "sq2-sq2"],
+)
+def test_a_description_that_is_not_an_A_module_is_refused(cells, rows, relation, cell):
+    message = f"not an A-module: the Adem relation for {relation} fails on cell {cell!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        space_from_dict(sigma2(cells, rows))
+    # and through the constructor, at any level
+    actions = tuple(SqEntry(r, src, tuple(to)) for r, src, to in rows)
+    for level in (1, 2, 3):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            suspension_space(cells, actions, level)
+
+
+@pytest.mark.parametrize(
+    "cells, rows",
+    [
+        # not unstable (2 * 4 > 5), but an A-module: no Adem relation reaches it
+        ({"a": 1, "b": 5}, [(4, "b", ["a"])]),
+        # Sq^1 Sq^2 = Sq^3, dually Sq^2_* Sq^1_* c = a = Sq^3_* c
+        ({"a": 1, "b": 3, "c": 4}, [(1, "c", ["b"]), (2, "b", ["a"]), (3, "c", ["a"])]),
+        ({"a": 1, "b": 2}, [(1, "b", ["a"])]),
+        ({"a": 1, "b": 3}, [(2, "b", ["a"])]),
+    ],
+    ids=["sq4-not-unstable", "sq3-equals-sq1-sq2", "sq1", "sq2"],
+)
+def test_an_A_module_description_loads(cells, rows):
+    space = space_from_dict(sigma2(cells, rows))
+    assert len(space.x_actions) == len(rows)
 
 
 def test_suspended_and_desuspended_base():
