@@ -25,9 +25,9 @@ then reading each admissible sequence off as a basis monomial (negative lower
 index: zero; leading zero lower indices: repeated squaring).
 
 The recursion runs on packed monomial codes of one space (f2algebra.Packing)
-and memoizes on them; products go through the shared Cartan core there, so
-this module holds only the rules for one generator or translation.  apply_Q
-converts at the boundary.
+and memoizes on them; a product goes through the Cartan formula
+(_q_cartan), and the rest of this module holds the rules for one generator
+or translation.  apply_Q converts at the boundary.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .f2algebra import (
     Element,
     Generator,
     Packing,
-    _cartan,
     _degree,
+    _mul_sets,
     _packing,
     _square,
     _translation,
@@ -120,7 +120,7 @@ def _q_monomial(p: Packing, a: int, m: int) -> frozenset[int]:
         return frozenset({_square(m)}) if a == d else _EMPTY
     i, u, v = p.split(m)
     if v != ONE_CODE:
-        return _cartan(_q_monomial, p, a, u, v)
+        return _q_cartan(p, a, u, v)
     if i is None:
         return _q_translation(p, a, _translation(m))
     g = p.gens[i]
@@ -130,6 +130,19 @@ def _q_monomial(p: Packing, a: int, m: int) -> frozenset[int]:
         if factor is not None:
             out ^= {_factor_code(p, factor)}
     return frozenset(out)
+
+
+def _q_cartan(p: Packing, a: int, u: int, v: int) -> frozenset[int]:
+    """Q^a (u v) = sum over j of Q^j u * Q^(a-j) v.
+
+    Q^j x = 0 for j < |x|, so only |u| <= j <= a - |v| can contribute.
+    """
+    acc: set[int] = set()
+    for j in range(_degree(u), a - _degree(v) + 1):
+        left = _q_monomial(p, j, u)
+        if left:
+            acc ^= _mul_sets(left, _q_monomial(p, a - j, v))
+    return frozenset(acc)
 
 
 def _q_translation(p: Packing, a: int, k: int) -> frozenset[int]:
@@ -142,7 +155,7 @@ def _q_translation(p: Packing, a: int, k: int) -> frozenset[int]:
         if a % 2:
             return _EMPTY
         return frozenset(map(_square, _q_monomial(p, a // 2, _translation_code(k // 2))))
-    return _cartan(_q_monomial, p, a, _translation_code(1), _translation_code(k - 1))
+    return _q_cartan(p, a, _translation_code(1), _translation_code(k - 1))
 
 
 def apply_Q(a: int, e: Element) -> Element:

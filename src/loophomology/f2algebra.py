@@ -15,9 +15,9 @@ boundary, for printing, JSON and the public functions; a printed basis needs
 none (basis_lines).  Each space's
 generators are listed once per dimension (_generators_of), and a basis walk
 interns them in that order before it runs; a tensor of two codes is one int
-too (_pair).  The Cartan formula, which extends Q^a and Sq^r_* from
-generators to products, is written once here: Packing.split, Packing.peel
-and _cartan; the coproduct multiplies packed tensors with _mul_pairs.
+too (_pair).  The operations reach products through Packing.split and
+Packing.peel; monomials multiply with _mul_sets, packed tensors with
+_mul_pairs.
 """
 
 from __future__ import annotations
@@ -677,19 +677,6 @@ def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair], k: int = MAX_DEGREE) -> f
                 acc.remove(c)
             else:
                 acc.add(c)
-    return frozenset(acc)
-
-
-def _cartan(op, p: Packing, r: int, u: int, v: int) -> frozenset[int]:
-    """The Cartan formula: sum over j of op(p, j, u) * op(p, r - j, v).
-
-    op is an operation on one factor, such as Q^j or Sq^j_*.
-    """
-    acc: set[int] = set()
-    for j in range(r + 1):
-        left = op(p, j, u)
-        if left:
-            acc ^= _mul_sets(left, op(p, r - j, v))
     return frozenset(acc)
 
 

@@ -24,6 +24,7 @@ from .f2algebra import (
     Element,
     Monomial,
     _basis_codes,
+    _degree,
     _element_from_codes,
     _packing,
     _picked,
@@ -49,7 +50,7 @@ from .seqcore import (
     upper_dim,
 )
 from .spaces import MODEL_QS0, SpaceDesc
-from .steenrod import _sq_monomial, is_A_annihilated, sq_lower
+from .steenrod import _sq_total, is_A_annihilated, sq_lower
 from .suspension import _suspend_codes, within_loop_filtration
 
 # ---------------------------------------------------------------------------
@@ -212,10 +213,12 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
     is too small, cannot silently pass.
     """
     p = _packing(space)
-    powers = [1 << i for i in range(degree.bit_length())]
-    # the term out of Sq^r_* m is tagged -(out << DEGREE_BITS | r): packed
-    # tensors are positive, so a tag never equals a coproduct term
-    rows = [(m, {-(out << DEGREE_BITS | r) for r in powers for out in _sq_monomial(p, r, m)})
+    # the term out of Sq^r_* m, r = degree - |out| a power of two, is tagged
+    # -(out << DEGREE_BITS | r): packed tensors are positive, so a tag never
+    # equals a coproduct term
+    power_at = {degree - (1 << i): 1 << i for i in range(degree.bit_length())}
+    rows = [(m, {-(out << DEGREE_BITS | r) for out in _sq_total(p, m)
+                 if (r := power_at.get(_degree(out)))})
             for m in codes]
     top = degree // 2
     k = min(1, top)

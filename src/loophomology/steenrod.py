@@ -1,24 +1,32 @@
 """The lower (degree-decreasing) Steenrod action on the polynomial models.
 
 Sq^r_* is dual to the cohomology operation Sq^r, so it lowers dimension by r.
-It is computed from four facts:
+The engine computes the total operation Sq_* = sum over r of Sq^r_*, every
+Sq^r_* m of one monomial m at once, from four facts:
 
   * base classes: spheres and components carry the trivial action; cells of a
     user-described complex carry whatever table the description provides,
   * products obey the dual Cartan formula
         Sq^r_*(u v) = sum over r' + r'' = r of Sq^(r')_* u * Sq^(r'')_* v,
+    so Sq_* is a ring map: Sq_*(u v) = Sq_*(u) Sq_*(v), one set product
+    (Steenrod and Epstein, Cohomology Operations, 1962),
   * generators obey the commutation rule with Q-operations
         Sq^r_* Q^a = sum over 2t <= r of C(a-r, r-2t) Q^(a-r+t) Sq^t_*,
     with C taken mod 2 and zero on a negative top argument,
   * Sq^0_* is the identity and Sq^r_* kills anything of dimension < r.
 
-Squares come out of the Cartan formula on their own: the mixed terms of
-Sq^r_*(z*z) cancel in pairs mod 2, leaving (Sq^(r/2)_* z)^2 for even r and
-nothing for odd r.  The tests pin that consequence separately.
+Sq^r_* lowers dimension by exactly r, so Sq^r_* m is the slice of Sq_* m in
+dimension |m| - r, and Sq_* m sums to m alone exactly when every Sq^r_* with
+r >= 1 kills m: the parts lie in distinct dimensions.
 
-Like the operations, the recursion runs on packed monomial codes, and
-products go through the Cartan core of f2algebra; this module holds the rules
-for one generator.
+Squares come out of the Cartan formula on their own: the mixed terms of
+Sq_*(z*z) cancel in pairs mod 2, leaving Sq_*(z)^2, so Sq^r_*(z*z) is
+(Sq^(r/2)_* z)^2 for even r and nothing for odd r.  The tests pin that
+consequence separately.
+
+Like the operations, the recursion runs on packed monomial codes; products go
+through f2algebra's set product, and this module holds the rules for one
+generator.
 """
 
 from __future__ import annotations
@@ -32,40 +40,51 @@ from .f2algebra import (
     Element,
     Generator,
     Packing,
-    _cartan,
     _degree,
+    _mul_sets,
     _packing,
 )
 from .seqcore import UpperSeq
 
 __all__ = ["lucas_binom", "sq_lower", "is_A_annihilated"]
 
-def _base_action(p: Packing, r: int, base) -> frozenset[int]:
-    out: set[int] = set()
-    for t in p.space.base_sq_action(r, base):
-        out ^= {p.generator_code(Generator(t, UpperSeq(())))}
+
+@lru_cache(maxsize=None)
+def _sq_total(p: Packing, m: int) -> frozenset[int]:
+    """Sq_* m: every Sq^r_* m, r = 0..|m|, as one sum of codes."""
+    d = _degree(m)
+    if not d:
+        return frozenset({m})  # this covers the translations, which sit in dimension 0
+    i, u, v = p.split(m)
+    if v != ONE_CODE:
+        return _mul_sets(_sq_total(p, u), _sq_total(p, v))
+    g = p.gens[i]
+    out = {m}
+    if not g.seq:
+        for r in range(1, d + 1):
+            for t in p.space.base_sq_action(r, g.base):
+                out ^= {p.generator_code(Generator(t, UpperSeq(())))}
+        return frozenset(out)
+    a, z = p.peel(i)
+    dz = _degree(z)
+    by_t: dict[int, list[int]] = {}
+    for w in _sq_total(p, z):
+        by_t.setdefault(dz - _degree(w), []).append(w)
+    for r in range(1, a + 1):  # C(a-r, .) vanishes for r > a
+        for t in range(min(r // 2, dz) + 1):
+            if lucas_binom(a - r, r - 2 * t):
+                for w in by_t.get(t, ()):
+                    out ^= _q_monomial(p, a - r + t, w)
     return frozenset(out)
 
 
 @lru_cache(maxsize=None)
 def _sq_monomial(p: Packing, r: int, m: int) -> frozenset[int]:
-    if r == 0:
-        return frozenset({m})
-    if r > _degree(m):
-        return _EMPTY  # this covers the translations, which sit in dimension 0
-    i, u, v = p.split(m)
-    if v != ONE_CODE:
-        return _cartan(_sq_monomial, p, r, u, v)
-    g = p.gens[i]
-    if not g.seq:
-        return _base_action(p, r, g.base)
-    a, z = p.peel(i)
-    out: set[int] = set()
-    for t in range(r // 2 + 1):
-        if lucas_binom(a - r, r - 2 * t):
-            for w in _sq_monomial(p, t, z):
-                out ^= _q_monomial(p, a - r + t, w)
-    return frozenset(out)
+    """Sq^r_* m, the slice of Sq_* m in dimension |m| - r."""
+    d = _degree(m) - r
+    if d < 0:
+        return _EMPTY
+    return frozenset(w for w in _sq_total(p, m) if _degree(w) == d) or _EMPTY
 
 
 def sq_lower(r: int, e: Element) -> Element:
@@ -82,9 +101,16 @@ def is_A_annihilated(e: Element) -> bool:
     """True when every Sq^r_* with r >= 1 kills e.
 
     Single operations suffice: composites of the Sq^r_* vanish once all the
-    single ones do.  The zero element counts as annihilated.
+    single ones do.  On homogeneous e the parts Sq^r_* e lie in distinct
+    dimensions, so they all vanish for r >= 1 exactly when Sq_* e is e.  The
+    zero element counts as annihilated.
     """
     if not e.terms:
         return True
-    d = e.dimension  # raises on inhomogeneous input
-    return all(not sq_lower(r, e) for r in range(1, d + 1))
+    e.dimension  # raises on inhomogeneous input
+    p = _packing(e.space)
+    codes = p.encode_set(e.terms)
+    acc: set[int] = set()
+    for m in codes:
+        acc ^= _sq_total(p, m)
+    return acc == codes

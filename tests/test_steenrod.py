@@ -2,20 +2,41 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
-from loophomology.dlops import apply_Q, apply_Q_iterated
+from loophomology import certify
+from loophomology.dlops import _q_monomial, apply_Q, apply_Q_iterated, lucas_binom
 from loophomology.f2algebra import (
+    _EMPTY,
+    ONE_CODE,
+    Generator,
     Monomial,
+    _basis_codes,
+    _degree,
+    _mul_sets,
+    _packing,
     base_element,
     basis_enumerate,
     element_of,
     one,
     translation_class,
 )
-from loophomology.seqcore import upper
-from loophomology.spaces import SqEntry, qs0_space, qsn_space, suspension_space, two_cell_space
-from loophomology.steenrod import is_A_annihilated, sq_lower
+from loophomology.screener import primitive_annihilated_basis
+from loophomology.seqcore import UpperSeq, upper
+from loophomology.spaces import (
+    SqEntry,
+    qs0_space,
+    qsn_space,
+    space_from_dict,
+    suspension_space,
+    two_cell_space,
+)
+from loophomology.steenrod import _sq_monomial, _sq_total, is_A_annihilated, sq_lower
 
 QS0 = qs0_space()
 QS1 = qsn_space(1)
@@ -132,3 +153,120 @@ def test_annihilated_predicate():
     assert is_A_annihilated(apply_Q_iterated(upper(5, 3), X1))
     assert is_A_annihilated(element_of(QS1))  # zero vacuously
     assert is_A_annihilated(one(QS0))
+
+
+# ---------------------------------------------------------------------------
+# The total Sq_* against the former per-r recursion.
+
+
+def _oracle(p):
+    """Sq^r_* m by its own Cartan sum for each r, as the engine once computed it."""
+
+    @functools.cache
+    def sq(r: int, m: int) -> frozenset[int]:
+        if r == 0:
+            return frozenset({m})
+        if r > _degree(m):
+            return _EMPTY
+        i, u, v = p.split(m)
+        if v != ONE_CODE:
+            acc: set[int] = set()
+            for j in range(r + 1):
+                acc ^= _mul_sets(sq(j, u), sq(r - j, v))
+            return frozenset(acc)
+        g = p.gens[i]
+        out: set[int] = set()
+        if not g.seq:
+            for t in p.space.base_sq_action(r, g.base):
+                out ^= {p.generator_code(Generator(t, UpperSeq(())))}
+            return frozenset(out)
+        a, z = p.peel(i)
+        for t in range(r // 2 + 1):
+            if lucas_binom(a - r, r - 2 * t):
+                for w in sq(t, z):
+                    out ^= _q_monomial(p, a - r + t, w)
+        return frozenset(out)
+
+    return sq
+
+
+def _workload_descriptions() -> dict:
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.DESCRIPTIONS
+
+
+QS2 = qsn_space(2)
+ORACLE_CASES = {
+    "qs0": (QS0, 12, (-2, -1, 0, 1, 2)),
+    "qs1": (QS1, 12, (None,)),
+    "qs2": (QS2, 12, (None,)),
+    "two-cell": (two_cell_space(), 12, (None,)),
+    "a1b5-sq4": (suspension_space({"a": 1, "b": 5}, (SqEntry(4, "b", ("a",)),)), 12, (None,)),
+    **{name: (space_from_dict(d), 12, (None,)) for name, d in _workload_descriptions().items()},
+}
+
+
+def _oracle_codes(space, top, charges):
+    for degree in range(1, top + 1):
+        for charge in charges:
+            yield from _basis_codes(space, degree, charge)
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_every_slice_of_the_total_matches_the_per_r_recursion(name):
+    space, top, charges = ORACLE_CASES[name]
+    p = _packing(space)
+    oracle = _oracle(p)
+    checked = 0
+    for m in _oracle_codes(space, top, charges):
+        total = _sq_total(p, m)
+        assert m in total and all(_degree(w) <= _degree(m) for w in total)
+        for r in range(_degree(m) + 2):
+            assert _sq_monomial(p, r, m) == oracle(r, m), (str(p.decode(m)), r)
+            checked += 1
+    assert checked
+
+
+def _annihilated_by_every_square(e) -> bool:
+    return all(not sq_lower(r, e) for r in range(1, e.dimension + 1))
+
+
+def test_annihilated_predicate_contract():
+    assert is_A_annihilated(element_of(QS0))  # the zero element
+    assert is_A_annihilated(translation_class(QS0, 3))  # dimension 0
+    assert is_A_annihilated(translation_class(QS0, -2) + translation_class(QS0, 1))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        is_A_annihilated(X1 + X1 * X1)
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_annihilated_predicate_agrees_with_every_square(name):
+    space, top, charges = ORACLE_CASES[name]
+    p = _packing(space)
+    for degree in range(1, top + 1):
+        for charge in charges:
+            elements = [element_of(space, p.decode(m)) for m in _basis_codes(space, degree, charge)]
+            # single monomials, and sums of neighbours so that cancellation is tried
+            elements += [a + b for a, b in zip(elements, elements[1:])]
+            for e in elements:
+                assert is_A_annihilated(e) == _annihilated_by_every_square(e), str(e)
+
+
+def test_annihilated_predicate_agrees_on_a_kernel():
+    kernel = primitive_annihilated_basis(QS0, 15)
+    assert kernel
+    for e in kernel:
+        assert is_A_annihilated(e) and _annihilated_by_every_square(e), str(e)
+
+
+def test_even_squares_leaves_few_total_entries():
+    # one cached Sq_* per monomial; the former per-r recursion left 12,481
+    # entries of _sq_monomial here
+    _sq_total.cache_clear()
+    _sq_monomial.cache_clear()
+    result = certify.suite_even_squares(16)
+    assert result.passed
+    assert _sq_total.cache_info().currsize <= 2500
