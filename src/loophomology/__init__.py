@@ -9,7 +9,7 @@ exhaustive oracle.
 """
 
 from .certify import SUITES, SuiteResult, degree_budget, run_suites
-from .dlops import adem_pairs, apply_Q, apply_Q_iterated, lucas_binom, normalize_sequence
+from .dlops import adem_pairs, apply_Q, apply_Q_iterated, lucas_binom
 from .errors import (
     ChargeNonzero,
     CounterexampleFound,

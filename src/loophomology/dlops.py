@@ -83,11 +83,6 @@ def _normalize_entries(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     return frozenset({entries})
 
 
-def normalize_sequence(seq: UpperSeq) -> frozenset[UpperSeq]:
-    """Admissible sequences whose sum equals the given composite."""
-    return frozenset(UpperSeq(e) for e in _normalize_entries(seq.entries))
-
-
 def _admissible_factor(
     entries: tuple[int, ...], base: BaseClass
 ) -> tuple[Generator | None, int] | None:

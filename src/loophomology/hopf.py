@@ -59,7 +59,7 @@ from .f2algebra import (
     single_generators,
     split_decomposable,
 )
-from .linalg_f2 import kernel_of_images, solve_unique
+from .linalg_f2 import Pivots, _eliminate, _solve, kernel_of_images
 from .seqcore import UpperSeq, excess, is_admissible, upper
 from .spaces import MODEL_QS0, SpaceDesc, qs0_space
 
@@ -151,17 +151,29 @@ def is_primitive(e: Element) -> bool:
     return not reduced_coproduct(e)
 
 
+@lru_cache(maxsize=None)
+def _reduced_psi_rows(
+    space: SpaceDesc, degree: int, charge: int | None
+) -> tuple[list[int], list[int]]:
+    """The basis codes of one degree and the masks of their reduced psi.
+
+    One matrix per degree: primitive_space takes its kernel, and every p_I of
+    the degree reads its target and its correction columns from it.  Full
+    rows, not the cut-by-cut sieve of screener._pri_ann_kernel: the targets
+    need whole rows, and staging the cuts made `verify --suite
+    primitive-basis --max-degree 10` 1.5-2x slower.
+    """
+    p = _packing(space)
+    codes = _basis_codes(space, degree, charge)
+    masks, _ = masks_for_term_sets([_reduced_psi(p, c) for c in codes])
+    return codes, masks
+
+
 def primitive_space(space: SpaceDesc, degree: int, charge: int | None = None) -> list[Element]:
     """Basis (as elements) of the primitives in one degree."""
     if space.model == MODEL_QS0 and charge not in (0, None):
         raise ChargeNonzero("primitives live on the charge-zero component")
-    codes = _basis_codes(space, degree, charge)
-    p = _packing(space)
-    # full rows, not the cut-by-cut sieve of screener._pri_ann_kernel: the
-    # whole psi of each code is cached for make_primitive_pI anyway, and
-    # staging the cuts made `verify --suite primitive-basis --max-degree 10`
-    # 1.5-2x slower
-    masks, _ = masks_for_term_sets([_reduced_psi(p, c) for c in codes])
+    codes, masks = _reduced_psi_rows(space, degree, charge)
     return [_element_from_codes(space, combo, codes) for combo in kernel_of_images(masks)]
 
 
@@ -256,6 +268,17 @@ class PrimitiveBasisElement(NamedTuple):
 
 
 @lru_cache(maxsize=None)
+def _decomposable_columns(degree: int) -> tuple[list[int], Pivots, list[int]]:
+    """The decomposable codes of charge-zero degree d, with the pivots of one
+    elimination of their reduced-psi rows and the dependencies among them,
+    shared by every p_I of the degree."""
+    codes, masks = _reduced_psi_rows(qs0_space(), degree, 0)
+    columns = [(c, m) for c, m in zip(codes, masks) if _gen_length(c) >= 2]
+    pivots, kernel = _eliminate([m for _, m in columns], True)
+    return [c for c, _ in columns], pivots, kernel
+
+
+@lru_cache(maxsize=None)
 def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
     seq = UpperSeq(entries)
     if not qualifies_for_primitive(seq):
@@ -268,18 +291,17 @@ def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
         Generator(space.base_classes()[0], seq), translation=-(2 ** len(entries))
     )
     lead = Element(space, frozenset({top}))
-    p = _packing(space)
-    target = _reduced_psi(p, p.encode(top))
+    # the lead is itself a charge-zero basis code of its degree, so its row
+    # is the target
+    codes, masks = _reduced_psi_rows(space, degree, 0)
+    target = masks[codes.index(_packing(space).encode(top))]
     if not target:
         return PrimitiveBasisElement(seq, lead, Element(space, frozenset()))
-    decomposables = [c for c in _basis_codes(space, degree, 0) if _gen_length(c) >= 2]
-    images = [_reduced_psi(p, c) for c in decomposables]
-    masks, _ = masks_for_term_sets(images + [target])
-    col_masks, target_mask = masks[:-1], masks[-1]
+    decomposables, pivots, kernel = _decomposable_columns(degree)
+    if kernel:
+        raise NonUnique(f"decomposable correction for p_{entries} is not unique")
     try:
-        combo = solve_unique(col_masks, target_mask)
-    except NonUnique:
-        raise NonUnique(f"decomposable correction for p_{entries} is not unique") from None
+        combo = _solve(pivots, target)
     except NoSolution:
         raise NoSolution(f"no primitive of the shape Q^{entries}[1] + decomposables") from None
     correction = _element_from_codes(space, combo, decomposables)

@@ -22,7 +22,7 @@ every result is independent of the order in which pivots are hit.
 
 from __future__ import annotations
 
-from .errors import NoSolution, NonUnique
+from .errors import NoSolution
 
 Pivots = dict[int, tuple[int, int]]  # pivot bit -> (row, combo)
 
@@ -130,18 +130,7 @@ def solve_linear(columns: list[int], target: int) -> int:
 
     Raises NoSolution when the target is outside the column span.  When the
     columns are dependent the solution supported on the columns independent
-    of all earlier ones is returned; `solve_unique` also rules dependence out.
+    of all earlier ones is returned.
     """
     return _solve(_eliminate(columns, True)[0], target)
 
-
-def solve_unique(columns: list[int], target: int) -> int:
-    """The one selection of columns summing to target, from one elimination.
-
-    Raises NonUnique when the columns are dependent, checked first, and
-    NoSolution when the target is outside their span.
-    """
-    piv, kernel = _eliminate(columns, True)
-    if kernel:
-        raise NonUnique("the columns are dependent, so a solution is not unique")
-    return _solve(piv, target)

@@ -17,7 +17,7 @@ from loophomology.certify import (
 )
 from loophomology.errors import DegreeBudgetExceeded
 from loophomology.f2algebra import ONE_CODE, _packing, _pair, _square, basis_enumerate
-from loophomology.spaces import qsn_space
+from loophomology.spaces import qs0_space, qsn_space
 
 
 def test_default_budget(monkeypatch):
@@ -139,6 +139,39 @@ def test_hopf_consistency_catches_a_coproduct_that_is_not_multiplicative(monkeyp
 def test_hopf_consistency_catches_a_sq1_that_does_not_square_to_zero(monkeypatch):
     monkeypatch.setattr(certify, "_sq_monomial", lambda p, r, code: frozenset({code}))
     assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "Sq^1 Sq^1 != 0 on x_1")
+
+
+def test_the_walk_of_a_space_names_each_failing_degree_as_its_own_case_does(monkeypatch):
+    # the non-multiplicative psi(x_1) of the test above fails each of the
+    # degrees 2..5 of qs1; qs0 is left alone
+    qs1 = qsn_space(1)
+    p = _packing(qs1)
+    (x1,) = map(p.encode, basis_enumerate(qs1, 1))
+    real = certify._psi
+    monkeypatch.setattr(
+        certify, "_psi",
+        lambda q, code: real(q, code) ^ {_pair(x1, x1)} if q is p and code == x1 else real(q, code),
+    )
+    cases = [certify._hopf_case((qs1, d)) for d in range(1, 6)]
+    assert [ok for ok, _, _ in cases] == [True, False, False, False, False]
+    (result,) = run_suites(["hopf-consistency"], max_degree=5)
+    assert result == (
+        "hopf-consistency", False, "; ".join(detail for ok, _, detail in cases if not ok)
+    )
+
+
+def test_the_walk_of_each_space_counts_what_its_degrees_count():
+    spaces = (qsn_space(1), qs0_space())
+    n = sum(certify._hopf_case((s, d))[1] for s in spaces for d in range(1, 7))
+    (result,) = run_suites(["hopf-consistency"], max_degree=6)
+    assert result.passed and f": {n} identities (" in result.details
+    (result,) = run_suites(["hopf-consistency"])
+    assert result.passed and ": 2397 identities (" in result.details
+
+
+@pytest.mark.parametrize("name", ["hopf-consistency", "primitive-basis"])
+def test_the_identity_suites_give_one_result_at_any_job_count(name):
+    assert run_suites([name], jobs=1) == run_suites([name], jobs=2)
 
 
 def test_suite_names_are_stable():

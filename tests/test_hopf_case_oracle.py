@@ -12,7 +12,15 @@ from __future__ import annotations
 import pytest
 
 from loophomology import certify
-from loophomology.f2algebra import Element, Monomial, basis_enumerate, expand_slot
+from loophomology.f2algebra import (
+    Element,
+    Monomial,
+    _packing,
+    _pair,
+    _times,
+    basis_enumerate,
+    expand_slot,
+)
 from loophomology.hopf import coproduct, counit
 from loophomology.spaces import SpaceDesc, qs0_space, qsn_space, two_cell_space
 from loophomology.steenrod import sq_lower
@@ -68,3 +76,31 @@ def test_packed_case_equals_the_element_case(case):
     got = certify._hopf_case(case)
     assert got == element_hopf_case(case)
     assert got[0]
+
+
+def test_the_first_failing_pair_of_two_degrees_is_named_as_the_ordered_sweep_names_it(
+    monkeypatch,
+):
+    # psi(x_1^3) = x_1^3 (x) 1 + 1 (x) x_1^3 is coassociative, cocommutative
+    # and counital, but psi(x_1) psi(x_1^2) has x_1^2 (x) x_1 + x_1 (x) x_1^2
+    # too: multiplicativity fails first on x_1 | x_1^2, of degrees 1 and 2
+    space = qsn_space(1)
+    p = _packing(space)
+    (x1,), (x1_2,) = (map(p.encode, basis_enumerate(space, d)) for d in (1, 2))
+    x1_3 = _times(x1, x1_2)
+    extra = {_pair(x1_2, x1), _pair(x1, x1_2)}
+    real_psi, real_coproduct = certify._psi, coproduct
+
+    def packed(q, code):
+        return real_psi(q, code) ^ extra if q is p and code == x1_3 else real_psi(q, code)
+
+    def element(e: Element):
+        out = real_coproduct(e)
+        if p.decode(x1_3) in e.terms:
+            out = out + p.tensor(extra)
+        return out
+
+    monkeypatch.setattr(certify, "_psi", packed)
+    monkeypatch.setitem(globals(), "coproduct", element)
+    expected = (False, 0, "multiplicativity fails on x_1 | x_1^2")
+    assert certify._hopf_case((space, 3)) == element_hopf_case((space, 3)) == expected

@@ -15,9 +15,21 @@ from loophomology.linalg_f2 import (
     kernel_of_images,
     rank,
     solve_linear,
-    solve_unique,
     span_intersection,
 )
+
+
+def solve_unique(columns: list[int], target: int) -> int:
+    """The one selection of columns summing to target.
+
+    Raises NonUnique when the columns are dependent, checked first, and
+    NoSolution when the target is outside their span.  The former
+    `linalg_f2.solve_unique`, kept as the solver of the per-p_I oracle in
+    tests/test_primitive_rows.py.
+    """
+    if kernel_of_images(columns):
+        raise NonUnique("the columns are dependent, so a solution is not unique")
+    return solve_linear(columns, target)
 
 
 def reduce_against(vector: int, reduced_rows: list[int]) -> int:
