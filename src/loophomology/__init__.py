@@ -89,7 +89,6 @@ from .spaces import (
 )
 from .steenrod import is_A_annihilated, sq_lower
 from .suspension import (
-    in_suspension_image,
     loop_level,
     suspend,
     suspension_kernel_basis,

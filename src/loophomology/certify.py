@@ -25,8 +25,8 @@ from .f2algebra import (
     Packing,
     _degree,
     _mul_pairs,
-    _basis_codes,
-    _gen_length,
+    _code_bases,
+    _generator_index,
     _packing,
     _slots,
     _times,
@@ -140,11 +140,14 @@ def _sweep(name: str, check, cases, jobs: int, summary) -> SuiteResult:
     The closed-form suites run inline whatever jobs is: their cases take
     microseconds, far less than starting a pool.
     """
-    rows = _pmap(check, cases, 1 if name in CLOSED_FORM_CAPS else jobs)
+    ok, total, detail = _joined(_pmap(check, cases, 1 if name in CLOSED_FORM_CAPS else jobs))
+    return SuiteResult(name, ok, summary(total) if ok else detail)
+
+
+def _joined(rows) -> tuple[bool, int, str]:
+    """(ok, count, detail) rows as one: all ok, counts summed, failing details joined."""
     bad = [detail for ok, _, detail in rows if not ok]
-    if bad:
-        return SuiteResult(name, False, "; ".join(bad))
-    return SuiteResult(name, True, summary(sum(n for _, n, _ in rows)))
+    return not bad, sum(n for _, n, _ in rows), "; ".join(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +259,39 @@ def suite_wellington(max_degree: int | None = None, jobs: int = 1) -> SuiteResul
 # suspension-kernel: the kernel of the suspension is exactly the decomposables.
 
 
-def _suspension_kernel_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
-    space, degree = args
-    codes = _basis_codes(space, degree)
+def _suspension_walk(args: tuple[SpaceDesc, range]) -> tuple[bool, int, str]:
+    """The kernel in each degree, on the bases of one walk; each failing degree adds a detail."""
+    space, degrees = args
+    bases = _code_bases(space, degrees)
+    return _joined([_suspension_degree(space, d, codes) for d, codes in zip(degrees, bases)])
+
+
+def _suspension_degree(space: SpaceDesc, degree: int, codes: list[int]) -> tuple[bool, int, str]:
     # both sides as masks over the basis indices
     kernel = _suspension_kernel(space, codes)
-    decomposables = [1 << i for i, c in enumerate(codes) if _gen_length(c) >= 2]
-    k_rank, d_rank = rank(kernel), rank(decomposables)
-    joint = rank(kernel + decomposables)
-    ok = k_rank == d_rank == joint and k_rank == len(kernel) == len(decomposables)
-    return ok, k_rank, (
+    decomposables = [1 << i for i, c in enumerate(codes) if _generator_index(c) is None]
+    # the decomposables are distinct unit vectors, so the kernel is their span
+    # exactly when it is independent, as large and inside their mask
+    mask = sum(decomposables)
+    if rank(kernel) == len(kernel) == len(decomposables) and all(k & mask == k for k in kernel):
+        return True, len(kernel), ""
+    k_rank, d_rank, joint = rank(kernel), rank(decomposables), rank(kernel + decomposables)
+    return False, k_rank, (
         f"{space.label} degree {degree}: kernel dim {len(kernel)} (rank {k_rank}) vs "
         f"{len(decomposables)} decomposables (rank {d_rank}, joint {joint})"
     )
 
 
+def _suspension_kernel_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
+    """The kernel in one degree."""
+    space, degree = args
+    return _suspension_walk((space, range(degree, degree + 1)))
+
+
 def suite_suspension_kernel(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
     cap = _cap("suspension-kernel", max_degree)
-    cases = [(space, d) for space in (qs0_space(), qsn_space(1)) for d in range(1, cap + 1)]
-    return _sweep("suspension-kernel", _suspension_kernel_case, cases, jobs, lambda _: (
+    cases = [(space, range(1, cap + 1)) for space in (qs0_space(), qsn_space(1))]
+    return _sweep("suspension-kernel", _suspension_walk, cases, jobs, lambda _: (
         f"degrees <= {cap} out of qs0 and qs1: kernel of the suspension = decomposable span"))
 
 
@@ -305,13 +322,11 @@ def _hopf_walk(args: tuple[SpaceDesc, range]) -> tuple[bool, int, str]:
     own detail."""
     space, degrees = args
     p = _packing(space)
-    # every basis of degree <= the last once; a code is decoded only to name a failure
-    bases = [_basis_codes(space, k) for k in range(degrees[-1] + 1)]
+    # every basis up to the last degree, from one walk; codes decode only to name a failure
+    bases = _code_bases(space, range(degrees[-1] + 1))
     # psi of each distinct code, unpacked into its (x, y) slots once per walk
     psi_slots = cache(lambda code: [_slots(t) for t in _psi(p, code)])
-    rows = [_hopf_degree(p, bases, psi_slots, degree) for degree in degrees]
-    bad = [detail for ok, _, detail in rows if not ok]
-    return not bad, sum(n for _, n, _ in rows), "; ".join(bad)
+    return _joined([_hopf_degree(p, bases, psi_slots, degree) for degree in degrees])
 
 
 def _hopf_degree(

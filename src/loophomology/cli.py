@@ -23,7 +23,6 @@ rejected rather than ignored.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .certify import SUITES, ensure_degree_allowed, run_suites
@@ -54,6 +53,7 @@ def _int_at_least(low: int):
 
 
 def _print_json(payload: dict) -> None:
+    import json  # here, not at import: most queries print no JSON
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -184,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     except CounterexampleFound as exc:
         print(f"counterexample: {exc}", file=sys.stderr)
         return 3
-    except (LoopHomologyError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (LoopHomologyError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

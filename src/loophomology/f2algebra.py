@@ -363,57 +363,60 @@ def _translation_step(g: Generator, e: int) -> int:
 
 
 def _basis_walk(
-    space: SpaceDesc, degree: int, acc, step, leaf, item=lambda g, e: (g, e)
-) -> list:
-    """The basis of one degree in canonical order, one leaf(stack, acc) per monomial.
+    space: SpaceDesc, degrees: range, acc, step, leaf, item=lambda g, e: (g, e)
+) -> list[list]:
+    """The basis of each degree in the range (none below 1) in canonical
+    order, one leaf(stack, acc) per monomial.
 
-    One depth-first pass takes generators in generator order and exponents
-    in ascending order, on one stack that every leaf below a factor shares,
-    so the factor lists come out in lexicographic order, which is the
-    Monomial order.  Each leaf goes to the bucket of its gen_length, and the
-    buckets are joined shortest first: that is canonical_key's order, with
-    no sort.  The stack holds item(g, e) for each factor g^e, ascending; a
-    leaf's acc is the given acc plus step(g, e) for every factor.  Both are
-    computed once per (g, e) and walk.
+    One pre-order depth-first pass takes generators in generator order and
+    exponents ascending, on one stack shared by every node below a factor, so
+    each degree's factor lists come out in lexicographic (Monomial) order.  A
+    node of a wanted degree goes to the bucket of its degree and gen_length,
+    and a degree's buckets are joined shortest first: canonical_key's order,
+    with no sort.  A branch stops where no wanted degree lies ahead, so a
+    one-degree walk visits only its own monomials.  The stack holds item(g, e)
+    per factor g^e, ascending; a node's acc is acc plus step(g, e) over its
+    factors.  Both are computed once per (g, e) and walk.
     """
-    if degree <= 0:
-        return []
-    gens = sorted(generators_up_to(space, degree))
+    top = max([0, *degrees])
+    wanted = sum(1 << d for d in degrees if d > 0)
+    gens = sorted(generators_up_to(space, top))
     dims = [g.dimension for g in gens]
     pairs = [
-        [(item(g, e), e, step(g, e)) for e in range(1, degree // d + 1)]
+        [(item(g, e), e, step(g, e)) for e in range(1, top // d + 1)]
         for g, d in zip(gens, dims)
     ]
     # fits[r]: the indices of the generators of dimension at most r;
     # bit r of ends[i]: r is a sum of dimensions of generators i, i + 1, ...
-    fits = [[i for i, d in enumerate(dims) if d <= r] for r in range(degree + 1)]
+    fits = [[i for i, d in enumerate(dims) if d <= r] for r in range(top + 1)]
     ends = [1] * (len(gens) + 1)
     for i in reversed(range(len(gens))):
         for e in range(len(pairs[i]) + 1):
             ends[i] |= ends[i + 1] << e * dims[i]
-    buckets: list[list] = [[] for _ in range(degree + 1)]
+    buckets = [[[] for _ in range(d + 1)] for d in range(top + 1)]
     stack: list = []
 
-    def extend(first: int, remaining: int, length: int, acc) -> None:
-        candidates = fits[remaining]
+    def extend(first: int, total: int, length: int, acc) -> None:
+        candidates = fits[top - total]
         for i in candidates[bisect_left(candidates, first):]:
             d, tails = dims[i], ends[i + 1]
-            rest = remaining
+            reached = total
             for x, e, s in pairs[i]:
-                rest -= d
-                if rest < 0:
+                reached += d
+                if reached > top:
                     break
-                if rest == 0:
+                # bit r: reached + r is wanted and a sum of the later generators
+                ahead = wanted >> reached & tails
+                if ahead:
                     stack.append(x)
-                    buckets[length + e].append(leaf(stack, acc + s))
-                    stack.pop()
-                elif tails >> rest & 1:
-                    stack.append(x)
-                    extend(i + 1, rest, length + e, acc + s)
+                    if ahead & 1:
+                        buckets[reached][length + e].append(leaf(stack, acc + s))
+                    if ahead > 1:
+                        extend(i + 1, reached, length + e, acc + s)
                     stack.pop()
 
-    extend(0, degree, 0, acc)
-    return [x for bucket in buckets for x in bucket]
+    extend(0, 0, 0, acc)
+    return [[x for b in buckets[d] for x in b] if d > 0 else [] for d in degrees]
 
 
 def basis_enumerate(space: SpaceDesc, degree: int, charge: int | None = None) -> list[Monomial]:
@@ -425,9 +428,9 @@ def basis_enumerate(space: SpaceDesc, degree: int, charge: int | None = None) ->
     from basis_lines.
     """
     return _basis_walk(
-        space, degree, _base_translation(space, charge), _translation_step,
+        space, range(degree, degree + 1), _base_translation(space, charge), _translation_step,
         lambda factors, t: Monomial(tuple(factors), t),
-    )
+    )[0]
 
 
 def basis_lines(space: SpaceDesc, degree: int, charge: int | None = None) -> list[str]:
@@ -435,9 +438,9 @@ def basis_lines(space: SpaceDesc, degree: int, charge: int | None = None) -> lis
     Monomial built: each factor's text is formatted once per walk, and each
     leaf joins its stack's texts highest generator first."""
     return _basis_walk(
-        space, degree, _base_translation(space, charge), _translation_step,
+        space, range(degree, degree + 1), _base_translation(space, charge), _translation_step,
         lambda texts, t: _monomial_text(reversed(texts), t), _factor_text,
-    )
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +597,12 @@ def _factors(code: int) -> list[tuple[int, int]]:
     return [(i, e) for i, e in enumerate(_exponents(code)) if e]
 
 
-def _gen_length(code: int) -> int:
-    """Monomial.gen_length of a code: its factors counted with multiplicity."""
-    return sum(_exponents(code))
+def _generator_index(code: int) -> int | None:
+    """i when the code is generator i to the first power, times any translation;
+    None otherwise.  Its exponent field is then one bit, the low bit of a byte."""
+    gens = code >> GENERATOR_SHIFT
+    i, offset = divmod(gens.bit_length() - 1, EXPONENT_BITS)
+    return None if gens & (gens - 1) or offset else i
 
 
 #: A tensor x (x) y of two packed codes, as one int: see _pair.
@@ -626,11 +632,6 @@ def _slots(t: Pair) -> tuple[int, int]:
         t & _TRANSLATION_MASK | t >> TRANSLATION_BITS & _DEGREE_FIELD | xs,
         t >> TRANSLATION_BITS & _TRANSLATION_MASK | t >> GENERATOR_SHIFT & _DEGREE_FIELD | ys,
     )
-
-
-def _left_degree(t: Pair) -> int:
-    """|x| of the tensor t = x (x) y."""
-    return (t & _LEFT_DEGREE_FIELD) >> 2 * TRANSLATION_BITS
 
 
 #: Code of the tensor 1 (x) 1, the unit of the tensor products.
@@ -789,15 +790,16 @@ def _packing(space: SpaceDesc) -> Packing:
 
 
 def _basis_codes(space: SpaceDesc, degree: int, charge: int | None = None) -> list[int]:
-    """basis_enumerate as packed codes, with no Monomial built.
+    """basis_enumerate as packed codes, with no Monomial built."""
+    return _code_bases(space, range(degree, degree + 1), charge)[0]
 
-    The generators of dimension at most degree are interned first, in
-    generators_up_to's order, so a space whose bases are walked before any
-    operation runs numbers its generators by dimension.  Each code is then
-    summed along the walk.
-    """
+
+def _code_bases(space: SpaceDesc, degrees: range, charge: int | None = None) -> list[list[int]]:
+    """_basis_codes of each degree in the range, summed along one walk.  The
+    generators up to the top degree are interned first, in generators_up_to's
+    order, so a space walked before any operation numbers them by dimension."""
     p = _packing(space)
-    for g in generators_up_to(space, degree):
+    for g in generators_up_to(space, max([0, *degrees])):
         p.index(g)
 
     def step(g: Generator, e: int) -> int:
@@ -809,7 +811,7 @@ def _basis_codes(space: SpaceDesc, degree: int, charge: int | None = None) -> li
         return acc
 
     return _basis_walk(
-        space, degree, _translation_code(_base_translation(space, charge)), step, leaf
+        space, degrees, _translation_code(_base_translation(space, charge)), step, leaf
     )
 
 

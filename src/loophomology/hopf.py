@@ -48,7 +48,7 @@ from .f2algebra import (
     _basis_codes,
     _degree,
     _element_from_codes,
-    _gen_length,
+    _generator_index,
     _mul_pairs,
     _packing,
     _pair,
@@ -273,7 +273,7 @@ def _decomposable_columns(degree: int) -> tuple[list[int], Pivots, list[int]]:
     elimination of their reduced-psi rows and the dependencies among them,
     shared by every p_I of the degree."""
     codes, masks = _reduced_psi_rows(qs0_space(), degree, 0)
-    columns = [(c, m) for c, m in zip(codes, masks) if _gen_length(c) >= 2]
+    columns = [(c, m) for c, m in zip(codes, masks) if _generator_index(c) is None]
     pivots, kernel = _eliminate([m for _, m in columns], True)
     return [c for c, _ in columns], pivots, kernel
 

@@ -83,11 +83,6 @@ def rank(rows: list[int]) -> int:
     return len(_eliminate(rows, False)[0])
 
 
-def in_span(vector: int, basis_rows: list[int]) -> bool:
-    piv, _ = _eliminate(basis_rows, False)
-    return not _reduce(piv, vector, 0)[0]
-
-
 def kernel_of_images(images: list[int]) -> list[int]:
     """Kernel basis of the map e_i -> images[i].
 

@@ -14,8 +14,6 @@ refused.
 
 from __future__ import annotations
 
-import json
-
 from .errors import NoSuccessor
 from .seqcore import BaseClass, _Ordered, _set, cell_class, sphere_class, unit_loop_class
 
@@ -304,6 +302,7 @@ def load_space(selector: str, n: int | None = None) -> SpaceDesc:
         if n is None:
             raise ValueError("--space qsn needs --n")
         return qsn_space(n)
+    import json  # here, not at import: only a description file needs it
     with open(selector, encoding="utf-8") as fh:
         return space_from_dict(json.load(fh))
 

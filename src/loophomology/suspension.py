@@ -17,12 +17,11 @@ from .f2algebra import (
     Packing,
     _basis_codes,
     _element_from_codes,
-    _factors,
-    _gen_length,
+    _generator_index,
     _packing,
     masks_for_term_sets,
 )
-from .linalg_f2 import in_span, kernel_of_images
+from .linalg_f2 import kernel_of_images
 from .seqcore import upper_to_lower
 from .spaces import SpaceDesc
 
@@ -54,9 +53,10 @@ def _suspend_codes(source: Packing, target: Packing, codes) -> frozenset[int]:
     packing of the successor space."""
     out: set[int] = set()
     for code in codes:
-        if _gen_length(code) != 1:
+        i = _generator_index(code)
+        if i is None:
             continue  # decomposables and pure translations die
-        g = source.gens[_factors(code)[0][0]]
+        g = source.gens[i]
         factor = _admissible_factor(g.seq.entries, source.space.suspended_base(g.base))
         if factor is not None:
             out ^= {_factor_code(target, factor)}
@@ -84,14 +84,3 @@ def _suspension_kernel(space: SpaceDesc, codes: list[int]) -> list[int]:
     source, target = _packing(space), _packing(space.successor())
     masks, _ = masks_for_term_sets([_suspend_codes(source, target, (c,)) for c in codes])
     return kernel_of_images(masks)
-
-
-def in_suspension_image(e: Element) -> bool:
-    """Whether e is hit by the suspension from the predecessor space."""
-    if not e.terms:
-        return True
-    pred = e.space.predecessor()  # raises NoSuccessor at the bottom of the tower
-    source, target = _packing(pred), _packing(e.space)
-    images = [_suspend_codes(source, target, (c,)) for c in _basis_codes(pred, e.dimension - 1)]
-    masks, _ = masks_for_term_sets(images + [target.encode_set(e.terms)])
-    return in_span(masks[-1], masks[:-1])

@@ -12,6 +12,10 @@ The generator table is checked the same way, against the former
 
 `basis_lines`, the walk's text leaf that the `basis` command prints, is
 checked against `str` of every validated monomial `basis_enumerate` lists.
+
+One walk over a range of degrees (`_code_bases`) must give each degree's
+basis exactly as its own one-degree walk does, and intern the same
+generators in the same order as a degree-by-degree sweep.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from loophomology.f2algebra import (
     Monomial,
     Packing,
     _basis_codes,
+    _code_bases,
     _packing,
     basis_enumerate,
     basis_lines,
@@ -203,6 +208,31 @@ def test_basis_codes_intern_the_generator_table_in_order(space, monkeypatch):
             codes = _basis_codes(space, degree)
             assert p.gens == generators_up_to(space, degree), degree
             assert [p.decode(c) for c in codes] == basis_enumerate(space, degree)
+
+
+RANGE_CASES = [pytest.param(space, None, id=name) for name, space in SPACES.items()]
+RANGE_CASES += [pytest.param(qs0_space(), c, id=f"qs0-charge-{c}") for c in (0, 1, -2)]
+
+
+@pytest.mark.parametrize("space, charge", RANGE_CASES)
+@pytest.mark.parametrize("degrees", [range(1, MAX_DEGREE + 1), range(-2, 5), range(6, 11)],
+                         ids=["1-top", "from-below-zero", "6-10"])
+def test_a_range_walk_lists_each_degree_as_its_own_walk(space, charge, degrees):
+    bases = _code_bases(space, degrees, charge)
+    assert len(bases) == len(degrees)
+    for degree, codes in zip(degrees, bases):
+        assert codes == _basis_codes(space, degree, charge), degree
+
+
+@pytest.mark.parametrize("space, charge", RANGE_CASES)
+def test_a_range_walk_interns_what_a_degree_sweep_interns(space, charge, monkeypatch):
+    ranged, swept = Packing(space), Packing(space)
+    monkeypatch.setattr("loophomology.f2algebra._packing", lambda _: ranged)
+    _code_bases(space, range(1, MAX_DEGREE + 1), charge)
+    monkeypatch.setattr("loophomology.f2algebra._packing", lambda _: swept)
+    for degree in range(1, MAX_DEGREE + 1):
+        _basis_codes(space, degree, charge)
+    assert ranged.gens == swept.gens == generators_up_to(space, MAX_DEGREE)
 
 
 def test_basis_enumerate_leaves_the_decode_memo_alone():

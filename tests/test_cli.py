@@ -341,6 +341,18 @@ def test_a_fresh_cli_import_loads_no_pool_and_no_dataclasses():
     assert proc.stdout == "[]\n"
 
 
+def test_a_fresh_cli_import_loads_no_json():
+    # json is imported where a description file is read or JSON is printed;
+    # -S keeps site hooks from loading it first
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, loophomology.cli; print('json' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

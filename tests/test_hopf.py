@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from test_linalg_f2 import in_span
 
 from loophomology.dlops import apply_Q, apply_Q_iterated
 from loophomology.errors import ChargeNonzero, NotPrimitive, UnsupportedOperand
@@ -32,7 +33,7 @@ from loophomology.hopf import (
     reduced_coproduct,
     square_root_r,
 )
-from loophomology.linalg_f2 import in_span, span_intersection
+from loophomology.linalg_f2 import span_intersection
 from loophomology.seqcore import upper
 from loophomology.spaces import qs0_space, qsn_space
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from test_linalg_f2 import in_span
 
 from loophomology import screener
 from loophomology.f2algebra import (
@@ -40,7 +41,7 @@ from loophomology.f2algebra import (
     masks_for_term_sets,
 )
 from loophomology.hopf import _psi_monomial, _reduced_psi, coproduct, is_primitive
-from loophomology.linalg_f2 import in_span, kernel_of_images, span_intersection
+from loophomology.linalg_f2 import kernel_of_images, span_intersection
 from loophomology.screener import _pri_ann_kernel, generator_span, primitive_annihilated_basis
 from loophomology.seqcore import upper
 from loophomology.spaces import qs0_space, qsn_space, space_from_dict, two_cell_space

@@ -14,6 +14,7 @@ import re
 
 import pytest
 from test_linalg_f2 import solve_unique
+from test_suspension_kernel import gen_length
 
 from loophomology import certify, hopf
 from loophomology.errors import NonUnique, NoSolution
@@ -22,7 +23,6 @@ from loophomology.f2algebra import (
     Generator,
     _basis_codes,
     _element_from_codes,
-    _gen_length,
     _packing,
     generator_monomial,
     masks_for_term_sets,
@@ -44,7 +44,7 @@ def former_pI(entries: tuple[int, ...]) -> tuple[Element, Element]:
     target = _reduced_psi(p, p.encode(top))
     if not target:
         return lead, Element(QS0, frozenset())
-    decomposables = [c for c in _basis_codes(QS0, sum(entries), 0) if _gen_length(c) >= 2]
+    decomposables = [c for c in _basis_codes(QS0, sum(entries), 0) if gen_length(c) >= 2]
     masks, _ = masks_for_term_sets([_reduced_psi(p, c) for c in decomposables] + [target])
     correction = _element_from_codes(QS0, solve_unique(masks[:-1], masks[-1]), decomposables)
     return lead + correction, correction
@@ -81,7 +81,7 @@ def _mutate_decomposable_rows(monkeypatch, row):
     real = hopf._reduced_psi
     monkeypatch.setattr(
         hopf, "_reduced_psi",
-        lambda p, c, k=None: row(c) if _gen_length(c) >= 2 else real(p, c, k),
+        lambda p, c, k=None: row(c) if gen_length(c) >= 2 else real(p, c, k),
     )
 
 

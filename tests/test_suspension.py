@@ -3,16 +3,26 @@
 from __future__ import annotations
 
 import pytest
+from test_linalg_f2 import in_span
 
 from loophomology.certify import DEFAULT_DEGREE_BUDGET
 from loophomology.dlops import apply_Q, apply_Q_iterated
 from loophomology.errors import NoSuccessor
-from loophomology.f2algebra import base_element, basis_enumerate, element_of, zero
+from loophomology.f2algebra import (
+    Element,
+    _basis_codes,
+    _packing,
+    base_element,
+    basis_enumerate,
+    element_of,
+    masks_for_term_sets,
+    zero,
+)
 from loophomology.seqcore import upper
 from loophomology.spaces import SqEntry, qs0_space, qsn_space, suspension_space, two_cell_space
 from loophomology.steenrod import sq_lower
 from loophomology.suspension import (
-    in_suspension_image,
+    _suspend_codes,
     loop_level,
     suspend,
     suspension_kernel_basis,
@@ -22,6 +32,19 @@ from loophomology.suspension import (
 QS0, QS1, QS2 = qs0_space(), qsn_space(1), qsn_space(2)
 X1 = base_element(QS1, QS1.base_classes()[0])
 X2 = base_element(QS2, QS2.base_classes()[0])
+
+
+def in_suspension_image(e: Element) -> bool:
+    """Whether e is hit by the suspension from the predecessor space: the
+    oracle these tests use, by elimination against the image of every basis
+    monomial one degree down."""
+    if not e.terms:
+        return True
+    pred = e.space.predecessor()  # raises NoSuccessor at the bottom of the tower
+    source, target = _packing(pred), _packing(e.space)
+    images = [_suspend_codes(source, target, (c,)) for c in _basis_codes(pred, e.dimension - 1)]
+    masks, _ = masks_for_term_sets(images + [target.encode_set(e.terms)])
+    return in_span(masks[-1], masks[:-1])
 
 
 def test_suspend_generators():
