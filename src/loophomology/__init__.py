@@ -9,7 +9,7 @@ exhaustive oracle.
 """
 
 from .certify import SUITES, SuiteResult, degree_budget, run_suites
-from .dlops import adem_pairs, apply_Q, apply_Q_iterated, lucas_binom
+from .dlops import adem_pairs, apply_Q, apply_Q_iterated
 from .errors import (
     ChargeNonzero,
     CounterexampleFound,
@@ -44,7 +44,6 @@ from .hopf import (
     kernel_of_r,
     make_primitive_pI,
     primitive_decomposition,
-    primitive_pI,
     primitive_space,
     qualifies_for_primitive,
     reduced_coproduct,
@@ -58,6 +57,7 @@ from .seqcore import (
     is_admissible,
     lower,
     lower_to_upper,
+    lucas_binom,
     upper,
     upper_dim,
     upper_to_lower,
@@ -69,7 +69,6 @@ from .screener import (
     bound_main1,
     bound_s_minus1,
     bounds_report,
-    immersion_threshold,
     immersion_threshold_report,
     max_generator_dim,
     max_generator_dim_exhaustive,

@@ -90,6 +90,8 @@ def _cmd_screen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    # the bounds grow as 2^l, so the level is held to the degree budget
+    ensure_degree_allowed(args.l)
     rep = bounds_report(args.l, args.k)
     flag = "true" if rep.discrepancy else "false"
     print(f"printed {rep.printed}, oracle {rep.oracle}, discrepancy={flag}")
@@ -97,6 +99,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_immersion_threshold(args: argparse.Namespace) -> int:
+    ensure_degree_allowed(args.d)
     rep = immersion_threshold_report(args.d, args.k)
     flag = "true" if rep.discrepancy else "false"
     print(f"n_min {rep.n_min}")

@@ -32,7 +32,7 @@ or translation.  apply_Q converts at the boundary.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .f2algebra import (
     _EMPTY,
@@ -47,14 +47,7 @@ from .f2algebra import (
     _translation,
     _translation_code,
 )
-from .seqcore import BaseClass, UpperSeq, _lower_fold, unit_loop_class, upper
-
-
-def lucas_binom(n: int, k: int) -> int:
-    """C(n, k) mod 2 by Lucas: 1 exactly when k's bits sit inside n's."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return 0 if k & (n - k) else 1
+from .seqcore import BaseClass, UpperSeq, _lower_fold, lucas_binom, unit_loop_class, upper
 
 
 def adem_pairs(r: int, s: int) -> frozenset[tuple[int, int]]:
@@ -155,10 +148,7 @@ def _q_translation(p: Packing, a: int, k: int) -> frozenset[int]:
 
 def apply_Q(a: int, e: Element) -> Element:
     p = _packing(e.space)
-    acc: set[int] = set()
-    for m in e.terms:
-        acc ^= _q_monomial(p, a, p.encode(m))
-    return Element(e.space, p.decode_set(acc))
+    return Element(e.space, p.decode_set(p.linear(partial(_q_monomial, p, a), e.terms)))
 
 
 def apply_Q_iterated(seq: UpperSeq, e: Element) -> Element:

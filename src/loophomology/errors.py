@@ -46,10 +46,6 @@ class NoSuccessor(LoopHomologyError):
 class CounterexampleFound(LoopHomologyError):
     """A certified statement failed on an explicit witness."""
 
-    def __init__(self, message: str, witness: object = None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class PackedFieldOverflow(LoopHomologyError):
     """An exponent, dimension or translation does not fit its packed field."""

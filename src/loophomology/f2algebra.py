@@ -22,7 +22,6 @@ _mul_pairs.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from functools import lru_cache
 
@@ -483,14 +482,6 @@ class TensorElement(_Frozen):
         )
 
 
-def tensor_of(*elements: Element) -> TensorElement:
-    space = elements[0].space
-    acc: set[tuple[Monomial, ...]] = set()
-    for combo in itertools.product(*(e.sorted_terms() for e in elements)):
-        acc ^= {tuple(combo)}
-    return TensorElement(space, len(elements), frozenset(acc))
-
-
 def expand_slot(te: TensorElement, slot: int, fn) -> TensorElement:
     """Replace slot by fn(monomial), an arity-k TensorElement, splicing it in."""
     acc: set[tuple[Monomial, ...]] = set()
@@ -777,6 +768,13 @@ class Packing:
 
     def encode_pairs(self, tensors) -> frozenset[Pair]:
         return frozenset(_pair(self.encode(u), self.encode(v)) for u, v in tensors)
+
+    def linear(self, f, monomials) -> set:
+        """The xor of f(code) over the monomials' codes: f extended linearly."""
+        acc: set = set()
+        for m in monomials:
+            acc ^= f(self.encode(m))
+        return acc
 
     def tensor(self, pairs) -> TensorElement:
         """The arity-2 TensorElement of a sum of packed pairs."""

@@ -25,7 +25,7 @@ residual that the spherical-class screening inspects.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .dlops import _q_monomial, apply_Q_iterated
@@ -38,6 +38,7 @@ from .errors import (
     UnsupportedOperand,
 )
 from .f2algebra import (
+    MAX_DEGREE,
     ONE_CODE,
     Element,
     Generator,
@@ -73,7 +74,7 @@ def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
     """
     i, u, v = p.split(m)
     if v != ONE_CODE:
-        return _mul_pairs(_psi_cut(p, u, k), _psi_cut(p, v, k), k)
+        return _mul_pairs(_psi(p, u, k), _psi(p, v, k), k)
     if i is None:
         return frozenset({_pair(m, m)})
     if not p.gens[i].seq:
@@ -84,7 +85,7 @@ def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
     # |x| + j, so the sum stops at j = k - |x|
     a, z = p.peel(i)
     acc: set[Pair] = set()
-    for t in _psi_cut(p, z, k):
+    for t in _psi(p, z, k):
         x, y = _slots(t)
         for j in range(min(a, k - _degree(x)) + 1):
             left = _q_monomial(p, j, x)
@@ -94,13 +95,9 @@ def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
     return frozenset(acc)
 
 
-def _psi(p: Packing, m: int) -> frozenset[Pair]:
-    """psi(m), every term, on one packed monomial."""
-    return _psi_monomial(p, m, _degree(m))
-
-
-def _psi_cut(p: Packing, m: int, k: int) -> frozenset[Pair]:
-    """_psi_monomial with k clipped to |m|, so equal results share one entry."""
+def _psi(p: Packing, m: int, k: int = MAX_DEGREE) -> frozenset[Pair]:
+    """psi(m) cut to the terms x (x) y with |x| <= k, by default every term;
+    k is clipped to |m|, so equal cuts share one _psi_monomial entry."""
     return _psi_monomial(p, m, min(k, _degree(m)))
 
 
@@ -115,10 +112,7 @@ def _reduced_psi(p: Packing, m: int, k: int | None = None) -> frozenset[Pair]:
 
 def coproduct(e: Element) -> TensorElement:
     p = _packing(e.space)
-    acc: set[Pair] = set()
-    for m in e.terms:
-        acc ^= _psi(p, p.encode(m))
-    return p.tensor(acc)
+    return p.tensor(p.linear(partial(_psi, p), e.terms))
 
 
 def counit(m: Monomial) -> int:
@@ -141,10 +135,7 @@ def reduced_coproduct(e: Element) -> TensorElement:
     if d is not None and d <= 0:
         raise UnsupportedOperand("reduced coproduct needs positive dimension")
     p = _packing(e.space)
-    acc: set[Pair] = set()
-    for m in e.terms:
-        acc ^= _reduced_psi(p, p.encode(m))
-    return p.tensor(acc)
+    return p.tensor(p.linear(partial(_reduced_psi, p), e.terms))
 
 
 def is_primitive(e: Element) -> bool:
@@ -311,10 +302,6 @@ def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
     return PrimitiveBasisElement(seq, value, correction)
 
 
-def primitive_pI(seq: UpperSeq) -> PrimitiveBasisElement:
-    return make_primitive_pI(seq.entries)
-
-
 # ---------------------------------------------------------------------------
 # Decomposition of charge-zero classes over the p_I family.
 
@@ -343,10 +330,6 @@ class PrimitiveDecomposition(NamedTuple):
     element: Element
     terms: tuple[DecompositionTerm, ...]
     residual: Element
-
-    @property
-    def residual_is_square(self) -> bool:
-        return self.residual.is_square()
 
     def residual_root(self) -> Element:
         return self.residual.sqrt()

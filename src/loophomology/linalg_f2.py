@@ -55,17 +55,10 @@ def _eliminate(rows: list[int], track: bool) -> tuple[Pivots, list[int]]:
     return piv, kernel
 
 
-def _pivot_mask(piv: Pivots) -> int:
-    mask = 0
-    for p in piv:
-        mask |= 1 << p
-    return mask
-
-
 def echelon(rows: list[int]) -> list[int]:
     """Reduced row echelon form of the rows, decreasing pivots, zero rows dropped."""
     piv, _ = _eliminate(rows, False)
-    mask = _pivot_mask(piv)
+    mask = sum(1 << p for p in piv)
     reduced: dict[int, int] = {}
     for p in sorted(piv):
         # rows below p are already reduced, so each hit clears exactly one bit

@@ -540,10 +540,6 @@ def immersion_threshold_report(d: int, k: int) -> ThresholdReport:
     )
 
 
-def immersion_threshold(d: int, k: int) -> int:
-    return immersion_threshold_report(d, k).n_min
-
-
 def stable_range_check(d: int, n: int, l: int) -> bool:
     """Whether degree d sits inside the stable range of the l-fold structure
     over dimension n: d + l < 2(n + l - 1)."""

@@ -163,6 +163,13 @@ def excess(seq: UpperSeq) -> int | float:
     return e[0] - sum(e[1:])
 
 
+def lucas_binom(n: int, k: int) -> int:
+    """C(n, k) mod 2 by Lucas: 1 exactly when k's bits sit inside n's."""
+    if n < 0 or k < 0 or k > n:
+        return 0
+    return 0 if k & (n - k) else 1
+
+
 def upper_dim(seq: UpperSeq, base_dim: int) -> int:
     """Dimension of Q^{seq} applied to a class of dimension base_dim."""
     return base_dim + sum(seq.entries)

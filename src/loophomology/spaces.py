@@ -15,7 +15,9 @@ refused.
 from __future__ import annotations
 
 from .errors import NoSuccessor
-from .seqcore import BaseClass, _Ordered, _set, cell_class, sphere_class, unit_loop_class
+from .seqcore import (
+    BaseClass, _Ordered, _set, cell_class, lucas_binom, sphere_class, unit_loop_class
+)
 
 MODEL_QS0 = "qs0"
 MODEL_QSN = "qsn"
@@ -57,10 +59,9 @@ def _check_adem(space: SpaceDesc) -> None:
     for y, d in space.x_cells:
         for b in range(1, d):
             for a in range(1, min(2 * b, d - b + 1)):
-                # C(n, k) is odd exactly when the bits of k lie among those of n
                 right = set()
                 for c in range(a // 2 + 1):
-                    if (b - c - 1) & (a - 2 * c) == a - 2 * c:
+                    if lucas_binom(b - c - 1, a - 2 * c):
                         right ^= sq(c, sq(a + b - c, {y}))
                 left = sq(b, sq(a, {y}))
                 if left != right:

@@ -31,9 +31,9 @@ generator.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .dlops import _q_monomial, lucas_binom
+from .dlops import _q_monomial
 from .f2algebra import (
     _EMPTY,
     ONE_CODE,
@@ -44,7 +44,7 @@ from .f2algebra import (
     _mul_sets,
     _packing,
 )
-from .seqcore import UpperSeq
+from .seqcore import UpperSeq, lucas_binom
 
 __all__ = ["lucas_binom", "sq_lower", "is_A_annihilated"]
 
@@ -91,10 +91,7 @@ def sq_lower(r: int, e: Element) -> Element:
     if r < 0:
         raise ValueError("lower Steenrod operations have r >= 0")
     p = _packing(e.space)
-    acc: set[int] = set()
-    for m in e.terms:
-        acc ^= _sq_monomial(p, r, p.encode(m))
-    return Element(e.space, p.decode_set(acc))
+    return Element(e.space, p.decode_set(p.linear(partial(_sq_monomial, p, r), e.terms)))
 
 
 def is_A_annihilated(e: Element) -> bool:
@@ -105,12 +102,6 @@ def is_A_annihilated(e: Element) -> bool:
     dimensions, so they all vanish for r >= 1 exactly when Sq_* e is e.  The
     zero element counts as annihilated.
     """
-    if not e.terms:
-        return True
     e.dimension  # raises on inhomogeneous input
     p = _packing(e.space)
-    codes = p.encode_set(e.terms)
-    acc: set[int] = set()
-    for m in codes:
-        acc ^= _sq_total(p, m)
-    return acc == codes
+    return p.linear(partial(_sq_total, p), e.terms) == p.encode_set(e.terms)

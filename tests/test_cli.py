@@ -286,6 +286,35 @@ def test_degree_budget_exit(capsys, monkeypatch):
     assert code == 4 and err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("bounds", "--l", "100000000", "--k", "0"), ("immersion-threshold", "--d", "100000000", "--k", "2")],
+)
+def test_a_level_past_the_budget_stops_before_any_bound(capsys, monkeypatch, argv):
+    # the bounds grow as 2^l, so no bound may be formed past the budget
+    import loophomology.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bound was formed past the budget")
+
+    monkeypatch.delenv("LOOPHOMOLOGY_MAX_DEGREE", raising=False)
+    for name in ("bounds_report", "immersion_threshold_report"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err == (
+        "error: degree 100000000 exceeds the budget of 24; "
+        "raise LOOPHOMOLOGY_MAX_DEGREE to allow it\n"
+    )
+
+
+def test_a_raised_budget_admits_a_higher_level(capsys, monkeypatch):
+    monkeypatch.setenv("LOOPHOMOLOGY_MAX_DEGREE", "30")
+    code, out, _ = run_cli(capsys, "bounds", "--l", "30", "--k", "0")
+    assert code == 0
+    assert out == "printed 17179869186, oracle 32212254722, discrepancy=true\n"
+
+
 def test_packed_field_overflow_is_a_limit(capsys, monkeypatch):
     # x_1^128 does not fit the byte of its exponent
     monkeypatch.setenv("LOOPHOMOLOGY_MAX_DEGREE", "132")

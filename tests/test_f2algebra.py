@@ -7,6 +7,7 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from test_hopf import tensor_of
 from test_seqcore import check_record
 
 from loophomology.errors import (
@@ -45,7 +46,6 @@ from loophomology.f2algebra import (
     generators_up_to,
     one,
     split_decomposable,
-    tensor_of,
     translation_class,
     translation_monomial,
     zero,

@@ -19,7 +19,6 @@ from loophomology.screener import (
     bounds_report,
     even_square_screen_at,
     generator_span,
-    immersion_threshold,
     immersion_threshold_report,
     max_generator_dim,
     max_generator_dim_exhaustive,
@@ -267,8 +266,8 @@ def test_bounds_never_substituted():
 
 
 def test_immersion_thresholds():
-    assert immersion_threshold(1, 1) == 3
-    assert immersion_threshold(3, 2) == 21
+    assert immersion_threshold_report(1, 1).n_min == 3
+    assert immersion_threshold_report(3, 2).n_min == 21
     t = immersion_threshold_report(1, 1)
     assert t.bound_kind == "s-minus-1" and t.bound == 3 and t.n_min == 3
     assert t.oracle_n_min == 2 and t.discrepancy
