@@ -33,6 +33,7 @@ from .f2algebra import (
     masks_for_term_sets,
 )
 from .hopf import (
+    _odd_cut,
     _psi,
     generator_family,
     is_primitive,
@@ -186,11 +187,8 @@ def _primitive_basis_case(degree: int) -> tuple[bool, int, str]:
             return False, 0, f"p_{seq.entries} is not primitive"
 
     family: list[Element] = []
-    for seq in seqs:
-        if not seq:
-            continue
-        odd_positions = [i for i, entry in enumerate(seq.entries) if entry % 2]
-        cut = odd_positions[-1]
+    for seq in seqs:  # nonempty, as the degree is positive
+        cut = _odd_cut(seq.entries)  # and odd, so some entry is odd
         tail = make_primitive_pI(seq.entries[cut:])
         family.append(apply_Q_iterated(UpperSeq(seq.entries[:cut]), tail.value))
 
@@ -282,12 +280,6 @@ def _suspension_degree(space: SpaceDesc, degree: int, codes: list[int]) -> tuple
     )
 
 
-def _suspension_kernel_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
-    """The kernel in one degree."""
-    space, degree = args
-    return _suspension_walk((space, range(degree, degree + 1)))
-
-
 def suite_suspension_kernel(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
     cap = _cap("suspension-kernel", max_degree)
     cases = [(space, range(1, cap + 1)) for space in (qs0_space(), qsn_space(1))]
@@ -376,12 +368,6 @@ def _hopf_degree(
                     return False, 0, f"multiplicativity fails on {p.decode(u)} | {p.decode(v)}"
                 checked += 1 if u == v else 2
     return True, checked, ""
-
-
-def _hopf_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
-    """The identities in one degree."""
-    space, degree = args
-    return _hopf_walk((space, range(degree, degree + 1)))
 
 
 def suite_hopf_consistency(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:

@@ -77,12 +77,7 @@ class Generator(_Ordered):
         return 2 ** len(self.seq) if self.base.kind == "unit_loop" else 0
 
     def __str__(self) -> str:
-        if self.base.kind == "unit_loop":
-            head = "[1]"
-        elif self.base.kind == "sphere":
-            head = f"x_{self.base.dimension}"
-        else:
-            head = f"{self.base.name}_{self.base.dimension}"
+        head = self.base.head
         if not self.seq:
             return head
         body = ",".join(map(str, self.seq.entries))
@@ -135,14 +130,6 @@ class Monomial(_Ordered):
     def gen_length(self) -> int:
         """Number of generator factors counted with multiplicity."""
         return sum(e for _, e in self.factors)
-
-    def times(self, other: Monomial) -> Monomial:
-        merged = dict(self.factors)
-        for g, e in other.factors:
-            merged[g] = merged.get(g, 0) + e
-        return Monomial(tuple(sorted(merged.items())), self.translation + other.translation)
-
-    __mul__ = times
 
     def is_square(self) -> bool:
         return self.translation % 2 == 0 and all(e % 2 == 0 for _, e in self.factors)

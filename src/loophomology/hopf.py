@@ -317,6 +317,12 @@ def is_diff_of_powers_of_two(k: int) -> bool:
     return shifted & (shifted + 1) == 0
 
 
+def _odd_cut(entries: tuple[int, ...]) -> int | None:
+    """Where I = I' I'' is cut for Q^I' p_I'': at its last odd entry, which
+    starts the tail I''; None when every entry is even."""
+    return max((i for i, v in enumerate(entries) if v % 2), default=None)
+
+
 class DecompositionTerm(NamedTuple):
     prefix: UpperSeq
     primitive: PrimitiveBasisElement
@@ -362,10 +368,9 @@ def primitive_decomposition(e: Element) -> PrimitiveDecomposition:
     acc = e
     for m in sorted(linear.terms):
         seq = m.factors[0][0].seq
-        odd_positions = [i for i, v in enumerate(seq.entries) if v % 2]
-        if not odd_positions:
+        b = _odd_cut(seq.entries)
+        if b is None:
             continue
-        b = odd_positions[-1]
         prefix, tail = UpperSeq(seq.entries[:b]), UpperSeq(seq.entries[b:])
         p = make_primitive_pI(tail.entries)
         k_off = -(2 ** len(seq)) + 2 ** len(tail)

@@ -20,12 +20,12 @@ from typing import NamedTuple
 from .dlops import _admissible_factor, _factor_code, apply_Q, apply_Q_iterated
 from .errors import CounterexampleFound, UnsupportedOperand
 from .f2algebra import (
-    DEGREE_BITS,
     Element,
     Monomial,
     _basis_codes,
     _degree,
     _element_from_codes,
+    _factors,
     _packing,
     _picked,
     _square,
@@ -50,7 +50,7 @@ from .seqcore import (
     upper_dim,
 )
 from .spaces import MODEL_QS0, SpaceDesc
-from .steenrod import _sq_total, is_A_annihilated, sq_lower
+from .steenrod import _sq_monomial, _sq_total, is_A_annihilated, sq_lower
 from .suspension import _suspend_codes, within_loop_filtration
 
 # ---------------------------------------------------------------------------
@@ -87,72 +87,62 @@ class MSymbol(_Ordered):
 
     def __str__(self) -> str:
         body = ",".join(str(i) for i in self.seq.entries)
-        head = f"x_{self.base.dimension}" if self.base.kind == "sphere" else (
-            f"{self.base.name}_{self.base.dimension}"
-        )
-        return f"Q^({body}) {head}" if self.seq else head
+        return f"Q^({body}) {self.base.head}" if self.seq else self.base.head
 
 
 class MInfinityModule:
     """M(X) for the sphere and suspension models, with its Steenrod action.
 
-    The action is computed by embedding a symbol into the homology algebra,
-    acting there, and pulling back.  The image of an embedded symbol is again
-    a sum of embedded symbols (the mixed Cartan terms cancel mod 2); that
-    closure is asserted on every call rather than assumed.
+    The action is the engine's Sq_* on the packed code a symbol embeds as,
+    pulled back.  The image of an embedded symbol is again a sum of embedded
+    symbols (the mixed Cartan terms cancel mod 2); that closure is asserted
+    on every pull-back rather than assumed.
     """
 
     def __init__(self, space: SpaceDesc) -> None:
         if space.model == MODEL_QS0:
             raise UnsupportedOperand("the extended module needs a positive-dimension base")
         self.space = space
+        self.packing = _packing(space)
 
     def basis(self, degree: int) -> list[MSymbol]:
-        out: list[MSymbol] = []
-        for b in self.space.base_classes():
-            if degree < b.dimension:
-                continue
-            for seq in enumerate_admissible(degree, b.dimension, b.dimension - 1):
-                out.append(MSymbol(b, seq))
-        out.sort()
-        return out
+        return sorted(
+            MSymbol(b, seq) for b in self.space.base_classes() if degree >= b.dimension
+            for seq in enumerate_admissible(degree, b.dimension, b.dimension - 1)
+        )
 
-    def embed(self, sym: MSymbol) -> Element:
+    def _code(self, sym: MSymbol) -> int:
+        """The packed code of the symbol's embedding, one factor g^(2^t)."""
         factor = _admissible_factor(sym.seq.entries, sym.base)
         if factor is None:
             raise CounterexampleFound(f"symbol {sym} embedded to zero")
-        p = _packing(self.space)
-        return Element(self.space, frozenset({p.decode(_factor_code(p, factor))}))
+        return _factor_code(self.packing, factor)
 
-    def pullback_monomial(self, m: Monomial) -> MSymbol:
-        if m.translation or len(m.factors) != 1:
-            raise CounterexampleFound(f"image monomial {m} is not a generator power")
-        g, e = m.factors[0]
-        if e & (e - 1):
-            raise CounterexampleFound(f"image exponent {e} is not a power of two")
-        t = e.bit_length() - 1
-        entries = g.seq.entries
-        d = g.dimension
-        for _ in range(t):
-            entries = (d,) + entries
-            d *= 2
-        return MSymbol(g.base, UpperSeq(entries))
+    def _symbol(self, code: int) -> MSymbol:
+        """The symbol embedding as the code: g^(2^t) is Q^(2^(t-1)|g|, ..., 2|g|, |g|) g."""
+        factors = _factors(code)
+        if len(factors) != 1 or factors[0][1] & (factors[0][1] - 1):
+            raise CounterexampleFound(
+                f"image monomial {self.packing.decode(code)} is not a generator to a power of two")
+        ((i, e),) = factors
+        g = self.packing.gens[i]
+        doubled = tuple(g.dimension << s for s in reversed(range(e.bit_length() - 1)))
+        return MSymbol(g.base, UpperSeq(doubled + g.seq.entries))
+
+    def embed(self, sym: MSymbol) -> Element:
+        return Element(self.space, frozenset({self.packing.decode(self._code(sym))}))
 
     def sq(self, r: int, sym: MSymbol) -> frozenset[MSymbol]:
-        image = sq_lower(r, self.embed(sym))
-        return frozenset(self.pullback_monomial(m) for m in image.terms)
+        return frozenset(map(self._symbol, _sq_monomial(self.packing, r, self._code(sym))))
 
     def annihilated_vectors(self, degree: int) -> list[frozenset[MSymbol]]:
-        """Kernel basis of the total Steenrod action in one degree."""
+        """Kernel basis of the total Steenrod action in one degree: a symbol's
+        row is Sq_* of its code less the code, every Sq^r_* with r >= 1 at
+        once; a term's dimension fixes its r, so its symbol alone is its column."""
         syms = self.basis(degree)
-        term_sets = []
-        for s in syms:
-            tags: set[tuple[int, MSymbol]] = set()
-            for r in range(1, degree + 1):
-                for out in self.sq(r, s):
-                    tags ^= {(r, out)}
-            term_sets.append(frozenset(tags))
-        masks, _ = masks_for_term_sets(term_sets)
+        codes = map(self._code, syms)
+        masks, _ = masks_for_term_sets(
+            [{self._symbol(w) for w in _sq_total(self.packing, c) if w != c} for c in codes])
         return [_picked(combo, syms) for combo in kernel_of_images(masks)]
 
 
@@ -214,12 +204,10 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
     """
     p = _packing(space)
     # the term out of Sq^r_* m, r = degree - |out| a power of two, is tagged
-    # -(out << DEGREE_BITS | r): packed tensors are positive, so a tag never
+    # -out, as |out| fixes r: packed tensors are positive, so a tag never
     # equals a coproduct term
-    power_at = {degree - (1 << i): 1 << i for i in range(degree.bit_length())}
-    rows = [(m, {-(out << DEGREE_BITS | r) for out in _sq_total(p, m)
-                 if (r := power_at.get(_degree(out)))})
-            for m in codes]
+    dims = {degree - (1 << i) for i in range(degree.bit_length())}
+    rows = [(m, {-out for out in _sq_total(p, m) if _degree(out) in dims}) for m in codes]
     top = degree // 2
     k = min(1, top)
     while True:
@@ -253,12 +241,12 @@ def primitive_annihilated_basis(space: SpaceDesc, degree: int) -> list[Element]:
 def generator_span(
     space: SpaceDesc, degree: int, loop: int | None = None
 ) -> list[Monomial]:
-    """Single-operation monomials Q^I(base) of one degree, optionally cut to a
-    loop filtration level.
+    """The single operations Q^I(base) of one degree, within the loop level if given.
 
     On the unit-loop model each generator is translated back to charge zero.
-    Products and powers are excluded: spherical candidates above the bottom
-    cell desuspend, and what desuspends is a sum of single operations.
+    Products and powers are excluded: on QS^n (n >= 1) and Q Sigma^2 X a candidate
+    above the bottom cell desuspends, and what desuspends is a sum of single
+    operations.  Q_0 S^0 is no such loop space: h(nu) there has product terms.
     """
     return [m for m in single_generators(space, degree) if within_loop_filtration(m, loop)]
 

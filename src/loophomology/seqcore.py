@@ -292,6 +292,13 @@ class BaseClass(_Ordered):
         if self.kind == KIND_CELL and self.dimension < 1:
             raise ValueError("cell base class needs dimension >= 1")
 
+    @property
+    def head(self) -> str:
+        """How the class prints under its operations: x_n, [1], or name_dim."""
+        if self.kind == KIND_CELL:
+            return f"{self.name}_{self.dimension}"
+        return "[1]" if self.kind == KIND_UNIT_LOOP else f"x_{self.dimension}"
+
 
 def sphere_class(n: int) -> BaseClass:
     return BaseClass(KIND_SPHERE, n)

@@ -14,6 +14,8 @@ refused.
 
 from __future__ import annotations
 
+from functools import partialmethod
+
 from .errors import NoSuccessor
 from .seqcore import (
     BaseClass, _Ordered, _set, cell_class, lucas_binom, sphere_class, unit_loop_class
@@ -44,9 +46,13 @@ def _check_adem(space: SpaceDesc) -> None:
 
         Sq^b_* Sq^a_* y = sum over c of C(b-c-1, a-2c) Sq^c_* Sq^(a+b-c)_* y,
 
-    with Sq^0_* the identity.  Instability is not required.
+    with Sq^0_* the identity.  Instability is not required.  A nonzero term
+    starts with a row out of y: Sq^a_* with b a row's r, or Sq^(a+b-c)_* with
+    c a row's r or 0.  Only those (a, b) are checked, so a cell with no rows
+    checks nothing, and b stays below its largest r plus the largest r.
     """
     table = {(e.r, e.source): set(e.targets) for e in space.x_actions}
+    steps = {0} | {r for r, _ in table}
 
     def sq(r: int, cells: set[str]) -> set[str]:
         if r == 0:
@@ -57,11 +63,14 @@ def _check_adem(space: SpaceDesc) -> None:
         return out
 
     for y, d in space.x_cells:
-        for b in range(1, d):
-            for a in range(1, min(2 * b, d - b + 1)):
+        firsts = [r for r, source in table if source == y]
+        top = max(firsts) + max(steps) if firsts else 1
+        for b in range(1, min(d, top)):
+            heads = {a for a in firsts if b in steps} | {s - b + c for s in firsts for c in steps}
+            for a in sorted(a for a in heads if 1 <= a < 2 * b and a + b <= d):
                 right = set()
-                for c in range(a // 2 + 1):
-                    if lucas_binom(b - c - 1, a - 2 * c):
+                for c in steps:
+                    if 2 * c <= a and lucas_binom(b - c - 1, a - 2 * c):
                         right ^= sq(c, sq(a + b - c, {y}))
                 left = sq(b, sq(a, {y}))
                 if left != right:
@@ -172,47 +181,31 @@ class SpaceDesc(_Ordered):
 
     # -- the suspension tower ------------------------------------------------
 
-    def successor(self) -> SpaceDesc:
-        if self.model == MODEL_QS0:
-            return SpaceDesc(MODEL_QSN, n=1)
-        if self.model == MODEL_QSN:
-            return SpaceDesc(MODEL_QSN, n=self.n + 1)
-        return SpaceDesc(
-            MODEL_SUSPENSION,
-            x_cells=self.x_cells,
-            x_actions=self.x_actions,
-            level=self.level + 1,
-        )
-
-    def predecessor(self) -> SpaceDesc:
-        if self.model == MODEL_QSN:
-            if self.n == 1:
-                return SpaceDesc(MODEL_QS0)
-            return SpaceDesc(MODEL_QSN, n=self.n - 1)
-        if self.model == MODEL_SUSPENSION and self.level >= 2:
-            return SpaceDesc(
-                MODEL_SUSPENSION,
-                x_cells=self.x_cells,
-                x_actions=self.x_actions,
-                level=self.level - 1,
-            )
+    def _shifted(self, step: int) -> SpaceDesc:
+        """The space step levels up the tower (down for a negative step):
+        QS^0, QS^1, QS^2, ..., or the suspensions of one complex from level 1."""
+        if self.model == MODEL_SUSPENSION:
+            if self.level + step >= 1:
+                return SpaceDesc(MODEL_SUSPENSION, x_cells=self.x_cells,
+                                 x_actions=self.x_actions, level=self.level + step)
+        elif self.n + step >= 0:  # qs0 is level 0, with n = 0
+            return SpaceDesc(MODEL_QSN, n=self.n + step) if self.n + step else SpaceDesc(MODEL_QS0)
         raise NoSuccessor(f"{self.label} has no desuspension in this tower")
+
+    successor = partialmethod(_shifted, 1)
+    predecessor = partialmethod(_shifted, -1)
 
     def suspended_base(self, base: BaseClass) -> BaseClass:
         """Image of a base class of this space in the successor space."""
-        if self.model == MODEL_QS0:
-            return sphere_class(1)
-        if self.model == MODEL_QSN:
-            return sphere_class(self.n + 1)
-        return cell_class(base.name, base.dimension + 1)
+        if self.model == MODEL_SUSPENSION:
+            return cell_class(base.name, base.dimension + 1)
+        return sphere_class(self.n + 1)  # qs0 has n = 0
 
     def desuspended_base(self, base: BaseClass) -> BaseClass:
         pred = self.predecessor()
-        if pred.model == MODEL_QS0:
-            return unit_loop_class()
-        if pred.model == MODEL_QSN:
-            return sphere_class(pred.n)
-        return cell_class(base.name, base.dimension - 1)
+        if pred.model == MODEL_SUSPENSION:
+            return cell_class(base.name, base.dimension - 1)
+        return pred.base_classes()[0]
 
 
 def qs0_space() -> SpaceDesc:
@@ -305,7 +298,11 @@ def load_space(selector: str, n: int | None = None) -> SpaceDesc:
         return qsn_space(n)
     import json  # here, not at import: only a description file needs it
     with open(selector, encoding="utf-8") as fh:
-        return space_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:  # json.load recurses once per level of nesting
+            raise ValueError(f"{selector} is nested too deeply to read") from None
+    return space_from_dict(data)
 
 
 def _forbid(data: dict, keys: tuple[str, ...]) -> None:

@@ -260,7 +260,7 @@ def monomials_built(monkeypatch):
 
 
 def test_the_suspension_kernel_case_builds_no_monomial(monomials_built):
-    ok, _, _ = certify._suspension_kernel_case((qs0_space(), 12))
+    ok, _, _ = certify._suspension_walk((qs0_space(), range(12, 13)))
     assert ok and monomials_built[0] == 0
 
 

@@ -89,6 +89,12 @@ def test_closed_form_suites_stay_outside_the_budget(monkeypatch):
     assert all(r.passed for r in results)
 
 
+def hopf_case(args: tuple) -> tuple[bool, int, str]:
+    """hopf-consistency's walk over the one degree of a (space, degree) case."""
+    space, degree = args
+    return certify._hopf_walk((space, range(degree, degree + 1)))
+
+
 def _change_psi_of_x1(monkeypatch, change):
     """Add change(x_1) mod 2 to psi(x_1) in the packed psi the case runs on."""
     real = certify._psi
@@ -111,34 +117,34 @@ def test_hopf_consistency_names_every_identity_it_checks():
 def test_hopf_consistency_catches_a_coproduct_that_is_not_cocommutative(monkeypatch):
     # x_1 -> x_1 (x) 1 alone is coassociative but not cocommutative
     _change_psi_of_x1(monkeypatch, lambda x: {_pair(ONE_CODE, x)})
-    assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "cocommutativity fails on x_1")
+    assert hopf_case((qsn_space(1), 1)) == (False, 0, "cocommutativity fails on x_1")
 
 
 def test_hopf_consistency_catches_a_coproduct_that_is_not_coassociative(monkeypatch):
     # x_1 -> x_1 (x) 1 + 1 (x) x_1 + x_1^2 (x) 1: (psi (x) 1) psi(x_1) has
     # x_1^2 (x) 1 (x) 1 twice, (1 (x) psi) psi(x_1) once
     _change_psi_of_x1(monkeypatch, lambda x: {_pair(_square(x), ONE_CODE)})
-    assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "coassociativity fails on x_1")
+    assert hopf_case((qsn_space(1), 1)) == (False, 0, "coassociativity fails on x_1")
 
 
 def test_hopf_consistency_catches_a_coproduct_that_breaks_the_counit(monkeypatch):
     # psi(x_1) = 0 is coassociative and cocommutative, but not counital
     _change_psi_of_x1(monkeypatch, lambda x: {_pair(x, ONE_CODE), _pair(ONE_CODE, x)})
-    assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "counit law fails on x_1")
+    assert hopf_case((qsn_space(1), 1)) == (False, 0, "counit law fails on x_1")
 
 
 def test_hopf_consistency_catches_a_coproduct_that_is_not_multiplicative(monkeypatch):
     # x_1 -> x_1 (x) 1 + 1 (x) x_1 + x_1 (x) x_1 is a coalgebra on its own,
     # but psi(x_1)^2 gains x_1^2 (x) x_1^2, which psi(x_1^2) lacks
     _change_psi_of_x1(monkeypatch, lambda x: {_pair(x, x)})
-    assert certify._hopf_case((qsn_space(1), 1)) == (True, 1, "")
-    assert certify._hopf_case((qsn_space(1), 2)) == (
+    assert hopf_case((qsn_space(1), 1)) == (True, 1, "")
+    assert hopf_case((qsn_space(1), 2)) == (
         False, 0, "multiplicativity fails on x_1 | x_1")
 
 
 def test_hopf_consistency_catches_a_sq1_that_does_not_square_to_zero(monkeypatch):
     monkeypatch.setattr(certify, "_sq_monomial", lambda p, r, code: frozenset({code}))
-    assert certify._hopf_case((qsn_space(1), 1)) == (False, 0, "Sq^1 Sq^1 != 0 on x_1")
+    assert hopf_case((qsn_space(1), 1)) == (False, 0, "Sq^1 Sq^1 != 0 on x_1")
 
 
 def test_the_walk_of_a_space_names_each_failing_degree_as_its_own_case_does(monkeypatch):
@@ -152,7 +158,7 @@ def test_the_walk_of_a_space_names_each_failing_degree_as_its_own_case_does(monk
         certify, "_psi",
         lambda q, code: real(q, code) ^ {_pair(x1, x1)} if q is p and code == x1 else real(q, code),
     )
-    cases = [certify._hopf_case((qs1, d)) for d in range(1, 6)]
+    cases = [hopf_case((qs1, d)) for d in range(1, 6)]
     assert [ok for ok, _, _ in cases] == [True, False, False, False, False]
     (result,) = run_suites(["hopf-consistency"], max_degree=5)
     assert result == (
@@ -162,7 +168,7 @@ def test_the_walk_of_a_space_names_each_failing_degree_as_its_own_case_does(monk
 
 def test_the_walk_of_each_space_counts_what_its_degrees_count():
     spaces = (qsn_space(1), qs0_space())
-    n = sum(certify._hopf_case((s, d))[1] for s in spaces for d in range(1, 7))
+    n = sum(hopf_case((s, d))[1] for s in spaces for d in range(1, 7))
     (result,) = run_suites(["hopf-consistency"], max_degree=6)
     assert result.passed and f": {n} identities (" in result.details
     (result,) = run_suites(["hopf-consistency"])

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,29 @@ def test_a_description_that_is_not_an_A_module_exits_2(tmp_path, capsys, monkeyp
     code, out, err = run_cli(capsys, "screen", "--space", str(path), "--degree", degree)
     assert code == 2 and out == ""
     assert err.startswith("error: sq_action is not an A-module: ") and message in err
+
+
+def test_a_deeply_nested_description_exits_2_with_one_line(tmp_path):
+    # json.load recurses once per "[", so this file used to end in a
+    # RecursionError traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    proc = run_module("loophomology", "basis", "--space", str(path), "--degree", "3")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {path} is nested too deeply to read\n"
+
+
+def test_a_huge_cell_with_no_action_loads_at_once(tmp_path):
+    # no row reaches the cell, so no Adem relation is checked on it; the full
+    # sweep over every (a, b) up to its dimension took 73 s at dim 2,000
+    desc = {"model": "sigma2", "cells": [{"name": "a", "dim": 100_000}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(desc), encoding="utf-8")
+    start = time.perf_counter()
+    proc = run_module("loophomology", "screen", "--space", str(path), "--degree", "3")
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "verdict no-spherical-candidates\n" in proc.stdout
 
 
 @pytest.mark.parametrize("command", ["basis", "screen"])

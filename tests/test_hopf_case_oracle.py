@@ -1,6 +1,6 @@
 """hopf-consistency's packed case against the element-level case it replaced.
 
-`certify._hopf_case` checks the Hopf identities on packed codes, with the
+`certify._hopf_walk` checks the Hopf identities on packed codes, with the
 cached psi and Sq^1_* the kernels use.  The oracle below is the former case,
 written on Monomial, Element and TensorElement through the public
 `coproduct`, `expand_slot`, `counit` and `sq_lower`.  Both must return the
@@ -10,6 +10,7 @@ same (ok, count, detail).
 from __future__ import annotations
 
 import pytest
+from test_certify import hopf_case
 
 from loophomology import certify
 from loophomology.f2algebra import (
@@ -73,7 +74,7 @@ CASES += [(two_cell_space(), d) for d in range(1, 7)]
 
 @pytest.mark.parametrize("case", CASES, ids=[f"{s.label}-{d}" for s, d in CASES])
 def test_packed_case_equals_the_element_case(case):
-    got = certify._hopf_case(case)
+    got = hopf_case(case)
     assert got == element_hopf_case(case)
     assert got[0]
 
@@ -103,4 +104,4 @@ def test_the_first_failing_pair_of_two_degrees_is_named_as_the_ordered_sweep_nam
     monkeypatch.setattr(certify, "_psi", packed)
     monkeypatch.setitem(globals(), "coproduct", element)
     expected = (False, 0, "multiplicativity fails on x_1 | x_1^2")
-    assert certify._hopf_case((space, 3)) == element_hopf_case((space, 3)) == expected
+    assert hopf_case((space, 3)) == element_hopf_case((space, 3)) == expected

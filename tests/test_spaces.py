@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
 import re
+import time
 
 import pytest
 
 from loophomology.errors import NoSuccessor
+from loophomology.seqcore import lucas_binom
 from loophomology.spaces import (
     SpaceDesc,
     SqEntry,
@@ -150,6 +153,85 @@ def test_a_description_that_is_not_an_A_module_is_refused(cells, rows, relation,
 def test_an_A_module_description_loads(cells, rows):
     space = space_from_dict(sigma2(cells, rows))
     assert len(space.x_actions) == len(rows)
+
+
+def full_sweep_refusal(cells: dict, rows: list) -> str | None:
+    """The refusal of the check as it first ran: every relation a < 2b with
+    a + b up to each cell's dimension, cells by name, b then a ascending."""
+    table = {(r, src): set(to) for r, src, to in rows}
+
+    def sq(r: int, names: set) -> set:
+        if r == 0:
+            return names
+        out: set = set()
+        for y in names:
+            out ^= table.get((r, y), set())
+        return out
+
+    for y, d in sorted(cells.items()):
+        for b in range(1, d):
+            for a in range(1, min(2 * b, d - b + 1)):
+                right: set = set()
+                for c in range(a // 2 + 1):
+                    if lucas_binom(b - c - 1, a - 2 * c):
+                        right ^= sq(c, sq(a + b - c, {y}))
+                left = sq(b, sq(a, {y}))
+                if left != right:
+                    return (
+                        f"sq_action is not an A-module: the Adem relation for Sq^{a} Sq^{b} "
+                        f"fails on cell {y!r} (Sq^{b}_* Sq^{a}_* {y} = {sorted(left)}, "
+                        f"the relation gives {sorted(right)})"
+                    )
+    return None
+
+
+def random_description(rng: random.Random) -> tuple[dict, list]:
+    cells = {name: rng.randint(1, 10) for name in "abcde"[: rng.randint(1, 5)]}
+    rows = []
+    for source, d in cells.items():
+        for r in range(1, d):
+            targets = [t for t, e in cells.items() if e == d - r]
+            if targets and rng.random() < 0.4:
+                rows.append((r, source, rng.sample(targets, rng.randint(1, len(targets)))))
+    return cells, rows
+
+
+def test_the_check_refuses_exactly_what_the_full_sweep_refuses():
+    # the check visits only the relations a row reaches; the full sweep
+    # visits them all, and both must name the same first broken relation
+    rng = random.Random(21)
+    loaded = 0
+    for _ in range(500):
+        cells, rows = random_description(rng)
+        expected = full_sweep_refusal(cells, rows)
+        try:
+            space_from_dict(sigma2(cells, rows))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (cells, rows)
+        loaded += got is None and bool(rows)
+    assert loaded >= 20  # A-modules with rows are in the sample too
+
+
+@pytest.mark.parametrize("dim", [2_000, 100_000])
+def test_a_huge_cell_with_no_row_loads_at_once(dim):
+    # no relation reaches a cell without rows; the full sweep took 73 s at
+    # dim 2,000, and every successor or predecessor rebuild paid it again
+    start = time.perf_counter()
+    space = suspension_space({"a": 1, "b": dim}, (), level=2)
+    space.successor().predecessor().predecessor()
+    assert time.perf_counter() - start < 2
+
+
+def test_a_row_far_up_costs_what_its_relations_do():
+    # Sq^65536 is indecomposable, so one such row is an A-module; Sq^100000
+    # is not, so that row is refused; neither walks every (a, b) up to 10^5
+    start = time.perf_counter()
+    suspension_space({"a": 1, "b": 65_537}, (SqEntry(65_536, "b", ("a",)),))
+    with pytest.raises(ValueError, match="not an A-module"):
+        suspension_space({"a": 1, "b": 100_001}, (SqEntry(100_000, "b", ("a",)),))
+    assert time.perf_counter() - start < 2
 
 
 def test_suspended_and_desuspended_base():

@@ -132,7 +132,7 @@ def test_the_predicate_gives_the_former_verdict_to_degree_12(mutant, monkeypatch
     failing = 0
     for space in (QS0, QS1):
         for degree in range(1, 13):
-            ok, count, detail = certify._suspension_kernel_case((space, degree))
+            ok, count, detail = certify._suspension_walk((space, range(degree, degree + 1)))
             former_ok, former_count, former_detail = former_case(space, degree)
             assert (ok, count) == (former_ok, former_count), (space.label, degree)
             if not ok:
