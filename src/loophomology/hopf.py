@@ -68,13 +68,22 @@ from .spaces import MODEL_QS0, SpaceDesc, qs0_space
 def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
     """The terms x (x) y of psi(m) with |x| <= k; k >= |m| gives all of psi(m).
 
+    Cached for the process.  Through _psi a whole coproduct is one entry;
+    the sieve of screener._pri_ann_kernel keeps its cuts below a factor's
+    degree in a memo of one stage instead.
+    """
+    return _psi_terms(p, m, k, None)
+
+
+def _psi_terms(p: Packing, m: int, k: int, memo: dict | None) -> frozenset[Pair]:
+    """psi(m) cut to |x| <= k, computed from the cut psi of m's factors.
+
     Degrees add under products and Q^j raises them by j, so the cut is made
-    inside the recursion.  Callers pass k <= |m|, which keeps one cache entry
-    for the whole coproduct.
+    inside the recursion.
     """
     i, u, v = p.split(m)
     if v != ONE_CODE:
-        return _mul_pairs(_psi(p, u, k), _psi(p, v, k), k)
+        return _mul_pairs(_psi(p, u, k, memo), _psi(p, v, k, memo), k)
     if i is None:
         return frozenset({_pair(m, m)})
     if not p.gens[i].seq:
@@ -85,7 +94,7 @@ def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
     # |x| + j, so the sum stops at j = k - |x|
     a, z = p.peel(i)
     acc: set[Pair] = set()
-    for t in _psi(p, z, k):
+    for t in _psi(p, z, k, memo):
         x, y = _slots(t)
         for j in range(min(a, k - _degree(x)) + 1):
             left = _q_monomial(p, j, x)
@@ -95,19 +104,34 @@ def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
     return frozenset(acc)
 
 
-def _psi(p: Packing, m: int, k: int = MAX_DEGREE) -> frozenset[Pair]:
-    """psi(m) cut to the terms x (x) y with |x| <= k, by default every term;
-    k is clipped to |m|, so equal cuts share one _psi_monomial entry."""
-    return _psi_monomial(p, m, min(k, _degree(m)))
+def _psi(p: Packing, m: int, k: int = MAX_DEGREE, memo: dict | None = None) -> frozenset[Pair]:
+    """psi(m) cut to the terms x (x) y with |x| <= k, by default every term.
 
-
-def _reduced_psi(p: Packing, m: int, k: int | None = None) -> frozenset[Pair]:
-    """psi(m) + m (x) 1 + 1 (x) m on one packed monomial, cut to the terms
-    x (x) y with |x| <= k when k is given."""
+    k is clipped to |m|, so equal cuts share one _psi_monomial entry.  Given
+    a memo, a cut below |m| is kept there, keyed by (m, k), and never reaches
+    _psi_monomial; the whole coproduct still does.
+    """
     d = _degree(m)
-    if k is None or k >= d:
+    if memo is None or k >= d:
+        return _psi_monomial(p, m, min(k, d))
+    got = memo.get((m, k))
+    if got is None:
+        got = memo[m, k] = _psi_terms(p, m, k, memo)
+    return got
+
+
+def _reduced_psi(
+    p: Packing, m: int, k: int | None = None, memo: dict | None = None
+) -> frozenset[Pair]:
+    """psi(m) + m (x) 1 + 1 (x) m on one packed monomial, cut to the terms
+    x (x) y with |x| <= k when k is given.
+
+    A cut below |m| is built from the cuts of m's factors, kept in memo when
+    one is given, and m's own cut is not kept: a sieve stage asks for it once.
+    """
+    if k is None or k >= _degree(m):
         return _psi(p, m) ^ {_pair(m, ONE_CODE), _pair(ONE_CODE, m)}
-    return _psi_monomial(p, m, k) ^ {_pair(ONE_CODE, m)}
+    return _psi_terms(p, m, k, memo) ^ {_pair(ONE_CODE, m)}
 
 
 def coproduct(e: Element) -> TensorElement:

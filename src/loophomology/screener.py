@@ -198,6 +198,11 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
     for a given column order, so dropping columns outside the support gives
     the same vectors in the same order.
 
+    Each stage owns its memo of psi cut below a factor's degree, and drops
+    it once the stage's masks are built: the next stage asks for another
+    cut.  The whole coproduct of a factor stays in the process-wide
+    hopf._psi_monomial, and the re-verification below reads it again.
+
     Every returned vector is re-verified against the full reduced coproduct
     and every Sq^r_*, so a bug in the kernel bookkeeping, or a row set that
     is too small, cannot silently pass.
@@ -211,7 +216,9 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
     top = degree // 2
     k = min(1, top)
     while True:
-        masks, _ = masks_for_term_sets([_reduced_psi(p, m, k) | tags for m, tags in rows])
+        memo: dict = {}
+        masks, _ = masks_for_term_sets([_reduced_psi(p, m, k, memo) | tags for m, tags in rows])
+        del memo
         kernel = kernel_of_images(masks)
         if not kernel or k == top:
             break

@@ -132,9 +132,9 @@ def rows_per_cut(monkeypatch, degree: int) -> dict:
     built: dict = {}
     real = screener._reduced_psi
 
-    def spy(p, m, k=None):
+    def spy(p, m, k=None, memo=None):
         built[k] = built.get(k, 0) + 1
-        return real(p, m, k)
+        return real(p, m, k, memo)
 
     monkeypatch.setattr(screener, "_reduced_psi", spy)
     space = qs0_space()
