@@ -17,7 +17,8 @@ generators are listed once per dimension (_generators_of), and a basis walk
 interns them in that order before it runs; a tensor of two codes is one int
 too (_pair).  The operations reach products through Packing.split and
 Packing.peel; monomials multiply with _mul_sets, packed tensors with
-_mul_pairs.
+_mul_pairs.  Packing.root splits off a monomial's square part, and a sum is
+squared term by term (_square_set, _square_pairs).
 """
 
 from __future__ import annotations
@@ -533,6 +534,9 @@ _GUARDS = (
     | ((1 << EXPONENT_BITS * MAX_GENERATORS) - 1) // 0xFF * 0x80 << GENERATOR_SHIFT
 )
 
+#: The low seven bits of every exponent byte, with the exponents at bit 0.
+_HALF_EXPONENT_MASK = ((1 << EXPONENT_BITS * MAX_GENERATORS) - 1) // 0xFF * 0x7F
+
 
 def _overflow(code: int, what: str = "monomial") -> PackedFieldOverflow:
     return PackedFieldOverflow(f"packed {what} {code:#x} left one of its fields")
@@ -547,6 +551,12 @@ def _times(a: int, b: int) -> int:
 
 def _square(a: int) -> int:
     return _times(a, a)
+
+
+def _square_set(codes: frozenset[int]) -> frozenset[int]:
+    """The square of a sum of codes: each code squared, guarded as _times is.
+    Squaring is additive mod 2 and injective, so no term cancels."""
+    return frozenset(map(_square, codes))
 
 
 def _translation_code(k: int) -> int:
@@ -659,6 +669,16 @@ def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair], k: int = MAX_DEGREE) -> f
     return frozenset(acc)
 
 
+def _square_pairs(pairs: frozenset[Pair]) -> frozenset[Pair]:
+    """The square of a sum of packed tensors, each tensor doubled and guarded
+    as _mul_pairs guards a product; as for _square_set, no term cancels."""
+    out = frozenset(2 * t - ONE_PAIR for t in pairs)
+    for c in out:
+        if c & _PAIR_GUARDS:
+            raise _overflow(c, "tensor")
+    return out
+
+
 class Packing:
     """Packed-int codes for the monomials of one space.
 
@@ -714,6 +734,21 @@ class Packing:
         i = (gens.bit_length() - 1) // EXPONENT_BITS
         unit = self.units[i]
         return i, ONE_CODE + unit, code - unit
+
+    def root(self, code: int) -> tuple[int, int]:
+        """(w, r) with code = w^2 r: w takes half of each exponent, and r keeps
+        the translation and the odd exponent bits.  w is 1 (ONE_CODE) when no
+        exponent is 2 or more."""
+        # byte i of halves is exponent i shifted down, less the bit that
+        # exponent i + 1 shifted in; visit its nonzero bytes, highest first
+        halves = code >> (GENERATOR_SHIFT + 1) & _HALF_EXPONENT_MASK
+        w = ONE_CODE
+        while halves:
+            i = (halves.bit_length() - 1) // EXPONENT_BITS
+            e = halves >> EXPONENT_BITS * i
+            w += e * self.units[i]
+            halves ^= e << EXPONENT_BITS * i
+        return w, code - 2 * (w - ONE_CODE)
 
     def peel(self, i: int) -> tuple[int, int]:
         """(a, z) with generator i equal to Q^a z, z the code of its argument.
@@ -824,6 +859,22 @@ def masks_for_term_sets(term_sets: list) -> tuple[list[int], list]:
             row[i >> 3] |= 1 << (i & 7)
         masks.append(int.from_bytes(row, "little"))
     return masks, ordered
+
+
+def _masks_first_seen(term_sets) -> list[int]:
+    """The masks of masks_for_term_sets with the columns numbered in
+    first-seen order, so each set is masked as soon as it is read: from an
+    iterator, one set is alive at a time.  The caller's rows must not need
+    the sorted column order."""
+    columns: dict = {}
+    masks = []
+    for s in term_sets:
+        row = bytearray((len(columns) + len(s)) // 8 + 1)
+        for t in s:
+            i = columns.setdefault(t, len(columns))
+            row[i >> 3] |= 1 << (i & 7)
+        masks.append(int.from_bytes(row, "little"))
+    return masks
 
 
 def _picked(mask: int, items: list) -> frozenset:

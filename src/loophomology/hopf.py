@@ -53,8 +53,10 @@ from .f2algebra import (
     _mul_pairs,
     _packing,
     _pair,
+    _masks_first_seen,
     _picked,
     _slots,
+    _square_pairs,
     generator_monomial,
     masks_for_term_sets,
     single_generators,
@@ -79,8 +81,15 @@ def _psi_terms(p: Packing, m: int, k: int, memo: dict | None) -> frozenset[Pair]
     """psi(m) cut to |x| <= k, computed from the cut psi of m's factors.
 
     Degrees add under products and Q^j raises them by j, so the cut is made
-    inside the recursion.
+    inside the recursion.  psi is a ring map and squaring is additive mod 2,
+    so m = w^2 r (Packing.root) has psi(m) = psi(w)^2 psi(r): the square of
+    psi(w), cut at k // 2, is each term doubled, and only the product with
+    psi(r) runs a product loop.  Otherwise one factor is peeled off.
     """
+    w, r = p.root(m)
+    if w != ONE_CODE:
+        half = _square_pairs(_psi(p, w, k // 2, memo))
+        return half if r == ONE_CODE else _mul_pairs(half, _psi(p, r, k, memo), k)
     i, u, v = p.split(m)
     if v != ONE_CODE:
         return _mul_pairs(_psi(p, u, k, memo), _psi(p, v, k, memo), k)
@@ -176,12 +185,14 @@ def _reduced_psi_rows(
     the degree reads its target and its correction columns from it.  Full
     rows, not the cut-by-cut sieve of screener._pri_ann_kernel: the targets
     need whole rows, and staging the cuts made `verify --suite
-    primitive-basis --max-degree 10` 1.5-2x slower.
+    primitive-basis --max-degree 10` 1.5-2x slower.  Each row is masked as
+    soon as its reduced psi is made, with columns in first-seen order, so
+    one row's terms are alive at a time.  Column order changes no kernel
+    combo and no unique _solve: both are fixed by the row order.
     """
     p = _packing(space)
     codes = _basis_codes(space, degree, charge)
-    masks, _ = masks_for_term_sets([_reduced_psi(p, c) for c in codes])
-    return codes, masks
+    return codes, _masks_first_seen(_reduced_psi(p, c) for c in codes)
 
 
 def primitive_space(space: SpaceDesc, degree: int, charge: int | None = None) -> list[Element]:

@@ -121,10 +121,16 @@ class SpaceDesc(_Ordered):
         names = [name for name, _ in self.x_cells]
         if len(set(names)) != len(names):
             raise ValueError("cell names must be unique")
+        from .f2algebra import MAX_DEGREE  # here: f2algebra imports this module
+
         dims = dict(self.x_cells)
         for name, d in self.x_cells:
             if d < 1:
                 raise ValueError(f"cell {name!r} needs dimension >= 1")
+            # no generator past the packed degree field can be interned, and
+            # _check_adem's walk grows with the cell's dimension
+            if d > MAX_DEGREE:
+                raise ValueError(f"cell {name!r} needs dimension <= {MAX_DEGREE}, got {d}")
         rows = set()
         for entry in self.x_actions:
             if entry.r < 1:

@@ -19,10 +19,11 @@ Sq^r_* lowers dimension by exactly r, so Sq^r_* m is the slice of Sq_* m in
 dimension |m| - r, and Sq_* m sums to m alone exactly when every Sq^r_* with
 r >= 1 kills m: the parts lie in distinct dimensions.
 
-Squares come out of the Cartan formula on their own: the mixed terms of
-Sq_*(z*z) cancel in pairs mod 2, leaving Sq_*(z)^2, so Sq^r_*(z*z) is
-(Sq^(r/2)_* z)^2 for even r and nothing for odd r.  The tests pin that
-consequence separately.
+Squares are not multiplied out: the mixed terms of Sq_*(w*w) cancel in
+pairs mod 2, leaving Sq_*(w)^2, so a monomial m = w^2 r (Packing.root) has
+Sq_*(m) = Sq_*(w)^2 Sq_*(r), and squaring a sum is squaring each term.  So
+Sq^r_*(w*w) is (Sq^(r/2)_* w)^2 for even r and nothing for odd r, which the
+tests pin separately.
 
 Like the operations, the recursion runs on packed monomial codes; products go
 through f2algebra's set product, and this module holds the rules for one
@@ -43,6 +44,7 @@ from .f2algebra import (
     _degree,
     _mul_sets,
     _packing,
+    _square_set,
 )
 from .seqcore import UpperSeq, lucas_binom
 
@@ -51,10 +53,15 @@ __all__ = ["lucas_binom", "sq_lower", "is_A_annihilated"]
 
 @lru_cache(maxsize=None)
 def _sq_total(p: Packing, m: int) -> frozenset[int]:
-    """Sq_* m: every Sq^r_* m, r = 0..|m|, as one sum of codes."""
+    """Sq_* m: every Sq^r_* m, r = 0..|m|, as one sum of codes.  m = w^2 r
+    takes Sq_*(w)^2 Sq_*(r); a square-free product peels one factor."""
     d = _degree(m)
     if not d:
         return frozenset({m})  # this covers the translations, which sit in dimension 0
+    w, r = p.root(m)
+    if w != ONE_CODE:
+        half = _square_set(_sq_total(p, w))
+        return half if r == ONE_CODE else _mul_sets(half, _sq_total(p, r))
     i, u, v = p.split(m)
     if v != ONE_CODE:
         return _mul_sets(_sq_total(p, u), _sq_total(p, v))

@@ -267,8 +267,9 @@ def test_a_deeply_nested_description_exits_2_with_one_line(tmp_path):
 
 def test_a_huge_cell_with_no_action_loads_at_once(tmp_path):
     # no row reaches the cell, so no Adem relation is checked on it; the full
-    # sweep over every (a, b) up to its dimension took 73 s at dim 2,000
-    desc = {"model": "sigma2", "cells": [{"name": "a", "dim": 100_000}]}
+    # sweep over every (a, b) up to its dimension took 73 s at dim 2,000.
+    # 32,767 is the largest dimension the packed degree field admits
+    desc = {"model": "sigma2", "cells": [{"name": "a", "dim": 32_767}]}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(desc), encoding="utf-8")
     start = time.perf_counter()
@@ -276,6 +277,31 @@ def test_a_huge_cell_with_no_action_loads_at_once(tmp_path):
     assert time.perf_counter() - start < 2
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "verdict no-spherical-candidates\n" in proc.stdout
+
+
+def test_a_cell_past_the_packed_degree_field_exits_2_before_the_adem_check(
+    tmp_path, capsys, monkeypatch
+):
+    # _check_adem walks every b below the row's r, about 3 us each, so this
+    # row would have taken about an hour to check
+    import loophomology.spaces as spaces
+
+    def no_walk(space):
+        raise AssertionError("the Adem check ran on a cell past the packed degree field")
+
+    monkeypatch.setattr(spaces, "_check_adem", no_walk)
+    desc = {
+        "model": "sigma2",
+        "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 2**30 + 1}],
+        "sq_action": [{"r": 2**30, "from": "b", "to": ["a"]}],
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(desc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "screen", "--space", str(path), "--degree", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: cell 'b' needs dimension <= 32767, got {2**30 + 1}\n"
 
 
 @pytest.mark.parametrize("command", ["basis", "screen"])

@@ -27,9 +27,15 @@ from loophomology.f2algebra import (
     generator_monomial,
     masks_for_term_sets,
 )
-from loophomology.hopf import _reduced_psi, make_primitive_pI, qualifies_for_primitive
+from loophomology.hopf import (
+    _reduced_psi,
+    make_primitive_pI,
+    primitive_space,
+    qualifies_for_primitive,
+)
+from loophomology.linalg_f2 import kernel_of_images, solve_linear
 from loophomology.seqcore import UpperSeq, enumerate_admissible
-from loophomology.spaces import qs0_space
+from loophomology.spaces import qs0_space, qsn_space
 
 QS0 = qs0_space()
 
@@ -63,6 +69,35 @@ def test_every_pI_to_degree_13_equals_the_former_build():
     for entries in QUALIFYING:
         p = make_primitive_pI(entries)
         assert (p.value, p.correction) == former_pI(entries), entries
+
+
+@pytest.mark.parametrize("space, charge", [(QS0, 0), (qsn_space(1), None)], ids=["qs0", "qs1"])
+@pytest.mark.parametrize("degree", range(1, 14, 2))
+def test_streamed_rows_give_what_sorted_columns_give(space, charge, degree):
+    # _reduced_psi_rows numbers its columns in first-seen order; the same rows
+    # over the sorted columns of masks_for_term_sets are the oracle
+    p = _packing(space)
+    codes, masks = hopf._reduced_psi_rows(space, degree, charge)
+    assert codes == _basis_codes(space, degree, charge)
+    ordered, _ = masks_for_term_sets([_reduced_psi(p, c) for c in codes])
+    kernel = kernel_of_images(ordered)
+    assert kernel_of_images(masks) == kernel
+    assert primitive_space(space, degree, charge) == [
+        _element_from_codes(space, combo, codes) for combo in kernel
+    ]
+    if space != QS0:
+        return
+    decomposables = [i for i, c in enumerate(codes) if gen_length(c) >= 2]
+    for entries in (e for e in QUALIFYING if sum(e) == degree):
+        top = generator_monomial(
+            Generator(QS0.base_classes()[0], UpperSeq(entries)), translation=-(2 ** len(entries))
+        )
+        target = ordered[codes.index(p.encode(top))]
+        combo = solve_linear([ordered[i] for i in decomposables], target)
+        correction = _element_from_codes(QS0, combo, [codes[i] for i in decomposables])
+        pI = make_primitive_pI(entries)
+        assert (pI.value, pI.correction) == (Element(QS0, frozenset({top})) + correction,
+                                            correction), entries
 
 
 @pytest.fixture

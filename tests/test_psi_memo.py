@@ -5,8 +5,8 @@ cut per stage.  Those cuts live in a memo that the stage owns and drops, not
 in `hopf._psi_monomial`, which keeps only whole coproducts for the life of
 the process.  The first test checks that the memo path returns exactly the
 cached cut, with one memo shared by all codes of a degree as a stage shares
-it; the second counts what the cache holds after the even-squares suite in a
-fresh process.
+it; the others count what the caches hold after a CLI call in a fresh
+process.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def test_the_stage_memo_returns_the_cached_cut(monkeypatch, space, charge):
 
 
 COUNT_CACHES = """
-import contextlib, io, json
+import contextlib, io, json, sys
 from loophomology import cli, hopf, steenrod
 from loophomology.f2algebra import _degree
 
@@ -74,7 +74,7 @@ def spy(p, m, k):
 
 hopf._psi_monomial = spy
 with contextlib.redirect_stdout(io.StringIO()):
-    rc = cli.main(["verify", "--suite", "even-squares", "--max-degree", "16"])
+    rc = cli.main(sys.argv[1:])
 info = real.cache_info()
 print(json.dumps({
     "rc": rc,
@@ -86,10 +86,11 @@ print(json.dumps({
 """
 
 
-def test_even_squares_leaves_only_whole_coproducts_in_the_cache():
+def count_caches(*argv: str) -> dict:
+    """The cache sizes after one CLI call in a fresh process."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", COUNT_CACHES],
+        [sys.executable, "-c", COUNT_CACHES, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -98,9 +99,23 @@ def test_even_squares_leaves_only_whole_coproducts_in_the_cache():
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
     assert counts["rc"] == 0
+    return counts
+
+
+def test_even_squares_leaves_only_whole_coproducts_in_the_cache():
+    counts = count_caches("verify", "--suite", "even-squares", "--max-degree", "16")
     # 4,970 entries when the sieve's cuts were kept for the whole process
     assert counts["entries"] <= 450
     # the spy saw every entry, and each one is a whole coproduct
     assert counts["asked"] == counts["entries"]
     assert counts["cuts_below_degree"] == 0
-    assert counts["sq_total"] == 1930
+    # 1,930 before Sq_* took a square part through the Frobenius
+    assert counts["sq_total"] == 1625
+
+
+def test_squares_through_the_frobenius_keep_the_identity_caches_small():
+    # psi and Sq_* of w^2 r read psi(w) and Sq_*(w), not every power of a
+    # factor on the way up: 1,481 and 610 entries with the one-factor peel
+    counts = count_caches("verify", "--suite", "hopf-consistency", "--suite", "primitive-basis")
+    assert counts["entries"] <= 1300
+    assert counts["sq_total"] <= 560

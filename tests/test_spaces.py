@@ -37,6 +37,14 @@ def test_base_classes_and_charge():
     assert dims == [3, 4]  # cell dims 1 and 2, suspended twice
 
 
+def test_a_cell_dimension_is_held_to_the_packed_degree_field():
+    from loophomology.f2algebra import MAX_DEGREE
+
+    assert suspension_space({"a": MAX_DEGREE}).x_cells == (("a", MAX_DEGREE),)
+    with pytest.raises(ValueError, match=f"cell 'a' needs dimension <= {MAX_DEGREE}, got"):
+        suspension_space({"a": MAX_DEGREE + 1})
+
+
 def test_tower_moves():
     assert qs0_space().successor() == qsn_space(1)
     assert qsn_space(1).predecessor() == qs0_space()
@@ -214,10 +222,11 @@ def test_the_check_refuses_exactly_what_the_full_sweep_refuses():
     assert loaded >= 20  # A-modules with rows are in the sample too
 
 
-@pytest.mark.parametrize("dim", [2_000, 100_000])
+@pytest.mark.parametrize("dim", [2_000, 32_767])
 def test_a_huge_cell_with_no_row_loads_at_once(dim):
     # no relation reaches a cell without rows; the full sweep took 73 s at
-    # dim 2,000, and every successor or predecessor rebuild paid it again
+    # dim 2,000, and every successor or predecessor rebuild paid it again.
+    # 32,767 is the largest dimension the packed degree field admits
     start = time.perf_counter()
     space = suspension_space({"a": 1, "b": dim}, (), level=2)
     space.successor().predecessor().predecessor()
@@ -225,12 +234,13 @@ def test_a_huge_cell_with_no_row_loads_at_once(dim):
 
 
 def test_a_row_far_up_costs_what_its_relations_do():
-    # Sq^65536 is indecomposable, so one such row is an A-module; Sq^100000
-    # is not, so that row is refused; neither walks every (a, b) up to 10^5
+    # Sq^16384 is indecomposable, so one such row is an A-module; Sq^30000
+    # is not, so that row is refused; neither walks every (a, b) up to 3 10^4
+    # (cells stop at 32,767, the packed degree field)
     start = time.perf_counter()
-    suspension_space({"a": 1, "b": 65_537}, (SqEntry(65_536, "b", ("a",)),))
+    suspension_space({"a": 1, "b": 16_385}, (SqEntry(16_384, "b", ("a",)),))
     with pytest.raises(ValueError, match="not an A-module"):
-        suspension_space({"a": 1, "b": 100_001}, (SqEntry(100_000, "b", ("a",)),))
+        suspension_space({"a": 1, "b": 30_001}, (SqEntry(30_000, "b", ("a",)),))
     assert time.perf_counter() - start < 2
 
 
