@@ -21,10 +21,11 @@ from typing import NamedTuple
 from .dlops import apply_Q_iterated
 from .errors import CounterexampleFound, DegreeBudgetExceeded, LoopHomologyError
 from .f2algebra import (
+    PAIRS,
     Element,
     Packing,
     _degree,
-    _mul_pairs,
+    _mul_sets,
     _code_bases,
     _generator_index,
     _packing,
@@ -355,7 +356,7 @@ def _hopf_degree(
         if twice:
             return False, 0, f"Sq^1 Sq^1 != 0 on {p.decode(code)}"
         checked += 1
-    # products and _mul_pairs are symmetric, so each unordered pair u | v is
+    # products and _mul_sets are symmetric, so each unordered pair u | v is
     # checked once, with |u| <= |v|, and counts for both orders; the first
     # failure is the one the ordered sweep meets first
     for d_left in range(1, degree // 2 + 1):
@@ -364,7 +365,7 @@ def _hopf_degree(
             psi_u = _psi(p, u)
             for j in range(i if 2 * d_left == degree else 0, len(right_basis)):
                 v = right_basis[j]
-                if _psi(p, _times(u, v)) != _mul_pairs(psi_u, _psi(p, v)):
+                if _psi(p, _times(u, v)) != _mul_sets(psi_u, _psi(p, v), PAIRS):
                     return False, 0, f"multiplicativity fails on {p.decode(u)} | {p.decode(v)}"
                 checked += 1 if u == v else 2
     return True, checked, ""

@@ -10,8 +10,8 @@ Subcommands:
   verify               run the certification suites
 
 Exit codes: 0 success, 2 malformed input, 3 counterexample or failed suite,
-4 a limit reached: the degree budget, or a monomial past its packed field
-(PackedFieldOverflow).  Output is deterministic: the same invocation
+4 a limit reached: the degree budget, a monomial past its packed field
+(PackedFieldOverflow), or memory (MemoryError).  Output is deterministic: the same invocation
 prints the same bytes.
 
 Spaces are selected with --space: the built-in ids "qs0" and "qsn" (the
@@ -183,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (DegreeBudgetExceeded, PackedFieldOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 4
     except CounterexampleFound as exc:
         print(f"counterexample: {exc}", file=sys.stderr)

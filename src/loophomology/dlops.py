@@ -43,7 +43,7 @@ from .f2algebra import (
     _degree,
     _mul_sets,
     _packing,
-    _square,
+    _square_set,
     _translation,
     _translation_code,
 )
@@ -105,7 +105,7 @@ def _q_monomial(p: Packing, a: int, m: int) -> frozenset[int]:
     d = _degree(m)
     if a <= d:
         # below the bottom operation Q^a vanishes; the bottom one is the Frobenius
-        return frozenset({_square(m)}) if a == d else _EMPTY
+        return _square_set((m,)) if a == d else _EMPTY
     i, u, v = p.split(m)
     if v != ONE_CODE:
         return _q_cartan(p, a, u, v)
@@ -142,7 +142,7 @@ def _q_translation(p: Packing, a: int, k: int) -> frozenset[int]:
     if k % 2 == 0:
         if a % 2:
             return _EMPTY
-        return frozenset(map(_square, _q_monomial(p, a // 2, _translation_code(k // 2))))
+        return _square_set(_q_monomial(p, a // 2, _translation_code(k // 2)))
     return _q_cartan(p, a, _translation_code(1), _translation_code(k - 1))
 
 

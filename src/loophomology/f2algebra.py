@@ -16,15 +16,17 @@ none (basis_lines).  Each space's
 generators are listed once per dimension (_generators_of), and a basis walk
 interns them in that order before it runs; a tensor of two codes is one int
 too (_pair).  The operations reach products through Packing.split and
-Packing.peel; monomials multiply with _mul_sets, packed tensors with
-_mul_pairs.  Packing.root splits off a monomial's square part, and a sum is
-squared term by term (_square_set, _square_pairs).
+Packing.peel.  A sum of codes or of tensors is multiplied by one loop,
+_mul_sets, and squared term by term by another, _square_set; the two kinds
+differ only in the constants of CODES and PAIRS.  Packing.root splits off a
+monomial's square part.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import NotASquare, PackedFieldOverflow, SpaceMismatch, UnsupportedOperand
 from .seqcore import (
@@ -457,7 +459,7 @@ class TensorElement(_Frozen):
         if self.arity != 2:
             raise UnsupportedOperand("tensors are multiplied in arity 2")
         p = _packing(self.space)
-        return p.tensor(_mul_pairs(p.encode_pairs(self.terms), p.encode_pairs(other.terms)))
+        return p.tensor(_mul_sets(p.encode_pairs(self.terms), p.encode_pairs(other.terms), PAIRS))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -505,16 +507,15 @@ def expand_slot(te: TensorElement, slot: int, fn) -> TensorElement:
 # A tensor x (x) y is a monomial in twice the generators, so it packs the
 # same way, into one int (a Pair) holding each field of x next to the same
 # field of y: the two translations, the two dimensions, then per generator the
-# exponent byte of x and that of y.  A product of tensors is a + b - ONE_PAIR,
+# exponent byte of x and that of y.  A product of tensors is a + b - PAIRS.one,
 # and the left dimension, which the coproduct's cut reads, is one field.
 #
 # The top bit of every field is a guard that valid codes keep clear.  Adding
 # two valid codes can set a guard bit but never carry into the neighbouring
-# field, so every product is checked against _GUARDS (_PAIR_GUARDS for
-# tensors), and an exponent, dimension or translation outside its field
-# raises PackedFieldOverflow instead of turning into a wrong monomial.  An
-# exponent is at most the monomial's dimension, as every generator has
-# positive dimension.
+# field, so every product is checked against the guards of its kind (CODES,
+# PAIRS), and an exponent, dimension or translation outside its field raises
+# PackedFieldOverflow instead of turning into a wrong monomial.  An exponent is
+# at most the monomial's dimension, as every generator has positive dimension.
 
 TRANSLATION_BITS = 32
 DEGREE_BITS = 16
@@ -547,16 +548,6 @@ def _times(a: int, b: int) -> int:
     if c & _GUARDS:
         raise _overflow(c)
     return c
-
-
-def _square(a: int) -> int:
-    return _times(a, a)
-
-
-def _square_set(codes: frozenset[int]) -> frozenset[int]:
-    """The square of a sum of codes: each code squared, guarded as _times is.
-    Squaring is additive mod 2 and injective, so no term cancels."""
-    return frozenset(map(_square, codes))
 
 
 def _translation_code(k: int) -> int:
@@ -622,45 +613,38 @@ def _slots(t: Pair) -> tuple[int, int]:
     )
 
 
-#: Code of the tensor 1 (x) 1, the unit of the tensor products.
-ONE_PAIR = _pair(ONE_CODE, ONE_CODE)
-_PAIR_GUARDS = _pair(_GUARDS, _GUARDS)
-_LEFT_DEGREE_FIELD = _DEGREE_FIELD << TRANSLATION_BITS
-
 _EMPTY: frozenset = frozenset()
 
 
-def _mul_sets(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
-    """GF(2) product of two sums of packed monomials."""
+class _Sum(NamedTuple):
+    """The constants of one kind of packed sum: packed codes or packed tensors."""
+
+    one: int  #: the unit, 1 or 1 (x) 1
+    guards: int  #: the guard bits, which a valid term keeps clear
+    cut: int  #: the degree field that a cut at k reads: the left slot's for a tensor
+    what: str  #: the word an overflow names
+
+
+CODES = _Sum(ONE_CODE, _GUARDS, _DEGREE_FIELD, "monomial")
+PAIRS = _Sum(_pair(ONE_CODE, ONE_CODE), _pair(_GUARDS, _GUARDS), _pair(_DEGREE_FIELD, 0), "tensor")
+
+
+def _mul_sets(a, b, kind: _Sum = CODES, k: int = MAX_DEGREE) -> frozenset[int]:
+    """GF(2) product of two sums of packed terms of one kind.
+
+    Only the products whose cut field (the left slot's degree) is at most k
+    are kept; the default keeps them all.
+    """
+    one, guards, cut, what = kind
+    bound = k * (cut & -cut)  # k, placed in the cut field
     acc: set[int] = set()
     for x in a:
-        x -= ONE_CODE
+        x -= one
         for y in b:
             c = x + y
-            if c & _GUARDS:
-                raise _overflow(c)
-            if c in acc:
-                acc.remove(c)
-            else:
-                acc.add(c)
-    return frozenset(acc)
-
-
-def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair], k: int = MAX_DEGREE) -> frozenset[Pair]:
-    """GF(2) product of two sums of packed tensors.
-
-    Only the products whose left slot has degree at most k are kept; the
-    default keeps them all.
-    """
-    acc: set[Pair] = set()
-    bound = k << 2 * TRANSLATION_BITS  # k, placed in the left degree field
-    for s in a:
-        s -= ONE_PAIR
-        for t in b:
-            c = s + t
-            if c & _PAIR_GUARDS:
-                raise _overflow(c, "tensor")
-            if c & _LEFT_DEGREE_FIELD > bound:
+            if c & guards:
+                raise _overflow(c, what)
+            if c & cut > bound:
                 continue
             if c in acc:
                 acc.remove(c)
@@ -669,13 +653,14 @@ def _mul_pairs(a: frozenset[Pair], b: frozenset[Pair], k: int = MAX_DEGREE) -> f
     return frozenset(acc)
 
 
-def _square_pairs(pairs: frozenset[Pair]) -> frozenset[Pair]:
-    """The square of a sum of packed tensors, each tensor doubled and guarded
-    as _mul_pairs guards a product; as for _square_set, no term cancels."""
-    out = frozenset(2 * t - ONE_PAIR for t in pairs)
+def _square_set(terms, kind: _Sum = CODES) -> frozenset[int]:
+    """The square of a sum of packed terms: each term doubled, guarded as
+    _mul_sets guards a product.  Squaring is additive mod 2 and injective, so
+    no term cancels."""
+    out = frozenset(2 * t - kind.one for t in terms)
     for c in out:
-        if c & _PAIR_GUARDS:
-            raise _overflow(c, "tensor")
+        if c & kind.guards:
+            raise _overflow(c, kind.what)
     return out
 
 
@@ -839,33 +824,14 @@ def _code_bases(space: SpaceDesc, degrees: range, charge: int | None = None) -> 
 # Bitmask glue for the GF(2) linear algebra layer.
 
 
-def masks_for_term_sets(term_sets: list) -> tuple[list[int], list]:
-    """Assign bits to the union of the term sets (sorted) and mask each set.
-
-    Each row's bits are set in a bytearray and turned into an int once, rather
-    than summed one row-wide int per term.
+def masks_for_term_sets(term_sets) -> tuple[list[int], list]:
+    """The masks of the term sets, and their union as columns, the term of
+    bit i at index i, numbered when first seen.  Each set is masked as soon
+    as it is read, so from an iterator one set is alive at a time.  Kernels,
+    ranks and unique solves do not depend on the column order; it follows
+    the sets' iteration order, which over Monomials follows PYTHONHASHSEED,
+    so a caller that needs an order passes a list in that order first.
     """
-    universe: set = set()
-    for s in term_sets:
-        universe.update(s)
-    ordered = sorted(universe)
-    index = {t: i for i, t in enumerate(ordered)}
-    width = (len(ordered) + 7) // 8
-    masks = []
-    for s in term_sets:
-        row = bytearray(width)
-        for t in s:
-            i = index[t]
-            row[i >> 3] |= 1 << (i & 7)
-        masks.append(int.from_bytes(row, "little"))
-    return masks, ordered
-
-
-def _masks_first_seen(term_sets) -> list[int]:
-    """The masks of masks_for_term_sets with the columns numbered in
-    first-seen order, so each set is masked as soon as it is read: from an
-    iterator, one set is alive at a time.  The caller's rows must not need
-    the sorted column order."""
     columns: dict = {}
     masks = []
     for s in term_sets:
@@ -874,7 +840,7 @@ def _masks_first_seen(term_sets) -> list[int]:
             i = columns.setdefault(t, len(columns))
             row[i >> 3] |= 1 << (i & 7)
         masks.append(int.from_bytes(row, "little"))
-    return masks
+    return masks, list(columns)
 
 
 def _picked(mask: int, items: list) -> frozenset:

@@ -40,6 +40,7 @@ from .errors import (
 from .f2algebra import (
     MAX_DEGREE,
     ONE_CODE,
+    PAIRS,
     Element,
     Generator,
     Monomial,
@@ -50,13 +51,12 @@ from .f2algebra import (
     _degree,
     _element_from_codes,
     _generator_index,
-    _mul_pairs,
+    _mul_sets,
     _packing,
     _pair,
-    _masks_first_seen,
     _picked,
     _slots,
-    _square_pairs,
+    _square_set,
     generator_monomial,
     masks_for_term_sets,
     single_generators,
@@ -88,11 +88,11 @@ def _psi_terms(p: Packing, m: int, k: int, memo: dict | None) -> frozenset[Pair]
     """
     w, r = p.root(m)
     if w != ONE_CODE:
-        half = _square_pairs(_psi(p, w, k // 2, memo))
-        return half if r == ONE_CODE else _mul_pairs(half, _psi(p, r, k, memo), k)
+        half = _square_set(_psi(p, w, k // 2, memo), PAIRS)
+        return half if r == ONE_CODE else _mul_sets(half, _psi(p, r, k, memo), PAIRS, k)
     i, u, v = p.split(m)
     if v != ONE_CODE:
-        return _mul_pairs(_psi(p, u, k, memo), _psi(p, v, k, memo), k)
+        return _mul_sets(_psi(p, u, k, memo), _psi(p, v, k, memo), PAIRS, k)
     if i is None:
         return frozenset({_pair(m, m)})
     if not p.gens[i].seq:
@@ -185,14 +185,14 @@ def _reduced_psi_rows(
     the degree reads its target and its correction columns from it.  Full
     rows, not the cut-by-cut sieve of screener._pri_ann_kernel: the targets
     need whole rows, and staging the cuts made `verify --suite
-    primitive-basis --max-degree 10` 1.5-2x slower.  Each row is masked as
-    soon as its reduced psi is made, with columns in first-seen order, so
-    one row's terms are alive at a time.  Column order changes no kernel
-    combo and no unique _solve: both are fixed by the row order.
+    primitive-basis --max-degree 10` 1.5-2x slower.  The rows stream through
+    masks_for_term_sets, each masked as soon as its reduced psi is made, so
+    one row's terms are alive at a time.  The column order it picks changes
+    no kernel combo and no unique _solve: both are fixed by the row order.
     """
     p = _packing(space)
     codes = _basis_codes(space, degree, charge)
-    return codes, _masks_first_seen(_reduced_psi(p, c) for c in codes)
+    return codes, masks_for_term_sets(_reduced_psi(p, c) for c in codes)[0]
 
 
 def primitive_space(space: SpaceDesc, degree: int, charge: int | None = None) -> list[Element]:

@@ -28,7 +28,7 @@ from .f2algebra import (
     _factors,
     _packing,
     _picked,
-    _square,
+    _square_set,
     base_element,
     element_from_mask,
     masks_for_term_sets,
@@ -295,9 +295,12 @@ def screen_degree(
     Candidates are the primitive A-annihilated vectors of the single-operation
     span, within the requested loop filtration.  Squares are handled as a
     second list: a surviving square is a 2^t-th Frobenius power of a candidate
-    from the odd part of the degree.  Squares rooted in even-dimension
-    non-square classes are not listed; the even-square verifier is the
-    refutation that removes them.
+    from the odd part of the degree.  Squaring is injective on a polynomial
+    algebra and commutes with psi and Sq_*, so a power is primitive and
+    A-annihilated exactly when its root is, which _pri_ann_kernel has just
+    re-verified; the powers are squared as elements and never packed.
+    Squares rooted in even-dimension non-square classes are not listed; the
+    even-square verifier is the refutation that removes them.
     """
     if degree <= 0:
         raise ValueError("screening runs in positive degrees")
@@ -312,12 +315,9 @@ def screen_degree(
     core = degree >> t
     if t and core >= 1:
         span = [p.encode(m) for m in generator_span(space, core, loop)]
-        for root in _pri_ann_kernel(space, core, span):
-            power = root
+        for power in _pri_ann_kernel(space, core, span):
             for _ in range(t):
                 power = power.square()
-            if not is_primitive(power) or not is_A_annihilated(power):
-                raise CounterexampleFound(f"square candidate failed checks: {power}")
             squares.append(power)
 
     base_dims = [b.dimension for b in space.base_classes()]
@@ -384,15 +384,17 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
     p = _packing(space)
     source = _packing(pred)
     images = [_suspend_codes(source, p, source.encode_set(w.terms)) for w in upstairs]
-    squares = [{_square(c)} for c in _basis_codes(space, degree)]
+    squares = [_square_set((c,)) for c in _basis_codes(space, degree)]
     masks, ordered = masks_for_term_sets(images + squares)
     meet = span_intersection(masks[: len(images)], masks[len(images) :])
     witnesses: tuple[str, ...] = ()
     if meet:
         # The echelon basis of the meet depends on the bit order of the codes;
-        # re-reduce it over monomials in their structural order to print it.
+        # re-reduce it over monomials in their structural order (the sorted
+        # union, read first, numbers the columns) to print it.
         vectors = [p.decode_set(_picked(v, ordered)) for v in meet]
-        canon_masks, canon = masks_for_term_sets(vectors)
+        canon = sorted(set().union(*vectors))
+        _, *canon_masks = masks_for_term_sets([canon, *vectors])[0]
         witnesses = tuple(str(element_from_mask(space, v, canon)) for v in echelon(canon_masks))
 
     entries: list[MechanismEntry] = []

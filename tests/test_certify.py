@@ -16,7 +16,7 @@ from loophomology.certify import (
     run_suites,
 )
 from loophomology.errors import DegreeBudgetExceeded
-from loophomology.f2algebra import ONE_CODE, _packing, _pair, _square, basis_enumerate
+from loophomology.f2algebra import ONE_CODE, _packing, _pair, _times, basis_enumerate
 from loophomology.spaces import qs0_space, qsn_space
 
 
@@ -123,7 +123,7 @@ def test_hopf_consistency_catches_a_coproduct_that_is_not_cocommutative(monkeypa
 def test_hopf_consistency_catches_a_coproduct_that_is_not_coassociative(monkeypatch):
     # x_1 -> x_1 (x) 1 + 1 (x) x_1 + x_1^2 (x) 1: (psi (x) 1) psi(x_1) has
     # x_1^2 (x) 1 (x) 1 twice, (1 (x) psi) psi(x_1) once
-    _change_psi_of_x1(monkeypatch, lambda x: {_pair(_square(x), ONE_CODE)})
+    _change_psi_of_x1(monkeypatch, lambda x: {_pair(_times(x, x), ONE_CODE)})
     assert hopf_case((qsn_space(1), 1)) == (False, 0, "coassociativity fails on x_1")
 
 

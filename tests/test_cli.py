@@ -365,14 +365,38 @@ def test_a_raised_budget_admits_a_higher_level(capsys, monkeypatch):
     assert out == "printed 17179869186, oracle 32212254722, discrepancy=true\n"
 
 
+def raise_in_screen(monkeypatch, exc: BaseException) -> None:
+    import loophomology.cli as cli
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "screen_degree", fail)
+
+
 def test_packed_field_overflow_is_a_limit(capsys, monkeypatch):
-    # x_1^128 does not fit the byte of its exponent
+    from loophomology.errors import PackedFieldOverflow
+
+    raise_in_screen(monkeypatch, PackedFieldOverflow("exponent 128 of x_1 does not fit"))
+    code, out, err = run_cli(capsys, "screen", "--space", "qsn", "--n", "1", "--degree", "4")
+    assert (code, out, err) == (4, "", "error: exponent 128 of x_1 does not fit\n")
+
+
+def test_running_out_of_memory_is_a_limit(capsys, monkeypatch):
+    raise_in_screen(monkeypatch, MemoryError())
+    code, out, err = run_cli(capsys, "screen", "--space", "qsn", "--n", "1", "--degree", "4")
+    assert (code, out, err) == (4, "", "error: out of memory\n")
+
+
+def test_a_power_past_the_exponent_byte_is_listed_without_packing_it(capsys, monkeypatch):
+    # x_1^128 does not fit the byte of its exponent, but its root x_1 is
+    # checked and the power is squared as an element, never packed
     monkeypatch.setenv("LOOPHOMOLOGY_MAX_DEGREE", "132")
     code, out, err = run_cli(
         capsys, "screen", "--space", "qsn", "--n", "1", "--degree", "128", "--loop", "5"
     )
-    assert code == 4 and out == ""
-    assert err == "error: exponent 128 of x_1 does not fit its packed field\n"
+    assert code == 0 and err == ""
+    assert "verdict candidates-include-squares\nsquare x_1^128\n" in out
 
 
 def test_python_dash_m_runs_the_cli(capsys):

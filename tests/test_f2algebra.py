@@ -25,20 +25,20 @@ from loophomology.f2algebra import (
     GENERATOR_SHIFT,
     MAX_EXPONENT,
     ONE_CODE,
+    PAIRS,
     TRANSLATION_BITS,
     Element,
     Generator,
     Monomial,
     Packing,
     TensorElement,
-    _LEFT_DEGREE_FIELD,
     _basis_codes,
     _degree,
     _factors,
-    _mul_pairs,
+    _mul_sets,
     _pair,
     _slots,
-    _square,
+    _square_set,
     _times,
     _translation,
     _translation_code,
@@ -400,7 +400,7 @@ def test_packed_products_match_monomial_products():
         for b in basis[::5]:
             code = _times(packing.encode(a), packing.encode(b))
             assert packing.decode(code) == monomial_product(a, b)
-        assert packing.decode(_square(packing.encode(a))) == a.square()
+        assert packing.decode_set(_square_set({packing.encode(a)})) == {a.square()}
 
 
 def test_exponent_outside_its_field_raises():
@@ -410,7 +410,7 @@ def test_exponent_outside_its_field_raises():
     with pytest.raises(PackedFieldOverflow):
         packing.encode(monomial_product(x1, generator_monomial(x1.factors[0][0])))
     with pytest.raises(PackedFieldOverflow):
-        _square(code)
+        _square_set({code})
     with pytest.raises(LoopHomologyError):  # and through the public product
         element_of(QS1, x1) * element_of(QS1, x1)
     # a factor g^e built straight from its code, as the operation layers do;
@@ -494,8 +494,8 @@ def test_a_packed_tensor_unpacks_to_its_slots(space, charges):
         for y in codes:
             t = _pair(x, y)
             assert _slots(t) == (x, y)
-            # the field _mul_pairs's cut compares
-            left = (t & _LEFT_DEGREE_FIELD) >> 2 * TRANSLATION_BITS
+            # the field the cut of a tensor product compares
+            left = (t & PAIRS.cut) >> 2 * TRANSLATION_BITS
             assert left == _degree(x) == _degree(_slots(t)[0])
             tensors.add(t)
     assert len(tensors) == len(codes) ** 2
@@ -507,7 +507,8 @@ def test_a_product_of_packed_tensors_is_the_product_slot_by_slot(space, charges)
     rng = random.Random(5)
     for _ in range(3000):
         a, b, c, d = (rng.choice(codes) for _ in range(4))
-        assert _mul_pairs({_pair(a, b)}, {_pair(c, d)}) == {_pair(_times(a, c), _times(b, d))}
+        assert _mul_sets({_pair(a, b)}, {_pair(c, d)}, PAIRS) == {
+            _pair(_times(a, c), _times(b, d))}
 
 
 def overflowing_products():
@@ -539,7 +540,7 @@ def test_a_tensor_product_that_leaves_a_field_raises(field, slot):
         else:
             lhs, rhs = _pair(other, a), _pair(ONE_CODE, b)
         with pytest.raises(PackedFieldOverflow, match="packed tensor"):
-            _mul_pairs({lhs}, {rhs})
+            _mul_sets({lhs}, {rhs}, PAIRS)
 
 
 #: The names of the packed layout: field widths, shifts, masks and guards.

@@ -6,7 +6,7 @@ Squaring is additive mod 2, so on every basis monomial m
     Sq^(2r)_* m^2   = (Sq^r_* m)^2,
     Sq^(2r+1)_* m^2 = 0.
 
-A packed tensor squares as 2 t - ONE_PAIR, as a packed code squares as
+A packed tensor squares as 2 t - PAIRS.one, as a packed code squares as
 2 m - ONE_CODE.  These are certified here, term by term, on the packed psi
 and Sq^r_* the kernels use.
 
@@ -25,18 +25,17 @@ from loophomology.certify import CAPS
 from loophomology.dlops import _q_monomial
 from loophomology.errors import PackedFieldOverflow
 from loophomology.f2algebra import (
+    CODES,
     ONE_CODE,
-    ONE_PAIR,
+    PAIRS,
     _basis_codes,
     _degree,
-    _mul_pairs,
     _mul_sets,
     _packing,
     _pair,
     _slots,
-    _square,
-    _square_pairs,
     _square_set,
+    _times,
 )
 from loophomology.hopf import _psi
 from loophomology.spaces import SqEntry, qs0_space, qsn_space, suspension_space, two_cell_space
@@ -49,7 +48,7 @@ SPACES = [qsn_space(1), qs0_space()]
 
 
 def squares(space, degree):
-    return [(m, _square(m)) for m in _basis_codes(space, degree)]
+    return [(m, _times(m, m)) for m in _basis_codes(space, degree)]
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label)
@@ -57,7 +56,7 @@ def squares(space, degree):
 def test_psi_of_a_square_is_the_square_of_psi(space, degree):
     p = _packing(space)
     for m, m2 in squares(space, degree):
-        assert _psi(p, m2) == {2 * t - ONE_PAIR for t in _psi(p, m)}, p.decode(m)
+        assert _psi(p, m2) == {2 * t - PAIRS.one for t in _psi(p, m)}, p.decode(m)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label)
@@ -66,7 +65,7 @@ def test_the_dual_steenrod_action_on_a_square(space, degree):
     p = _packing(space)
     for m, m2 in squares(space, degree):
         for r in range(degree + 1):
-            assert _sq_monomial(p, 2 * r, m2) == {_square(w) for w in _sq_monomial(p, r, m)}
+            assert _sq_monomial(p, 2 * r, m2) == _square_set(_sq_monomial(p, r, m))
             assert not _sq_monomial(p, 2 * r + 1, m2), (p.decode(m), r)
 
 
@@ -94,7 +93,7 @@ def peel_psi(p, m, k, memo):
         return got
     i, u, v = p.split(m)
     if v != ONE_CODE:
-        out = _mul_pairs(peel_psi(p, u, k, memo), peel_psi(p, v, k, memo), k)
+        out = _mul_sets(peel_psi(p, u, k, memo), peel_psi(p, v, k, memo), PAIRS, k)
     elif i is None:
         out = frozenset({_pair(m, m)})
     elif not p.gens[i].seq:
@@ -164,7 +163,7 @@ def test_root_splits_off_the_square_part(space, charge, shapes):
     for degree in range(1, ORACLE_DEGREE + 1):
         for m in _basis_codes(space, degree, charge):
             w, r = p.root(m)
-            assert _square(w) - ONE_CODE + r == m
+            assert _times(w, w) - ONE_CODE + r == m
             assert p.root(r) == (ONE_CODE, r)
             if w == ONE_CODE:
                 seen.add("no square")
@@ -177,16 +176,16 @@ def test_doubling_an_exponent_of_64_overflows():
     space = qsn_space(1)
     p = _packing(space)
     x = _basis_codes(space, 1)[0]
-    assert _square_set({p.root(_square(x))[0]}) == {_square(x)}
+    assert _square_set({p.root(_times(x, x))[0]}) == {_times(x, x)}
     for e, fits in ((63, True), (64, False)):
         code = ONE_CODE + e * (x - ONE_CODE)
-        for double, terms in (
-            (_square_set, {code}),
-            (_square_pairs, {_pair(code, ONE_CODE)}),
-            (_square_pairs, {_pair(x, code)}),
+        for kind, terms in (
+            (CODES, {code}),
+            (PAIRS, {_pair(code, ONE_CODE)}),
+            (PAIRS, {_pair(x, code)}),
         ):
             if fits:
-                assert len(double(frozenset(terms))) == 1
+                assert len(_square_set(frozenset(terms), kind)) == 1
             else:
                 with pytest.raises(PackedFieldOverflow):
-                    double(frozenset(terms))
+                    _square_set(frozenset(terms), kind)

@@ -9,10 +9,11 @@ subset of the terms at d // 2, so each stage's kernel contains the final
 one, and since kernel_of_images returns the reduced basis for a given column
 order, dropping columns outside the support changes no vector.  The oracle
 below is the full construction: every r in 1..d, the whole reduced
-coproduct, every code at once, and masks summed one bit at a time.  Both
-must give exactly the same kernel vectors; the spy tests pin how many codes
-each cut builds rows for.  The last two tests pin why a kernel over the
-single generators cannot drop the square part of the Sq^1_* row.
+coproduct, every code at once, and masks summed one bit at a time over
+sorted columns.  Both must give exactly the same kernel vectors; the spy
+tests pin how many codes each cut builds rows for.  The last two tests pin
+why a kernel over the single generators cannot drop the square part of the
+Sq^1_* row.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from loophomology.f2algebra import (
     _pair,
     _picked,
     _slots,
-    _square,
+    _square_set,
     basis_enumerate,
     element_from_mask,
     generator_monomial,
@@ -76,13 +77,20 @@ SPACES = {
 spaces = pytest.mark.parametrize("space", SPACES.values(), ids=SPACES.keys())
 
 
-def sum_masks(term_sets: list) -> list[int]:
-    """Masks as they were first built: one row-wide big-int add per term."""
-    universe: set = set()
-    for s in term_sets:
-        universe |= set(s)
-    index = {t: i for i, t in enumerate(sorted(universe))}
+def sum_masks(term_sets: list, columns: list) -> list[int]:
+    """Masks as they were first built, one row-wide big-int add per term,
+    with bit i standing for columns[i]."""
+    index = {t: i for i, t in enumerate(columns)}
     return [sum(1 << index[t] for t in s) for s in term_sets]
+
+
+def assert_masks_match_sum_masks(term_sets: list) -> None:
+    """masks_for_term_sets sets exactly sum_masks' bits over the columns it
+    returns, and those columns are the union of the sets, each once."""
+    masks, columns = masks_for_term_sets(term_sets)
+    assert len(set(columns)) == len(columns)
+    assert set(columns) == set().union(*term_sets)
+    assert masks == sum_masks(term_sets, columns)
 
 
 def full_row_kernel(space, degree, basis):
@@ -94,7 +102,11 @@ def full_row_kernel(space, degree, basis):
     for m in map(p.encode, basis):
         sq_tags = {sq_tag(r, out) for r in range(1, degree + 1) for out in _sq_monomial(p, r, m)}
         term_sets.append(_reduced_psi(p, m) | sq_tags)
-    return [element_from_mask(space, c, basis) for c in kernel_of_images(sum_masks(term_sets))]
+    columns = sorted(set().union(*term_sets))
+    return [
+        element_from_mask(space, c, basis)
+        for c in kernel_of_images(sum_masks(term_sets, columns))
+    ]
 
 
 @spaces
@@ -204,9 +216,7 @@ def test_byte_masks_equal_sum_masks_on_random_sets():
         pool = [rng.randrange(1 << 40) for _ in range(rng.randrange(1, 60))]
         sets = [frozenset(rng.sample(pool, rng.randrange(0, len(pool) + 1)))
                 for _ in range(rng.randrange(0, 8))]
-        masks, ordered = masks_for_term_sets(sets)
-        assert masks == sum_masks(sets)
-        assert ordered == sorted(set().union(*sets))
+        assert_masks_match_sum_masks(sets)
 
 
 @spaces
@@ -218,7 +228,7 @@ def test_byte_masks_equal_sum_masks_on_kernel_rows(space):
             | {sq_tag(r, w) for r in range(1, degree + 1) for w in _sq_monomial(p, r, m)}
             for m in map(p.encode, basis_enumerate(space, degree))
         ]
-        assert masks_for_term_sets(sets)[0] == sum_masks(sets)
+        assert_masks_match_sum_masks(sets)
 
 
 @spaces
@@ -306,7 +316,7 @@ def test_the_relaxed_kernel_meets_the_squares_at_most_default_roots():
             _suspend_codes(p, q, _picked(k, codes))
             for k in kernel_of_images(masks_for_term_sets(rows)[0])
         ]
-        squares = [{_square(c)} for c in _basis_codes(qs1, root)]
+        squares = [_square_set((c,)) for c in _basis_codes(qs1, root)]
         masks, _ = masks_for_term_sets(images + squares)
         if span_intersection(masks[: len(images)], masks[len(images) :]):
             meets.append(root)

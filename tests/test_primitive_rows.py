@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 
 import pytest
+from test_kernel_rows import sum_masks
 from test_linalg_f2 import solve_unique
 from test_suspension_kernel import gen_length
 
@@ -75,11 +76,12 @@ def test_every_pI_to_degree_13_equals_the_former_build():
 @pytest.mark.parametrize("degree", range(1, 14, 2))
 def test_streamed_rows_give_what_sorted_columns_give(space, charge, degree):
     # _reduced_psi_rows numbers its columns in first-seen order; the same rows
-    # over the sorted columns of masks_for_term_sets are the oracle
+    # summed over sorted columns are the oracle
     p = _packing(space)
     codes, masks = hopf._reduced_psi_rows(space, degree, charge)
     assert codes == _basis_codes(space, degree, charge)
-    ordered, _ = masks_for_term_sets([_reduced_psi(p, c) for c in codes])
+    rows = [_reduced_psi(p, c) for c in codes]
+    ordered = sum_masks(rows, sorted(set().union(*rows)))
     kernel = kernel_of_images(ordered)
     assert kernel_of_images(masks) == kernel
     assert primitive_space(space, degree, charge) == [

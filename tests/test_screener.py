@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from loophomology import screener
@@ -9,6 +14,7 @@ from loophomology.certify import suite_even_squares
 from loophomology.dlops import _admissible_factor
 from loophomology.errors import UnsupportedOperand
 from loophomology.f2algebra import Element, generator_monomial, translation_monomial
+from loophomology.hopf import is_primitive
 from loophomology.screener import (
     EvenSquareDegree,
     MechanismEntry,
@@ -31,6 +37,7 @@ from loophomology.screener import (
 )
 from loophomology.seqcore import sphere_class, upper
 from loophomology.spaces import qs0_space, qsn_space, two_cell_space
+from loophomology.steenrod import is_A_annihilated
 
 QS1 = qsn_space(1)
 
@@ -133,6 +140,22 @@ def test_screen_degree_four_lists_the_bottom_power():
     assert report.verdict == "candidates-include-squares"
 
 
+@pytest.mark.parametrize(
+    "space, top",
+    [(QS1, 24), (qsn_space(2), 24), (two_cell_space(), 24), (qs0_space(), 16)],
+    ids=["qs1", "qs2", "two-cell", "qs0"],
+)
+def test_every_listed_square_is_primitive_and_annihilated(space, top):
+    # the screen checks only the roots and squares them as elements: squaring
+    # is injective and commutes with psi and Sq_*, so each power is PA too
+    listed = 0
+    for degree in range(2, top + 1, 2):
+        for power in screen_degree(space, degree).squares:
+            assert is_primitive(power) and is_A_annihilated(power), (degree, str(power))
+            listed += 1
+    assert listed >= 3
+
+
 def test_screen_report_dict_shape():
     d = screen_degree(QS1, 9, loop=3).to_dict()
     assert set(d) == {"space", "degree", "loop", "candidates", "squares", "bounds"}
@@ -187,6 +210,37 @@ def test_even_square_witnesses_print_in_structural_order(monkeypatch):
         lambda images, squares: [squares[0] ^ squares[1], squares[1] ^ squares[2], squares[2]],
     )
     assert even_square_screen_at(QS1, 4).kernel_witnesses == entry.kernel_witnesses
+
+
+#: Prints a qs0 screen and the forced-meet witnesses above, whose terms are
+#: Monomials: their set order, and so any first-seen column order over them,
+#: follows the hash seed.
+HASH_SEED_PROBE = """
+from loophomology import screener
+from loophomology.cli import main
+from loophomology.spaces import qsn_space
+
+main(["screen", "--space", "qs0", "--degree", "14", "--json"])
+screener.span_intersection = lambda images, squares: squares
+print(screener.even_square_screen_at(qsn_space(1), 4).kernel_witnesses)
+"""
+
+
+def test_screen_and_witnesses_print_the_same_under_any_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].endswith("('(Q^3 x_1)^2', 'x_1^8', '(Q^2 x_1)^2 x_1^2')\n")
 
 
 def test_even_square_failures_list_witnesses_then_failing_roots():

@@ -57,15 +57,19 @@ def test_screen_space_stays_inside_the_degree_budget():
     assert "budget" in proc.stderr
 
 
-def test_screen_space_reports_a_packed_field_overflow_in_one_line():
-    # the sweep reaches x_1^128, whose exponent does not fit its byte
+def test_screen_space_sweeps_past_the_exponent_byte():
+    # the sweep reaches x_1^128, whose exponent does not fit its byte; the
+    # powers are squared as elements, so it goes on to 132
     proc = run_script(
         "screen_space.py", "--space", "qsn", "--n", "1", "--loop", "5", "--max-degree", "132",
         LOOPHOMOLOGY_MAX_DEGREE="132",
     )
-    assert proc.returncode == 1 and "Traceback" not in proc.stderr
-    assert proc.stderr == "exponent 128 of x_1 does not fit its packed field\n"
-    assert proc.stdout.splitlines()[-1].startswith("d=127 ")
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 132
+    assert lines[127].startswith("d=128 ") and lines[127].endswith("squares: x_1^128")
+    assert lines[129].startswith("d=130 ")
+    assert lines[129].endswith("squares: (Q^(33,17,9,5) x_1)^2")
 
 
 def test_run_certification_checks_every_cap_before_any_suite():
