@@ -17,14 +17,13 @@ def main() -> int:
                     help="run one suite (repeatable, default all)")
     ap.add_argument("--max-degree", type=int, default=None,
                     help="override each suite's default degree cap")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel degree fan-out")
     args = ap.parse_args()
 
     failures = 0
     try:
-        for name in check_scope(args.suite, args.max_degree, args.jobs):
+        for name in check_scope(args.suite, args.max_degree):
             start = time.monotonic()
-            (result,) = run_suites([name], max_degree=args.max_degree, jobs=args.jobs)
+            (result,) = run_suites([name], max_degree=args.max_degree)
             elapsed = time.monotonic() - start
             mark = "pass" if result.passed else "FAIL"
             print(f"{name:<20} {mark}  {elapsed:7.2f}s  {result.details}")

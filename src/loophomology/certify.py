@@ -89,19 +89,6 @@ class SuiteResult(NamedTuple):
     details: str
 
 
-def _pmap(fn, items, jobs: int):
-    items = list(items)
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(it) for it in items]
-    # imported here, where a pool starts: concurrent.futures pulls in
-    # multiprocessing, which a one-query command line would pay for unused
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 #: The default sweep cap of every suite inside the degree budget.
 CAPS = {
     "kernel-of-r": 16,
@@ -134,22 +121,25 @@ def _cap(name: str, max_degree: int | None) -> int:
     return cap
 
 
-def _sweep(name: str, check, cases, jobs: int, summary) -> SuiteResult:
-    """Run check on every case, fanned out over up to jobs processes.
+def _sweep(name: str, check, cases, summary) -> SuiteResult:
+    """Run check on every case, one at a time, in this process.
 
     check(case) returns (ok, count, detail).  The suite fails with the details
     of the failing cases joined, or passes with summary(sum of the counts).
-    The closed-form suites run inline whatever jobs is: their cases take
-    microseconds, far less than starting a pool.
     """
-    ok, total, detail = _joined(_pmap(check, cases, 1 if name in CLOSED_FORM_CAPS else jobs))
+    ok, total, detail = _joined(map(check, cases))
     return SuiteResult(name, ok, summary(total) if ok else detail)
 
 
 def _joined(rows) -> tuple[bool, int, str]:
-    """(ok, count, detail) rows as one: all ok, counts summed, failing details joined."""
-    bad = [detail for ok, _, detail in rows if not ok]
-    return not bad, sum(n for _, n, _ in rows), "; ".join(bad)
+    """(ok, count, detail) rows as one, read in one pass: all ok, counts
+    summed, failing details joined."""
+    total, bad = 0, []
+    for ok, n, detail in rows:
+        total += n
+        if not ok:
+            bad.append(detail)
+    return not bad, total, "; ".join(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +158,9 @@ def _kernel_of_r_case(degree: int) -> tuple[bool, int, str]:
     return False, 0, f"degree {degree}: extra {extra}, missing {missing}"
 
 
-def suite_kernel_of_r(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
+def suite_kernel_of_r(max_degree: int | None = None) -> SuiteResult:
     cap = _cap("kernel-of-r", max_degree)
-    return _sweep("kernel-of-r", _kernel_of_r_case, range(1, cap + 1), jobs,
+    return _sweep("kernel-of-r", _kernel_of_r_case, range(1, cap + 1),
                   lambda n: f"degrees 1..{cap}, lengths <= 3, {n} kernel vectors matched")
 
 
@@ -206,9 +196,9 @@ def _primitive_basis_case(degree: int) -> tuple[bool, int, str]:
     return True, len(family), ""
 
 
-def suite_primitive_basis(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
+def suite_primitive_basis(max_degree: int | None = None) -> SuiteResult:
     cap = _cap("primitive-basis", max_degree)
-    return _sweep("primitive-basis", _primitive_basis_case, range(1, cap + 1, 2), jobs,
+    return _sweep("primitive-basis", _primitive_basis_case, range(1, cap + 1, 2),
                   lambda _: f"odd degrees <= {cap}: unique corrections, independent, spanning")
 
 
@@ -222,12 +212,12 @@ def _even_square_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
     return entry.ok, 0, f"{space.label} d={degree}: " + "; ".join(entry.failures)
 
 
-def suite_even_squares(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
+def suite_even_squares(max_degree: int | None = None) -> SuiteResult:
     cap = _cap("even-squares", max_degree)
     half = cap // 2
     cases = [(qsn_space(1), d) for d in range(2, half + 1, 2)]
     cases += [(two_cell_space(), d) for d in range(2, min(8, half) + 1, 2)]
-    return _sweep("even-squares", _even_square_case, cases, jobs, lambda _: (
+    return _sweep("even-squares", _even_square_case, cases, lambda _: (
         f"roots of even dimension <= {half} over qs1, <= {min(8, half)} over the "
         "two-cell model: no annihilated primitive square survives either route"))
 
@@ -245,11 +235,11 @@ def _wellington_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
     return report.ok, len(report.annihilated), detail
 
 
-def suite_wellington(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
+def suite_wellington(max_degree: int | None = None) -> SuiteResult:
     cap = _cap("wellington", max_degree)
     cases = [(qsn_space(1), d) for d in range(1, cap + 1, 2)]
     cases += [(two_cell_space(), d) for d in range(1, min(11, cap) + 1, 2)]
-    return _sweep("wellington", _wellington_case, cases, jobs, lambda n: (
+    return _sweep("wellington", _wellington_case, cases, lambda n: (
         f"odd degrees <= {cap} (sphere) and <= {min(11, cap)} (two-cell): "
         f"{n} annihilated vectors, all inside the all-odd-entry span"))
 
@@ -262,7 +252,7 @@ def _suspension_walk(args: tuple[SpaceDesc, range]) -> tuple[bool, int, str]:
     """The kernel in each degree, on the bases of one walk; each failing degree adds a detail."""
     space, degrees = args
     bases = _code_bases(space, degrees)
-    return _joined([_suspension_degree(space, d, codes) for d, codes in zip(degrees, bases)])
+    return _joined(_suspension_degree(space, d, codes) for d, codes in zip(degrees, bases))
 
 
 def _suspension_degree(space: SpaceDesc, degree: int, codes: list[int]) -> tuple[bool, int, str]:
@@ -281,10 +271,10 @@ def _suspension_degree(space: SpaceDesc, degree: int, codes: list[int]) -> tuple
     )
 
 
-def suite_suspension_kernel(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
+def suite_suspension_kernel(max_degree: int | None = None) -> SuiteResult:
     cap = _cap("suspension-kernel", max_degree)
     cases = [(space, range(1, cap + 1)) for space in (qs0_space(), qsn_space(1))]
-    return _sweep("suspension-kernel", _suspension_walk, cases, jobs, lambda _: (
+    return _sweep("suspension-kernel", _suspension_walk, cases, lambda _: (
         f"degrees <= {cap} out of qs0 and qs1: kernel of the suspension = decomposable span"))
 
 
@@ -296,9 +286,9 @@ def _sum_identity_case(k: int) -> tuple[bool, int, str]:
     return sum_identity_check(k), 1, f"fails at k={k}"
 
 
-def suite_sum_identity(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
+def suite_sum_identity(max_degree: int | None = None) -> SuiteResult:
     cap = _cap("sum-identity", max_degree)
-    return _sweep("sum-identity", _sum_identity_case, range(1, cap + 1), jobs,
+    return _sweep("sum-identity", _sum_identity_case, range(1, cap + 1),
                   lambda _: f"k <= {cap}: sum(2^(i-1) i) == 2^k (k-1) + 1")
 
 
@@ -319,7 +309,7 @@ def _hopf_walk(args: tuple[SpaceDesc, range]) -> tuple[bool, int, str]:
     bases = _code_bases(space, range(degrees[-1] + 1))
     # psi of each distinct code, unpacked into its (x, y) slots once per walk
     psi_slots = cache(lambda code: [_slots(t) for t in _psi(p, code)])
-    return _joined([_hopf_degree(p, bases, psi_slots, degree) for degree in degrees])
+    return _joined(_hopf_degree(p, bases, psi_slots, degree) for degree in degrees)
 
 
 def _hopf_degree(
@@ -371,10 +361,10 @@ def _hopf_degree(
     return True, checked, ""
 
 
-def suite_hopf_consistency(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
+def suite_hopf_consistency(max_degree: int | None = None) -> SuiteResult:
     cap = _cap("hopf-consistency", max_degree)
     cases = [(space, range(1, cap + 1)) for space in (qsn_space(1), qs0_space())]
-    return _sweep("hopf-consistency", _hopf_walk, cases, jobs, lambda n: (
+    return _sweep("hopf-consistency", _hopf_walk, cases, lambda n: (
         f"degrees <= {cap} on qs1 and charge-0 qs0: {n} identities "
         "(coassociativity, cocommutativity, counit, multiplicativity, Sq^1 Sq^1 = 0)"))
 
@@ -401,11 +391,11 @@ def _dimension_bounds_case(l: int) -> tuple[bool, int, str]:
     return True, 1, ""
 
 
-def suite_dimension_bounds(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
+def suite_dimension_bounds(max_degree: int | None = None) -> SuiteResult:
     cap = _cap("dimension-bounds", max_degree)
     reports = [bounds_report(l, -1) for l in range(2, cap + 1)]
     notes = [f"l={r.l} printed {r.printed} oracle {r.oracle}" for r in reports if r.discrepancy]
-    return _sweep("dimension-bounds", _dimension_bounds_case, range(2, cap + 1), jobs, lambda _: (
+    return _sweep("dimension-bounds", _dimension_bounds_case, range(2, cap + 1), lambda _: (
         f"2 <= l <= {cap}: exhaustive max equals closed form; discrepancies "
         "against the printed doubled bound: " + "; ".join(notes)))
 
@@ -425,10 +415,10 @@ def _stable_range_case(args: tuple[int, int]) -> tuple[bool, int, str]:
     return True, 1, ""
 
 
-def suite_stable_range(max_degree: int | None = None, jobs: int = 1) -> SuiteResult:
+def suite_stable_range(max_degree: int | None = None) -> SuiteResult:
     cap = _cap("stable-range", max_degree)
-    cases = [(n, l) for n in range(1, cap + 1) for l in range(1, cap + 1)]
-    return _sweep("stable-range", _stable_range_case, cases, jobs, lambda _: (
+    cases = ((n, l) for n in range(1, cap + 1) for l in range(1, cap + 1))
+    return _sweep("stable-range", _stable_range_case, cases, lambda _: (
         f"1 <= l, n <= {cap}: bound_main1 + 1 always falls beyond the stable range"))
 
 
@@ -448,16 +438,12 @@ SUITES = {
 }
 
 
-def check_scope(
-    names: list[str] | None = None,
-    max_degree: int | None = None,
-    jobs: int = 1,
-) -> list[str]:
+def check_scope(names: list[str] | None = None, max_degree: int | None = None) -> list[str]:
     """The suites to run (all by default), once the whole request is checked.
 
-    The names, the max degree, the job count and the cap of every chosen
-    suite are checked before any suite runs: a bad value or an empty scope
-    raises ValueError, a cap past the degree budget DegreeBudgetExceeded.
+    The names, the max degree and the cap of every chosen suite are checked
+    before any suite runs: a bad value or an empty scope raises ValueError,
+    a cap past the degree budget DegreeBudgetExceeded.
     """
     chosen = list(SUITES) if names is None else list(names)
     for name in chosen:
@@ -465,18 +451,12 @@ def check_scope(
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if max_degree is not None and max_degree < 1:
         raise ValueError(f"max degree must be >= 1, got {max_degree}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for name in chosen:
         _cap(name, max_degree)
     return chosen
 
 
-def run_suites(
-    names: list[str] | None = None,
-    max_degree: int | None = None,
-    jobs: int = 1,
-) -> list[SuiteResult]:
+def run_suites(names: list[str] | None = None, max_degree: int | None = None) -> list[SuiteResult]:
     """Run the named suites (all by default) and return their results.
 
     Every front end goes through here, or through check_scope first, so the
@@ -485,9 +465,9 @@ def run_suites(
     one broken suite does not mask the others.
     """
     results = []
-    for name in check_scope(names, max_degree, jobs):
+    for name in check_scope(names, max_degree):
         try:
-            results.append(SUITES[name](max_degree=max_degree, jobs=jobs))
+            results.append(SUITES[name](max_degree=max_degree))
         except CounterexampleFound as exc:
             results.append(SuiteResult(name, False, f"counterexample: {exc}"))
         except DegreeBudgetExceeded:

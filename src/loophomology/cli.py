@@ -114,7 +114,7 @@ def _cmd_stable_range(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = args.suite or None
-    results = run_suites(names, max_degree=args.max_degree, jobs=args.jobs)
+    results = run_suites(names, max_degree=args.max_degree)
     failed = False
     for r in results:
         if r.passed:
@@ -172,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one suite (repeatable); default is all of them",
     )
     verify.add_argument("--max-degree", type=_int_at_least(1), help="override the sweep cap")
-    verify.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel degree fan-out")
     verify.set_defaults(fn=_cmd_verify)
     return parser
 

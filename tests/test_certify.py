@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
-
 import pytest
 
 from loophomology import certify
@@ -48,7 +46,6 @@ def test_unknown_suite_rejected():
     [
         (["kernel-of-r", "no-such-suite"], {}),
         (["kernel-of-r"], {"max_degree": 0}),
-        (["kernel-of-r"], {"jobs": 0}),
         (["kernel-of-r", "even-squares"], {"max_degree": 3}),
         (["kernel-of-r", "dimension-bounds"], {"max_degree": 1}),
     ],
@@ -175,11 +172,6 @@ def test_the_walk_of_each_space_counts_what_its_degrees_count():
     assert result.passed and ": 2397 identities (" in result.details
 
 
-@pytest.mark.parametrize("name", ["hopf-consistency", "primitive-basis"])
-def test_the_identity_suites_give_one_result_at_any_job_count(name):
-    assert run_suites([name], jobs=1) == run_suites([name], jobs=2)
-
-
 def test_suite_names_are_stable():
     assert list(SUITES) == [
         "kernel-of-r",
@@ -231,12 +223,20 @@ def test_dimension_bounds_is_under_the_budget(monkeypatch):
         run_suites(["dimension-bounds"], max_degree=4)
 
 
-def test_parallel_jobs_agree():
+def test_the_cheap_suites_pass_at_max_degree_9():
     names = ["wellington", "sum-identity", "stable-range", "dimension-bounds"]
-    seq = run_suites(names, max_degree=9, jobs=1)
-    par = run_suites(names, max_degree=9, jobs=2)
-    assert all(r.passed for r in seq + par)
-    assert [r.details for r in seq] == [r.details for r in par]
+    results = run_suites(names, max_degree=9)
+    assert [r.name for r in results] == names
+    assert all(r.passed for r in results)
+
+
+def test_the_join_reads_its_rows_once():
+    # a sweep streams its cases, so _joined may be handed a one-pass iterator
+    rows = [(True, 3, ""), (False, 0, "degree 4: one"), (True, 2, ""), (False, 1, "degree 6: two")]
+    assert certify._joined(iter(rows)) == certify._joined(rows) == (
+        False, 6, "degree 4: one; degree 6: two"
+    )
+    assert certify._joined(iter(rows[::2])) == (True, 5, "")
 
 
 def test_every_suite_resolves_its_cap_and_runs_its_cases_through_the_one_runner(monkeypatch):
@@ -255,51 +255,3 @@ def test_every_suite_resolves_its_cap_and_runs_its_cases_through_the_one_runner(
         calls.clear()
         assert suite(max_degree=certify.FLOORS.get(name, 2)).passed
         assert calls == [("_cap", name), ("_sweep", name)]
-
-
-class _RecordingPool:
-    """Stand-in for ProcessPoolExecutor: records max_workers, starts no process."""
-
-    requested: list[int] = []
-
-    def __init__(self, max_workers: int) -> None:
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_pmap_caps_workers(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "requested", [])
-    monkeypatch.setattr(certify.os, "cpu_count", lambda: 3)
-    assert certify._pmap(abs, range(-5, 0), jobs=64) == [5, 4, 3, 2, 1]
-    assert certify._pmap(abs, [-1, -2], jobs=64) == [1, 2]
-    assert certify._pmap(abs, range(-5, 0), jobs=2) == [5, 4, 3, 2, 1]
-    assert _RecordingPool.requested == [3, 2, 2]
-    monkeypatch.setattr(certify.os, "cpu_count", lambda: None)
-    assert certify._pmap(abs, range(-5, 0), jobs=64) == [5, 4, 3, 2, 1]
-    assert _RecordingPool.requested == [3, 2, 2]  # one worker: no pool at all
-
-
-class _NoPool:
-    def __init__(self, *args, **kwargs) -> None:
-        raise AssertionError("a process pool was started")
-
-
-def test_closed_form_suites_run_inline_at_any_job_count(monkeypatch):
-    names = list(certify.CLOSED_FORM_CAPS)
-    inline = run_suites(names, jobs=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
-    assert run_suites(names, jobs=2) == inline
-    assert all(r.passed for r in inline)
-    # the stub does refuse a suite whose cases go to a pool
-    with pytest.raises(AssertionError, match="process pool"):
-        run_suites(["kernel-of-r"], max_degree=2, jobs=2)

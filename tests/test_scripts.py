@@ -84,7 +84,7 @@ def test_run_certification_checks_every_cap_before_any_suite():
 def test_run_certification_rejects_an_empty_scope():
     proc = run_script(
         "run_certification.py", "--suite", "kernel-of-r", "--suite", "wellington",
-        "--max-degree", "0", "--jobs", "0",
+        "--max-degree", "0",
     )
     assert_one_line_error(proc)
 
