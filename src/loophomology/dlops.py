@@ -20,9 +20,9 @@ Composites are straightened with the mod-2 Adem relations: for r > 2s,
 
     Q^r Q^s = sum over i of C(i-s-1, 2i-r) Q^(r+s-i) Q^i,
 
-rewriting the leftmost inadmissible pair until every sequence is admissible,
-then reading each admissible sequence off as a basis monomial (negative lower
-index: zero; leading zero lower indices: repeated squaring).
+rewriting the leftmost inadmissible pair until every sequence is admissible.
+Packing.admissible_code reads each admissible sequence as a packed code: zero
+on a negative lower index, and a power g^(2^t) on t leading zero ones.
 
 The recursion runs on packed monomial codes of one space (f2algebra.Packing)
 and memoizes on them; a product goes through the Cartan formula
@@ -38,7 +38,6 @@ from .f2algebra import (
     _EMPTY,
     ONE_CODE,
     Element,
-    Generator,
     Packing,
     _degree,
     _mul_sets,
@@ -47,7 +46,7 @@ from .f2algebra import (
     _translation,
     _translation_code,
 )
-from .seqcore import BaseClass, UpperSeq, _lower_fold, lucas_binom, unit_loop_class, upper
+from .seqcore import UpperSeq, lucas_binom, unit_loop_class
 
 
 def adem_pairs(r: int, s: int) -> frozenset[tuple[int, int]]:
@@ -76,30 +75,6 @@ def _normalize_entries(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     return frozenset({entries})
 
 
-def _admissible_factor(
-    entries: tuple[int, ...], base: BaseClass
-) -> tuple[Generator | None, int] | None:
-    """Read an admissible sequence on a base class off as one factor g^e.
-
-    g is None for the translation [e] of the unit-loop model.  Returns None
-    when the composite vanishes (some lower index is negative).
-    """
-    js = _lower_fold(entries, base.dimension)
-    if js and js[0] < 0:  # lower indices are nondecreasing, so the head is the minimum
-        return None
-    t = 0
-    while t < len(js) and js[t] == 0:
-        t += 1
-    if t == len(js) and base.kind == "unit_loop":
-        return None, 2**t
-    return Generator(base, UpperSeq(entries[t:])), 2**t
-
-
-def _factor_code(p: Packing, factor: tuple[Generator | None, int]) -> int:
-    g, e = factor
-    return _translation_code(e) if g is None else p.generator_code(g, e)
-
-
 @lru_cache(maxsize=None)
 def _q_monomial(p: Packing, a: int, m: int) -> frozenset[int]:
     d = _degree(m)
@@ -112,12 +87,9 @@ def _q_monomial(p: Packing, a: int, m: int) -> frozenset[int]:
     if i is None:
         return _q_translation(p, a, _translation(m))
     g = p.gens[i]
-    out: set[int] = set()
-    for entries in _normalize_entries((a,) + g.seq.entries):
-        factor = _admissible_factor(entries, g.base)
-        if factor is not None:
-            out ^= {_factor_code(p, factor)}
-    return frozenset(out)
+    # distinct admissible sequences read as distinct codes (or as zero, None)
+    codes = {p.admissible_code(e, g.base) for e in _normalize_entries((a,) + g.seq.entries)}
+    return frozenset(codes - {None})
 
 
 def _q_cartan(p: Packing, a: int, u: int, v: int) -> frozenset[int]:
@@ -138,7 +110,7 @@ def _q_translation(p: Packing, a: int, k: int) -> frozenset[int]:
     if k == 0:
         return _EMPTY
     if k == 1:
-        return frozenset({p.generator_code(Generator(unit_loop_class(), upper(a)))})
+        return frozenset({p.admissible_code((a,), unit_loop_class())})
     if k % 2 == 0:
         if a % 2:
             return _EMPTY

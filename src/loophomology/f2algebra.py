@@ -16,10 +16,10 @@ none (basis_lines).  Each space's
 generators are listed once per dimension (_generators_of), and a basis walk
 interns them in that order before it runs; a tensor of two codes is one int
 too (_pair).  The operations reach products through Packing.split and
-Packing.peel.  A sum of codes or of tensors is multiplied by one loop,
-_mul_sets, and squared term by term by another, _square_set; the two kinds
-differ only in the constants of CODES and PAIRS.  Packing.root splits off a
-monomial's square part.
+Packing.peel, and Q^I(b) through Packing.admissible_code.  A sum of codes or
+of tensors is multiplied by one loop, _mul_sets, and squared term by term by
+another, _square_set; the two kinds differ only in the constants of CODES and
+PAIRS.  Packing.root splits off a monomial's square part.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .seqcore import (
     UpperSeq,
     _Frozen,
     _Ordered,
+    _lower_fold,
     _set,
     enumerate_admissible,
     excess,
@@ -736,16 +737,26 @@ class Packing:
         return w, code - 2 * (w - ONE_CODE)
 
     def peel(self, i: int) -> tuple[int, int]:
-        """(a, z) with generator i equal to Q^a z, z the code of its argument.
-
-        Generator i must carry an operation; the argument of Q^a[1] is the
-        translation [1].
-        """
+        """(a, z) with generator i, which must carry an operation, equal to Q^a z."""
         g = self.gens[i]
-        a, inner = g.seq.entries[0], g.seq.entries[1:]
-        if not inner and g.base.kind == "unit_loop":
-            return a, _translation_code(1)
-        return a, self.generator_code(Generator(g.base, UpperSeq(inner)))
+        return g.seq.entries[0], self.admissible_code(g.seq.entries[1:], g.base)
+
+    def admissible_code(self, entries: tuple[int, ...], base: BaseClass) -> int | None:
+        """The code of Q^I(base) for an admissible I, or None when it is zero.
+
+        A negative lower index makes the composite zero, and t leading zero
+        lower indices are t squarings: the code is g^(2^t), g the rest of the
+        sequence on base, and [2^t] when nothing rests on the unit-loop base [1].
+        """
+        js = _lower_fold(entries, base.dimension)
+        if js and js[0] < 0:  # lower indices are nondecreasing, so the head is the minimum
+            return None
+        t = 0
+        while t < len(js) and js[t] == 0:
+            t += 1
+        if t == len(js) and base.kind == "unit_loop":
+            return _translation_code(2**t)
+        return self.generator_code(Generator(base, UpperSeq(entries[t:])), 2**t)
 
     def encode(self, m: Monomial) -> int:
         code = self._encoded.get(m)

@@ -47,6 +47,7 @@ from .f2algebra import (
     Packing,
     Pair,
     TensorElement,
+    _base_translation,
     _basis_codes,
     _degree,
     _element_from_codes,
@@ -176,10 +177,9 @@ def is_primitive(e: Element) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _reduced_psi_rows(
-    space: SpaceDesc, degree: int, charge: int | None
-) -> tuple[list[int], list[int]]:
-    """The basis codes of one degree and the masks of their reduced psi.
+def _reduced_psi_rows(space: SpaceDesc, degree: int) -> tuple[list[int], list[int]]:
+    """The basis codes of one degree, charge zero on the unit-loop model, and
+    the masks of their reduced psi.
 
     One matrix per degree: primitive_space takes its kernel, and every p_I of
     the degree reads its target and its correction columns from it.  Full
@@ -191,15 +191,15 @@ def _reduced_psi_rows(
     no kernel combo and no unique _solve: both are fixed by the row order.
     """
     p = _packing(space)
-    codes = _basis_codes(space, degree, charge)
+    codes = _basis_codes(space, degree)
     return codes, masks_for_term_sets(_reduced_psi(p, c) for c in codes)[0]
 
 
 def primitive_space(space: SpaceDesc, degree: int, charge: int | None = None) -> list[Element]:
     """Basis (as elements) of the primitives in one degree."""
-    if space.model == MODEL_QS0 and charge not in (0, None):
+    if _base_translation(space, charge):  # raises on a charge for a one-component space
         raise ChargeNonzero("primitives live on the charge-zero component")
-    codes, masks = _reduced_psi_rows(space, degree, charge)
+    codes, masks = _reduced_psi_rows(space, degree)
     return [_element_from_codes(space, combo, codes) for combo in kernel_of_images(masks)]
 
 
@@ -298,7 +298,7 @@ def _decomposable_columns(degree: int) -> tuple[list[int], Pivots, list[int]]:
     """The decomposable codes of charge-zero degree d, with the pivots of one
     elimination of their reduced-psi rows and the dependencies among them,
     shared by every p_I of the degree."""
-    codes, masks = _reduced_psi_rows(qs0_space(), degree, 0)
+    codes, masks = _reduced_psi_rows(qs0_space(), degree)
     columns = [(c, m) for c, m in zip(codes, masks) if _generator_index(c) is None]
     pivots, kernel = _eliminate([m for _, m in columns], True)
     return [c for c, _ in columns], pivots, kernel
@@ -319,7 +319,7 @@ def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
     lead = Element(space, frozenset({top}))
     # the lead is itself a charge-zero basis code of its degree, so its row
     # is the target
-    codes, masks = _reduced_psi_rows(space, degree, 0)
+    codes, masks = _reduced_psi_rows(space, degree)
     target = masks[codes.index(_packing(space).encode(top))]
     if not target:
         return PrimitiveBasisElement(seq, lead, Element(space, frozenset()))

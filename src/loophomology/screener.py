@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dlops import _admissible_factor, _factor_code, apply_Q, apply_Q_iterated
+from .dlops import apply_Q, apply_Q_iterated
 from .errors import CounterexampleFound, UnsupportedOperand
 from .f2algebra import (
     Element,
@@ -113,10 +113,10 @@ class MInfinityModule:
 
     def _code(self, sym: MSymbol) -> int:
         """The packed code of the symbol's embedding, one factor g^(2^t)."""
-        factor = _admissible_factor(sym.seq.entries, sym.base)
-        if factor is None:
+        code = self.packing.admissible_code(sym.seq.entries, sym.base)
+        if code is None:
             raise CounterexampleFound(f"symbol {sym} embedded to zero")
-        return _factor_code(self.packing, factor)
+        return code
 
     def _symbol(self, code: int) -> MSymbol:
         """The symbol embedding as the code: g^(2^t) is Q^(2^(t-1)|g|, ..., 2|g|, |g|) g."""
@@ -313,7 +313,7 @@ def screen_degree(
     squares: list[Element] = []
     t = (degree & -degree).bit_length() - 1  # 2-adic valuation
     core = degree >> t
-    if t and core >= 1:
+    if t:
         span = [p.encode(m) for m in generator_span(space, core, loop)]
         for power in _pri_ann_kernel(space, core, span):
             for _ in range(t):

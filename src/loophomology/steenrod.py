@@ -39,14 +39,13 @@ from .f2algebra import (
     _EMPTY,
     ONE_CODE,
     Element,
-    Generator,
     Packing,
     _degree,
     _mul_sets,
     _packing,
     _square_set,
 )
-from .seqcore import UpperSeq, lucas_binom
+from .seqcore import lucas_binom
 
 __all__ = ["lucas_binom", "sq_lower", "is_A_annihilated"]
 
@@ -70,7 +69,7 @@ def _sq_total(p: Packing, m: int) -> frozenset[int]:
     if not g.seq:
         for r in range(1, d + 1):
             for t in p.space.base_sq_action(r, g.base):
-                out ^= {p.generator_code(Generator(t, UpperSeq(())))}
+                out ^= {p.admissible_code((), t)}
         return frozenset(out)
     a, z = p.peel(i)
     dz = _degree(z)

@@ -5,12 +5,11 @@ The suspension raises dimension by one, kills decomposables, forgets
 translations, and sends a single generator Q^I(b) to Q^I(b') over the
 suspended base.  The image sequence keeps its excess while the base dimension
 grows by one, so excess equality can appear downstairs: the image is then a
-power monomial, which _admissible_factor already handles.
+power monomial, which Packing.admissible_code reads as such.
 """
 
 from __future__ import annotations
 
-from .dlops import _admissible_factor, _factor_code
 from .f2algebra import (
     Element,
     Monomial,
@@ -57,9 +56,9 @@ def _suspend_codes(source: Packing, target: Packing, codes) -> frozenset[int]:
         if i is None:
             continue  # decomposables and pure translations die
         g = source.gens[i]
-        factor = _admissible_factor(g.seq.entries, source.space.suspended_base(g.base))
-        if factor is not None:
-            out ^= {_factor_code(target, factor)}
+        code = target.admissible_code(g.seq.entries, source.space.suspended_base(g.base))
+        if code is not None:
+            out ^= {code}
     return frozenset(out)
 
 

@@ -6,11 +6,13 @@ import ast
 import pickle
 import random
 import re
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
+from test_extended_module import SPACES
 from test_hopf import tensor_of
+from test_screener import _admissible_to_monomial
 from test_seqcore import check_record
 
 import loophomology
@@ -55,7 +57,7 @@ from loophomology.f2algebra import (
     zero,
 )
 from loophomology.screener import MSymbol
-from loophomology.seqcore import UpperSeq, upper
+from loophomology.seqcore import UpperSeq, _lower_fold, upper
 from loophomology.spaces import SpaceDesc, SqEntry, qs0_space, qsn_space, two_cell_space
 
 QS0 = qs0_space()
@@ -469,6 +471,48 @@ def test_split_and_peel_on_every_basis_monomial(space, charges, max_degree):
                 assert apply_Q(a, Element(space, frozenset({inner}))).terms == {generator_monomial(g)}
 
 
+#: Every admissible tuple of length <= 4 with entries summing to <= 12.
+ADMISSIBLE = [
+    entries
+    for n in range(5)
+    for entries in product(range(13), repeat=n)
+    if sum(entries) <= 12 and all(a <= 2 * b for a, b in zip(entries, entries[1:]))
+]
+
+READER_SPACES = {
+    "qs0": QS0, "qs1": QS1, "two-cell": two_cell_space(), "a1b5-sq4": SPACES["a1b5-sq4"],
+}
+readers = pytest.mark.parametrize("space", READER_SPACES.values(), ids=READER_SPACES.keys())
+
+
+@readers
+def test_admissible_code_reads_the_lower_indices(space):
+    packing = Packing(space)
+    zeros = 0
+    for base in space.base_classes():
+        for entries in ADMISSIBLE:
+            code = packing.admissible_code(entries, base)
+            negative = min(_lower_fold(entries, base.dimension), default=0) < 0
+            assert (code is None) == negative, (entries, base)
+            if code is None:
+                zeros += 1
+            else:
+                assert packing.decode(code) == _admissible_to_monomial(entries, base), entries
+    assert zeros and len(ADMISSIBLE) > 400
+
+
+@readers
+def test_peel_reads_its_tail_as_an_admissible_code(space):
+    packing = Packing(space)
+    gens = [g for g in generators_up_to(space, 12) if g.seq]
+    assert gens
+    for g in gens:
+        head, tail = g.seq.entries[0], g.seq.entries[1:]
+        code = packing.admissible_code(tail, g.base)
+        assert packing.peel(packing.index(g)) == (head, code)
+        assert packing.decode(code) == _admissible_to_monomial(tail, g.base)
+
+
 # --- packed tensors -----------------------------------------------------------
 
 
@@ -564,3 +608,19 @@ def test_only_f2algebra_reads_the_packed_layout():
         if names:
             readers[path.name] = sorted(names)
     assert readers == {}
+
+
+def test_only_f2algebra_packs_a_generator():
+    # Q^I(b) becomes a code through Packing.admissible_code, so the reading
+    # of zero and negative lower indices lives in one place
+    package = Path(loophomology.__file__).parent
+    callers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "f2algebra.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "generator_code"
+    ]
+    assert callers == []

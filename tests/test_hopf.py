@@ -7,6 +7,7 @@ import itertools
 import pytest
 from test_linalg_f2 import in_span
 
+from loophomology import hopf
 from loophomology.dlops import apply_Q, apply_Q_iterated
 from loophomology.errors import ChargeNonzero, NotPrimitive, UnsupportedOperand
 from loophomology.f2algebra import (
@@ -91,6 +92,20 @@ def test_primitive_space_fixtures():
     assert len(primitive_space(QS0, 3, 0)) == 2
     with pytest.raises(ChargeNonzero):
         primitive_space(QS0, 3, charge=2)
+
+
+def test_primitive_space_refuses_a_charge_it_cannot_take():
+    with pytest.raises(ChargeNonzero):
+        primitive_space(QS0, 9, 2)
+    with pytest.raises(ValueError, match="single component"):
+        primitive_space(QS1, 3, 0)
+
+
+def test_one_reduced_psi_matrix_per_degree():
+    # charge None and charge 0 name one basis of qs0
+    hopf._reduced_psi_rows.cache_clear()
+    assert primitive_space(QS0, 9) == primitive_space(QS0, 9, 0)
+    assert hopf._reduced_psi_rows.cache_info().misses == 1
 
 
 def test_halving_map_fixtures():

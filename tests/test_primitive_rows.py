@@ -78,7 +78,7 @@ def test_streamed_rows_give_what_sorted_columns_give(space, charge, degree):
     # _reduced_psi_rows numbers its columns in first-seen order; the same rows
     # summed over sorted columns are the oracle
     p = _packing(space)
-    codes, masks = hopf._reduced_psi_rows(space, degree, charge)
+    codes, masks = hopf._reduced_psi_rows(space, degree)
     assert codes == _basis_codes(space, degree, charge)
     rows = [_reduced_psi(p, c) for c in codes]
     ordered = sum_masks(rows, sorted(set().union(*rows)))

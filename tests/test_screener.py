@@ -11,9 +11,8 @@ import pytest
 
 from loophomology import screener
 from loophomology.certify import suite_even_squares
-from loophomology.dlops import _admissible_factor
 from loophomology.errors import UnsupportedOperand
-from loophomology.f2algebra import Element, generator_monomial, translation_monomial
+from loophomology.f2algebra import Element, Generator, generator_monomial, translation_monomial
 from loophomology.hopf import is_primitive
 from loophomology.screener import (
     EvenSquareDegree,
@@ -35,7 +34,7 @@ from loophomology.screener import (
     sum_identity_check,
     wellington_check,
 )
-from loophomology.seqcore import sphere_class, upper
+from loophomology.seqcore import UpperSeq, _lower_fold, sphere_class, upper
 from loophomology.spaces import qs0_space, qsn_space, two_cell_space
 from loophomology.steenrod import is_A_annihilated
 
@@ -74,13 +73,20 @@ def test_module_action_pullback():
 
 
 def _admissible_to_monomial(entries, base):
-    """The symbol's monomial built directly from its factor g^e, the oracle for
-    MInfinityModule.embed, which decodes the factor's packed code."""
-    factor = _admissible_factor(entries, base)
-    if factor is None:
+    """The monomial Q^I(b) is, for an admissible I, read off its lower
+    indices: None when one is negative (the class is zero), and each zero
+    lower index is Q_0, the square, so t of them give g^(2^t) with g the
+    generator the positive ones name, or [2^t] when they name none on [1].
+    The oracle for Packing.admissible_code and MInfinityModule.embed."""
+    js = _lower_fold(entries, base.dimension)
+    if any(j < 0 for j in js):
         return None
-    g, e = factor
-    return translation_monomial(e) if g is None else generator_monomial(g, e)
+    squarings = [m for m, j in enumerate(js) if j == 0]
+    assert squarings == list(range(len(squarings))), entries  # admissible: zeros lead
+    rest, power = entries[len(squarings):], 2 ** len(squarings)
+    if not rest and base.kind == "unit_loop":
+        return translation_monomial(power)
+    return generator_monomial(Generator(base, UpperSeq(rest)), power)
 
 
 @pytest.mark.parametrize("space", [QS1, two_cell_space()], ids=lambda s: s.label)
