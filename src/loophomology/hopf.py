@@ -313,9 +313,8 @@ def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
         )
     space = qs0_space()
     degree = sum(entries)
-    top = generator_monomial(
-        Generator(space.base_classes()[0], seq), translation=-(2 ** len(entries))
-    )
+    lead_gen = Generator(space.base_classes()[0], seq)
+    top = generator_monomial(lead_gen, 1, -lead_gen.charge)
     lead = Element(space, frozenset({top}))
     # the lead is itself a charge-zero basis code of its degree, so its row
     # is the target

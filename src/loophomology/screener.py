@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dlops import apply_Q, apply_Q_iterated
+from .dlops import apply_Q
 from .errors import CounterexampleFound, UnsupportedOperand
 from .f2algebra import (
     Element,
+    Generator,
     Monomial,
     _basis_codes,
     _degree,
@@ -29,12 +30,11 @@ from .f2algebra import (
     _packing,
     _picked,
     _square_set,
-    base_element,
     element_from_mask,
+    generator_monomial,
     masks_for_term_sets,
     single_generators,
     split_decomposable,
-    translation_class,
 )
 from .hopf import _reduced_psi, is_primitive, primitive_space
 from .linalg_f2 import echelon, kernel_of_images, span_intersection
@@ -368,7 +368,8 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
     Kernel route: squares in H_{2 degree} are never hit by suspending a
     primitive annihilated class of H_{2 degree - 1} of the predecessor space,
     and candidates above the bottom cell must arrive by suspension.  Mechanism
-    route: for each primitive root, desuspend its single-operation part to P0;
+    route: for each primitive root, desuspend its single-operation part to P0,
+    each Q^I b to the generator Q^I b' at charge zero (excess(I) > |b| > |b'|);
     the class Q^degree(P0) is not annihilated, because Sq^1_* Q^degree =
     Q^(degree - 1) lands on the bottom operation and squares P0.  A root with
     no single-operation part is a sum of squares and is handled at half its
@@ -403,14 +404,9 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
         if not linear:
             entries.append(MechanismEntry(str(root), False, None, None))
             continue
-        p0 = Element(pred, frozenset())
-        for m in linear.terms:
-            g = m.factors[0][0]
-            down = base_element(pred, space.desuspended_base(g.base))
-            piece = apply_Q_iterated(g.seq, down)
-            if pred.model == MODEL_QS0:
-                piece = piece * translation_class(pred, -(2 ** len(g.seq)))
-            p0 = p0 + piece
+        gens = [m.factors[0][0] for m in linear.terms]
+        downs = [Generator(space.desuspended_base(g.base), g.seq) for g in gens]
+        p0 = Element(pred, frozenset(generator_monomial(h, 1, -h.charge) for h in downs))
         w0 = apply_Q(degree, p0)
         product = p0 * p0
         entries.append(

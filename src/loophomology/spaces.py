@@ -275,7 +275,9 @@ def space_from_dict(data: dict) -> SpaceDesc:
                 raise ValueError("cell dim must be an integer >= 1")
             cells.append((name, dim))
         actions: list[SqEntry] = []
-        for row in data.get("sq_action", []) or []:
+        if not isinstance(data.get("sq_action", []), (list, type(None))):
+            raise ValueError("sq_action must be a list of rows or null")
+        for row in data.get("sq_action") or []:
             if not isinstance(row, dict) or set(row) != {"r", "from", "to"}:
                 raise ValueError("each sq_action row must have exactly r, from, to")
             r, src, targets = row["r"], row["from"], row["to"]

@@ -214,6 +214,26 @@ def test_ambiguous_sq_action_rows_exit_2(tmp_path, capsys, rows):
     assert code == 2 and out == "" and err
 
 
+@pytest.mark.parametrize("rows", [5, True, 0, False, "b", {}], ids=repr)
+def test_an_sq_action_that_is_not_a_list_exits_2_naming_the_field(tmp_path, capsys, rows):
+    # 5 and true used to end in Python's "'int' object is not iterable", and
+    # 0, false and {} were read as no rows
+    desc = {"model": "sigma2", "cells": [{"name": "a", "dim": 1}], "sq_action": rows}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(desc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "basis", "--space", str(path), "--degree", "3")
+    assert (code, out, err) == (2, "", "error: sq_action must be a list of rows or null\n")
+
+
+@pytest.mark.parametrize("desc", [{}, {"sq_action": None}, {"sq_action": []}], ids=repr)
+def test_a_missing_or_null_sq_action_means_no_rows(tmp_path, capsys, desc):
+    desc = {"model": "sigma2", "cells": [{"name": "a", "dim": 1}], **desc}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(desc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "basis", "--space", str(path), "--degree", "3")
+    assert (code, out, err) == (0, "a_3\n", "")
+
+
 NOT_A_MODULES = {
     # Sq^1_* Sq^1_* c = a, but Sq^1 Sq^1 = 0; without the check, screen
     # --degree 12 exits 0 and prints "square a_3^4"

@@ -8,12 +8,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_steenrod import _workload_descriptions
 
 from loophomology import screener
 from loophomology.certify import suite_even_squares
+from loophomology.dlops import apply_Q_iterated
 from loophomology.errors import UnsupportedOperand
-from loophomology.f2algebra import Element, Generator, generator_monomial, translation_monomial
-from loophomology.hopf import is_primitive
+from loophomology.f2algebra import (
+    Element,
+    Generator,
+    base_element,
+    generator_monomial,
+    split_decomposable,
+    translation_class,
+    translation_monomial,
+)
+from loophomology.hopf import is_primitive, primitive_space
 from loophomology.screener import (
     EvenSquareDegree,
     MechanismEntry,
@@ -35,7 +45,15 @@ from loophomology.screener import (
     wellington_check,
 )
 from loophomology.seqcore import UpperSeq, _lower_fold, sphere_class, upper
-from loophomology.spaces import qs0_space, qsn_space, two_cell_space
+from loophomology.spaces import (
+    MODEL_QS0,
+    SqEntry,
+    qs0_space,
+    qsn_space,
+    space_from_dict,
+    suspension_space,
+    two_cell_space,
+)
 from loophomology.steenrod import is_A_annihilated
 
 QS1 = qsn_space(1)
@@ -197,6 +215,60 @@ def test_mechanism_route_desuspends_to_charge_zero(monkeypatch):
     checked = sum(m.has_linear_part for e in entries for m in e.mechanism)
     assert checked and len(seen) == checked
     assert all(p0.space == qs0_space() and p0.charge == 0 for p0 in seen)
+
+
+def former_p0(space, root: Element) -> Element:
+    """P0 as the mechanism route first built it: Q^I applied to the
+    desuspended base class through Adem straightening and the Cartan
+    formula, then moved to charge zero on qs0."""
+    pred = space.predecessor()
+    p0 = Element(pred, frozenset())
+    for m in split_decomposable(root)[0].terms:
+        g = m.factors[0][0]
+        piece = apply_Q_iterated(g.seq, base_element(pred, space.desuspended_base(g.base)))
+        if pred.model == MODEL_QS0:
+            piece = piece * translation_class(pred, -(2 ** len(g.seq)))
+        p0 = p0 + piece
+    return p0
+
+
+#: space, top even root dimension, and how many roots there have a linear part
+P0_CASES = {
+    "qs1": (QS1, 12, 7),
+    "qs2": (qsn_space(2), 12, 5),
+    "two-cell": (two_cell_space(), 8, 2),
+    "a1b5-sq4": (suspension_space({"a": 1, "b": 5}, (SqEntry(4, "b", ("a",)),)), 12, 3),
+    **{
+        name: (space_from_dict(d), 12, roots)
+        for (name, d), roots in zip(_workload_descriptions().items(), (6, 6, 4))
+    },
+}
+
+
+@pytest.mark.parametrize("name", P0_CASES)
+def test_mechanism_route_reads_p0_as_the_former_evaluation(monkeypatch, name):
+    # the route reads each Q^I b as the generator Q^I b' of the predecessor;
+    # excess(I) > |b| > |b'|, so straightening Q^I b' changes nothing
+    space, top, roots = P0_CASES[name]
+    seen = []
+    real = screener.apply_Q
+
+    def spy(a, e):
+        seen.append(e)
+        return real(a, e)
+
+    monkeypatch.setattr(screener, "apply_Q", spy)
+    # only the mechanism route is under test
+    monkeypatch.setattr(screener, "primitive_annihilated_basis", lambda pred, degree: [])
+    expected = []
+    for degree in range(2, top + 1, 2):
+        even_square_screen_at(space, degree)
+        expected += [
+            former_p0(space, root)
+            for root in primitive_space(space, degree)
+            if split_decomposable(root)[0]
+        ]
+    assert len(expected) == roots and seen == expected
 
 
 def test_even_square_witnesses_print_in_structural_order(monkeypatch):
