@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from .errors import NotASquare, PackedFieldOverflow, SpaceMismatch, UnsupportedOperand
 from .seqcore import (
+    Applied,
     BaseClass,
     UpperSeq,
     _Frozen,
@@ -38,14 +39,12 @@ from .seqcore import (
     _set,
     enumerate_admissible,
     excess,
-    is_admissible,
     upper,
-    upper_dim,
 )
 from .spaces import MODEL_QS0, SpaceDesc
 
 
-class Generator(_Ordered):
+class Generator(Applied):
     """Polynomial generator Q^I(b), admissible I with excess(I) > dim b.
 
     The empty sequence stands for the base class itself.  On the unit-loop
@@ -53,16 +52,10 @@ class Generator(_Ordered):
     nonempty.
     """
 
-    __slots__ = _fields = ("base", "seq")
-
-    def __init__(self, base: BaseClass, seq: UpperSeq) -> None:
-        _set(self, "base", base)
-        _set(self, "seq", seq)
-        self.__post_init__()
+    __slots__ = ()
 
     def __post_init__(self) -> None:
-        if not is_admissible(self.seq):
-            raise ValueError(f"sequence {self.seq.entries} is not admissible")
+        super().__post_init__()
         if excess(self.seq) <= self.base.dimension:
             raise ValueError(
                 f"excess {excess(self.seq)} does not exceed base dimension "
@@ -70,10 +63,6 @@ class Generator(_Ordered):
             )
         if self.base.kind == "unit_loop" and not self.seq:
             raise ValueError("the unit-loop base class itself is the translation [1]")
-
-    @property
-    def dimension(self) -> int:
-        return upper_dim(self.seq, self.base.dimension)
 
     @property
     def charge(self) -> int:

@@ -38,17 +38,7 @@ from .f2algebra import (
 )
 from .hopf import _reduced_psi, is_primitive, primitive_space
 from .linalg_f2 import echelon, kernel_of_images, span_intersection
-from .seqcore import (
-    BaseClass,
-    UpperSeq,
-    _Ordered,
-    _set,
-    all_entries_odd,
-    enumerate_admissible,
-    excess,
-    is_admissible,
-    upper_dim,
-)
+from .seqcore import Applied, UpperSeq, all_entries_odd, enumerate_admissible, excess
 from .spaces import MODEL_QS0, SpaceDesc
 from .steenrod import _sq_monomial, _sq_total, is_A_annihilated, sq_lower
 from .suspension import _suspend_codes, within_loop_filtration
@@ -57,29 +47,19 @@ from .suspension import _suspend_codes, within_loop_filtration
 # The extended module M(X).
 
 
-class MSymbol(_Ordered):
+class MSymbol(Applied):
     """Basis symbol Q^I(b) of the extended module: excess(I) >= dim b.
 
     Equality of excess and base dimension is allowed here; those symbols embed
     as power monomials of the honest homology rather than as generators.
     """
 
-    __slots__ = _fields = ("base", "seq")
-
-    def __init__(self, base: BaseClass, seq: UpperSeq) -> None:
-        _set(self, "base", base)
-        _set(self, "seq", seq)
-        self.__post_init__()
+    __slots__ = ()
 
     def __post_init__(self) -> None:
-        if not is_admissible(self.seq):
-            raise ValueError(f"sequence {self.seq.entries} is not admissible")
+        super().__post_init__()
         if excess(self.seq) < self.base.dimension:
             raise ValueError("excess below base dimension; the symbol vanishes")
-
-    @property
-    def dimension(self) -> int:
-        return upper_dim(self.seq, self.base.dimension)
 
     @property
     def all_entries_odd(self) -> bool:

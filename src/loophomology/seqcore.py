@@ -300,6 +300,29 @@ class BaseClass(_Ordered):
         return "[1]" if self.kind == KIND_UNIT_LOOP else f"x_{self.dimension}"
 
 
+class Applied(_Ordered):
+    """Q^I(b): an admissible sequence I applied to a base class b.
+
+    Generator and the extended module's MSymbol subclass it; each adds its own
+    excess bound to __post_init__ after this admissibility check.
+    """
+
+    __slots__ = _fields = ("base", "seq")
+
+    def __init__(self, base: BaseClass, seq: UpperSeq) -> None:
+        _set(self, "base", base)
+        _set(self, "seq", seq)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        if not is_admissible(self.seq):
+            raise ValueError(f"sequence {self.seq.entries} is not admissible")
+
+    @property
+    def dimension(self) -> int:
+        return upper_dim(self.seq, self.base.dimension)
+
+
 def sphere_class(n: int) -> BaseClass:
     return BaseClass(KIND_SPHERE, n)
 

@@ -324,6 +324,8 @@ def space_to_dict(space: SpaceDesc) -> dict:
         return {"model": MODEL_QS0}
     if space.model == MODEL_QSN:
         return {"model": MODEL_QSN, "n": space.n}
+    if space.level != 2:
+        raise ValueError(f"a description file holds a double suspension, not level {space.level}")
     return {
         "model": FILE_MODEL_SIGMA2,
         "cells": [{"name": n, "dim": d} for n, d in space.x_cells],

@@ -57,7 +57,7 @@ from loophomology.f2algebra import (
     zero,
 )
 from loophomology.screener import MSymbol
-from loophomology.seqcore import UpperSeq, _lower_fold, upper
+from loophomology.seqcore import Applied, UpperSeq, _lower_fold, upper
 from loophomology.spaces import SpaceDesc, SqEntry, qs0_space, qsn_space, two_cell_space
 
 QS0 = qs0_space()
@@ -372,6 +372,23 @@ def test_invalid_input_raises_through_post_init(build, message, monkeypatch):
     for cls in (Generator, Monomial, SpaceDesc, MSymbol):
         monkeypatch.setattr(cls, "__post_init__", lambda self: None)
     build()
+
+
+def test_generator_and_msymbol_share_one_record():
+    # Applied holds Q^I(b)'s fields, __init__, admissibility check and
+    # dimension; each subclass keeps only its excess bound and what it adds
+    for cls in (Generator, MSymbol):
+        assert cls.__bases__ == (Applied,) and cls.__slots__ == ()
+        assert not {"__init__", "_fields", "dimension"} & set(vars(cls))
+    g, s = Generator(_X1, upper(2)), MSymbol(_X1, upper(2))
+    assert (g.base, g.seq, g.dimension) == (s.base, s.seq, s.dimension) == (_X1, upper(2), 3)
+    # records compare only within one exact class
+    assert g != s and not g == s and len({g, s}) == 2
+    with pytest.raises(TypeError):
+        g < s
+    src = Path(loophomology.__file__).parent
+    assert [p.name for p in src.glob("*.py") if "is not admissible" in p.read_text()] == [
+        "seqcore.py"]
 
 
 # --- packed monomials ---------------------------------------------------------

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -129,3 +132,79 @@ def test_bound_tables_stays_inside_the_degree_budget():
     proc = run_script("bound_tables.py", "--max-l", "5", LOOPHOMOLOGY_MAX_DEGREE="4")
     assert_one_line_error(proc)
     assert proc.returncode == 1 and "degree 5 exceeds the budget of 4" in proc.stderr
+
+
+def _bench_snapshot():
+    spec = importlib.util.spec_from_file_location(
+        "bench_snapshot", ROOT / "scripts" / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [[], ["--pr", "0"], ["--pr", "x"], ["--pr", "1", "--seconds", "3"]])
+def test_bench_snapshot_checks_its_arguments_before_any_run(argv, monkeypatch, capsys):
+    snap = _bench_snapshot()
+    ran = []
+    monkeypatch.setattr(snap, "compileall", SimpleNamespace(compile_dir=ran.append))
+    monkeypatch.setattr(snap, "subprocess", SimpleNamespace(run=ran.append))
+    with pytest.raises(SystemExit) as exc:
+        snap.main(argv)
+    assert exc.value.code == 2 and ran == [] and capsys.readouterr().out == ""
+    proc = run_script("bench_snapshot.py", *argv)
+    assert proc.returncode == 2 and proc.stdout == "" and "--pr" in proc.stderr
+
+
+def _canned_run(trace: int) -> str:
+    """What perfbench/run.py --workload all prints, cut to two workloads."""
+    lines = []
+    for w in ("certify-hopf", "cli-session"):
+        lines.append(f"{w:20s} {'wall_s':44s} {0.5:14.6g} s      n=3")
+        lines.append(f"{w:20s} info: failed_frac=0/40 sha=abc123 python=3.11.7 nproc=2 "
+                     f"repo.src_lines=3759 host.probe_s=0.1500/{0.16 + trace:.4f}")
+    metrics = {"certify-hopf.wall_s": {"value": 0.18, "unit": "s"}} if not trace else {
+        "certify-hopf.hopf.coproduct.calls": {"value": 0, "unit": "count"},
+        "certify-hopf.steenrod.sq_lower.calls": {"value": 12, "unit": "count"},
+        "certify-hopf.repo.src_lines": {"value": 3759, "unit": "lines"},
+    }
+    lines.append(json.dumps({"correct": True, "attempted": 80, "failed": 0, "metrics": metrics}))
+    return "\n".join(lines) + "\n"
+
+
+def test_bench_snapshot_writes_what_the_harness_printed(tmp_path, monkeypatch, capsys):
+    snap = _bench_snapshot()
+    outputs = [_canned_run(0), _canned_run(1)]
+    compiled, ran = [], []
+
+    def harness(argv, **kwargs):
+        ran.append((argv, kwargs["cwd"]))
+        assert compiled == [tmp_path / "src"]  # compiled before the first run
+        return SimpleNamespace(returncode=0, stdout=outputs[len(ran) - 1])
+
+    monkeypatch.setattr(snap, "ROOT", tmp_path)
+    monkeypatch.setattr(snap, "compileall", SimpleNamespace(
+        compile_dir=lambda path, **kwargs: compiled.append(path)))
+    monkeypatch.setattr(snap, "subprocess", SimpleNamespace(run=harness))
+    assert snap.main(["--pr", "33"]) == 0 and capsys.readouterr().out == "BENCH_33.json\n"
+    assert ran == [([sys.executable, *command[1:]], tmp_path) for command in snap.COMMANDS]
+    content = json.loads((tmp_path / "BENCH_33.json").read_text(encoding="utf-8"))
+    assert list(content) == ["pr", "runs", "notes"] and content["pr"] == 33
+    commands = [run["command"] for run in content["runs"]]
+    assert commands == [
+        f"python3 perfbench/run.py --workload all --seed 1 --seconds {snap.SECONDS} --trace {t}"
+        for t in (0, 1)
+    ]
+    for run, stdout in zip(content["runs"], outputs):
+        assert run["result"] == json.loads(stdout.splitlines()[-1])
+        assert list(run["info"]) == ["certify-hopf", "cli-session"]
+        assert run["info"]["cli-session"]["repo.src_lines"] == 3759
+    assert content["runs"][1]["info"]["certify-hopf"] == {
+        "sha": "abc123", "python": "3.11.7", "nproc": 2, "repo.src_lines": 3759,
+        "host.probe_s": [0.15, 1.16],
+    }
+    notes = content["notes"]
+    assert "21 MB" in notes and "masks_for_term_sets" in notes
+    assert "1 of 2 per-layer *.calls counters read 0" in notes
+    assert "certify-hopf.hopf.coproduct.calls" in notes and "sq_lower" not in notes
+    with pytest.raises(ValueError):
+        snap.snapshot(33, [_canned_run(0), ""])

@@ -90,6 +90,17 @@ def test_file_round_trip():
         assert space_from_dict(space_to_dict(space)) == space
 
 
+@pytest.mark.parametrize("space, level", [
+    (two_cell_space().predecessor(), 1), (two_cell_space().successor(), 3),
+])
+def test_file_refuses_a_suspension_level_it_cannot_hold(space, level):
+    # a file has no level field and reads back as level 2, a different space
+    assert space.level == level
+    with pytest.raises(ValueError) as exc:
+        space_to_dict(space)
+    assert str(exc.value) == f"a description file holds a double suspension, not level {level}"
+
+
 def test_file_rejects_unknown_fields():
     with pytest.raises(ValueError):
         space_from_dict({"model": "qs0", "extra": 1})
