@@ -10,9 +10,12 @@ uncompiled tree recompiles every module in every fresh process.  Then runs
 perfbench/run.py --workload all with --trace 0 and then with --trace 1, both
 with seed 1 and a fixed --seconds, and writes BENCH_<pr>.json at the
 repository root.  The file holds each run's command line, the JSON result
-it printed last, the host fields of its `info:` lines, and a `notes` field
-with the harness's known flaws.  Exits 1 with one stderr line if a run
-fails to finish, and 3 if a run finished with a job that failed.
+it printed last, the host fields of its `info:` lines, a `notes` field
+with the harness's known flaws, and `src_status`: the `git status
+--porcelain -- src` lines of the measured tree, so a snapshot of an edited
+tree says so ([] for a clean tree, null where git cannot say).  Exits 1
+with one stderr line if a run fails to finish, and 3 if a run finished with
+a job that failed.
 """
 
 from __future__ import annotations
@@ -79,6 +82,17 @@ def snapshot(pr: int, outputs: list[str]) -> dict:
     return {"pr": pr, "runs": runs, "notes": notes}
 
 
+def src_status() -> list[str] | None:
+    """The `git status --porcelain -- src` lines of this checkout, or None
+    where git is missing or this is not a git checkout."""
+    try:
+        done = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout.splitlines() if done.returncode == 0 else None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
@@ -86,6 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.pr < 1:
         ap.error(f"--pr must be >= 1, got {args.pr}")
 
+    status = src_status()
     compileall.compile_dir(ROOT / "src", quiet=1)
     outputs = []
     for command in COMMANDS:
@@ -98,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         content = snapshot(args.pr, outputs)
     except (ValueError, KeyError) as exc:
         raise SystemExit(f"error: unreadable harness output: {exc}") from None
+    content["src_status"] = status
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(content, indent=2) + "\n", encoding="utf-8")
     print(path.name)

@@ -89,46 +89,46 @@ class SuiteResult(NamedTuple):
     details: str
 
 
-#: The default sweep cap of every suite inside the degree budget.
-CAPS = {
-    "kernel-of-r": 16,
-    "primitive-basis": 13,
-    "even-squares": 20,
-    "wellington": 15,
-    "suspension-kernel": 12,
-    "hopf-consistency": 10,
-    "dimension-bounds": 10,
-}
+#: Each suite's scope, from its declaration: (default cap, floor, budgeted).
+SCOPES: dict[str, tuple[int, int, bool]] = {}
+#: Each suite by name, in declaration order.
+SUITES: dict = {}
 
-#: The default cap of the suites whose checks are closed forms: they sweep no
-#: homology and stay outside the degree budget.
-CLOSED_FORM_CAPS = {"sum-identity": 30, "stable-range": 10}
 
-#: The least cap that checks anything, where it is above 1: even-squares
-#: needs the even root 2, dimension-bounds the level l = 2.
-FLOORS = {"even-squares": 4, "dimension-bounds": 2}
+def _suite(name: str, cap: int, floor: int = 1, budgeted: bool = True):
+    """Declare a suite: its default cap, its floor (the least cap that checks
+    anything) and whether the degree budget holds its cap.
+
+    The body takes the resolved cap and returns (check, cases, summary).  The
+    suite checks the cases one at a time in this process, check(case) giving
+    (ok, count, detail), and fails with the failing details joined or passes
+    with summary(sum of the counts).
+    """
+
+    def declare(body):
+        def suite(max_degree: int | None = None) -> SuiteResult:
+            check, cases, summary = body(_cap(name, max_degree))
+            ok, total, detail = _joined(map(check, cases))
+            return SuiteResult(name, ok, summary(total) if ok else detail)
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        SCOPES[name] = (cap, floor, budgeted)
+        SUITES[name] = suite
+        return suite
+
+    return declare
 
 
 def _cap(name: str, max_degree: int | None) -> int:
-    """The suite's sweep cap, refused if below its floor or, for a suite in
-    CAPS, past the degree budget."""
-    cap = (CAPS | CLOSED_FORM_CAPS)[name] if max_degree is None else max_degree
-    if name in CAPS:
+    """The suite's sweep cap, refused if below its floor or, for a budgeted
+    suite, past the degree budget."""
+    default, floor, budgeted = SCOPES[name]
+    cap = default if max_degree is None else max_degree
+    if budgeted:
         ensure_degree_allowed(cap)
-    floor = FLOORS.get(name, 1)
     if cap < floor:
         raise ValueError(f"{name} scope is empty: max degree {cap} is below {floor}")
     return cap
-
-
-def _sweep(name: str, check, cases, summary) -> SuiteResult:
-    """Run check on every case, one at a time, in this process.
-
-    check(case) returns (ok, count, detail).  The suite fails with the details
-    of the failing cases joined, or passes with summary(sum of the counts).
-    """
-    ok, total, detail = _joined(map(check, cases))
-    return SuiteResult(name, ok, summary(total) if ok else detail)
 
 
 def _joined(rows) -> tuple[bool, int, str]:
@@ -158,10 +158,10 @@ def _kernel_of_r_case(degree: int) -> tuple[bool, int, str]:
     return False, 0, f"degree {degree}: extra {extra}, missing {missing}"
 
 
-def suite_kernel_of_r(max_degree: int | None = None) -> SuiteResult:
-    cap = _cap("kernel-of-r", max_degree)
-    return _sweep("kernel-of-r", _kernel_of_r_case, range(1, cap + 1),
-                  lambda n: f"degrees 1..{cap}, lengths <= 3, {n} kernel vectors matched")
+@_suite("kernel-of-r", 16)
+def suite_kernel_of_r(cap: int):
+    return _kernel_of_r_case, range(1, cap + 1), (
+        lambda n: f"degrees 1..{cap}, lengths <= 3, {n} kernel vectors matched")
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +196,10 @@ def _primitive_basis_case(degree: int) -> tuple[bool, int, str]:
     return True, len(family), ""
 
 
-def suite_primitive_basis(max_degree: int | None = None) -> SuiteResult:
-    cap = _cap("primitive-basis", max_degree)
-    return _sweep("primitive-basis", _primitive_basis_case, range(1, cap + 1, 2),
-                  lambda _: f"odd degrees <= {cap}: unique corrections, independent, spanning")
+@_suite("primitive-basis", 13)
+def suite_primitive_basis(cap: int):
+    return _primitive_basis_case, range(1, cap + 1, 2), (
+        lambda _: f"odd degrees <= {cap}: unique corrections, independent, spanning")
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +212,14 @@ def _even_square_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
     return entry.ok, 0, f"{space.label} d={degree}: " + "; ".join(entry.failures)
 
 
-def suite_even_squares(max_degree: int | None = None) -> SuiteResult:
-    cap = _cap("even-squares", max_degree)
+@_suite("even-squares", 20, floor=4)  # cap 4 reaches the first even root, 2
+def suite_even_squares(cap: int):
     half = cap // 2
     cases = [(qsn_space(1), d) for d in range(2, half + 1, 2)]
     cases += [(two_cell_space(), d) for d in range(2, min(8, half) + 1, 2)]
-    return _sweep("even-squares", _even_square_case, cases, lambda _: (
+    return _even_square_case, cases, lambda _: (
         f"roots of even dimension <= {half} over qs1, <= {min(8, half)} over the "
-        "two-cell model: no annihilated primitive square survives either route"))
+        "two-cell model: no annihilated primitive square survives either route")
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +235,13 @@ def _wellington_case(args: tuple[SpaceDesc, int]) -> tuple[bool, int, str]:
     return report.ok, len(report.annihilated), detail
 
 
-def suite_wellington(max_degree: int | None = None) -> SuiteResult:
-    cap = _cap("wellington", max_degree)
+@_suite("wellington", 15)
+def suite_wellington(cap: int):
     cases = [(qsn_space(1), d) for d in range(1, cap + 1, 2)]
     cases += [(two_cell_space(), d) for d in range(1, min(11, cap) + 1, 2)]
-    return _sweep("wellington", _wellington_case, cases, lambda n: (
+    return _wellington_case, cases, lambda n: (
         f"odd degrees <= {cap} (sphere) and <= {min(11, cap)} (two-cell): "
-        f"{n} annihilated vectors, all inside the all-odd-entry span"))
+        f"{n} annihilated vectors, all inside the all-odd-entry span")
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +271,11 @@ def _suspension_degree(space: SpaceDesc, degree: int, codes: list[int]) -> tuple
     )
 
 
-def suite_suspension_kernel(max_degree: int | None = None) -> SuiteResult:
-    cap = _cap("suspension-kernel", max_degree)
+@_suite("suspension-kernel", 12)
+def suite_suspension_kernel(cap: int):
     cases = [(space, range(1, cap + 1)) for space in (qs0_space(), qsn_space(1))]
-    return _sweep("suspension-kernel", _suspension_walk, cases, lambda _: (
-        f"degrees <= {cap} out of qs0 and qs1: kernel of the suspension = decomposable span"))
+    return _suspension_walk, cases, lambda _: (
+        f"degrees <= {cap} out of qs0 and qs1: kernel of the suspension = decomposable span")
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +286,10 @@ def _sum_identity_case(k: int) -> tuple[bool, int, str]:
     return sum_identity_check(k), 1, f"fails at k={k}"
 
 
-def suite_sum_identity(max_degree: int | None = None) -> SuiteResult:
-    cap = _cap("sum-identity", max_degree)
-    return _sweep("sum-identity", _sum_identity_case, range(1, cap + 1),
-                  lambda _: f"k <= {cap}: sum(2^(i-1) i) == 2^k (k-1) + 1")
+@_suite("sum-identity", 30, budgeted=False)  # a closed form: no homology swept
+def suite_sum_identity(cap: int):
+    return _sum_identity_case, range(1, cap + 1), (
+        lambda _: f"k <= {cap}: sum(2^(i-1) i) == 2^k (k-1) + 1")
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +361,12 @@ def _hopf_degree(
     return True, checked, ""
 
 
-def suite_hopf_consistency(max_degree: int | None = None) -> SuiteResult:
-    cap = _cap("hopf-consistency", max_degree)
+@_suite("hopf-consistency", 10)
+def suite_hopf_consistency(cap: int):
     cases = [(space, range(1, cap + 1)) for space in (qsn_space(1), qs0_space())]
-    return _sweep("hopf-consistency", _hopf_walk, cases, lambda n: (
+    return _hopf_walk, cases, lambda n: (
         f"degrees <= {cap} on qs1 and charge-0 qs0: {n} identities "
-        "(coassociativity, cocommutativity, counit, multiplicativity, Sq^1 Sq^1 = 0)"))
+        "(coassociativity, cocommutativity, counit, multiplicativity, Sq^1 Sq^1 = 0)")
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +391,13 @@ def _dimension_bounds_case(l: int) -> tuple[bool, int, str]:
     return True, 1, ""
 
 
-def suite_dimension_bounds(max_degree: int | None = None) -> SuiteResult:
-    cap = _cap("dimension-bounds", max_degree)
+@_suite("dimension-bounds", 10, floor=2)  # cap 2 reaches the first level, l = 2
+def suite_dimension_bounds(cap: int):
     reports = [bounds_report(l, -1) for l in range(2, cap + 1)]
     notes = [f"l={r.l} printed {r.printed} oracle {r.oracle}" for r in reports if r.discrepancy]
-    return _sweep("dimension-bounds", _dimension_bounds_case, range(2, cap + 1), lambda _: (
+    return _dimension_bounds_case, range(2, cap + 1), lambda _: (
         f"2 <= l <= {cap}: exhaustive max equals closed form; discrepancies "
-        "against the printed doubled bound: " + "; ".join(notes)))
+        "against the printed doubled bound: " + "; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -415,40 +415,29 @@ def _stable_range_case(args: tuple[int, int]) -> tuple[bool, int, str]:
     return True, 1, ""
 
 
-def suite_stable_range(max_degree: int | None = None) -> SuiteResult:
-    cap = _cap("stable-range", max_degree)
+@_suite("stable-range", 10, budgeted=False)  # a closed form: no homology swept
+def suite_stable_range(cap: int):
     cases = ((n, l) for n in range(1, cap + 1) for l in range(1, cap + 1))
-    return _sweep("stable-range", _stable_range_case, cases, lambda _: (
-        f"1 <= l, n <= {cap}: bound_main1 + 1 always falls beyond the stable range"))
+    return _stable_range_case, cases, lambda _: (
+        f"1 <= l, n <= {cap}: bound_main1 + 1 always falls beyond the stable range")
 
 
 # ---------------------------------------------------------------------------
 # Orchestration.
 
-SUITES = {
-    "kernel-of-r": suite_kernel_of_r,
-    "primitive-basis": suite_primitive_basis,
-    "even-squares": suite_even_squares,
-    "wellington": suite_wellington,
-    "suspension-kernel": suite_suspension_kernel,
-    "sum-identity": suite_sum_identity,
-    "hopf-consistency": suite_hopf_consistency,
-    "dimension-bounds": suite_dimension_bounds,
-    "stable-range": suite_stable_range,
-}
-
 
 def check_scope(names: list[str] | None = None, max_degree: int | None = None) -> list[str]:
-    """The suites to run (all by default), once the whole request is checked.
+    """The suites to run (all by default, each once), once the whole request
+    is checked.
 
     The names, the max degree and the cap of every chosen suite are checked
     before any suite runs: a bad value or an empty scope raises ValueError,
     a cap past the degree budget DegreeBudgetExceeded.
     """
-    chosen = list(SUITES) if names is None else list(names)
+    chosen = list(SCOPES if names is None else dict.fromkeys(names))
     for name in chosen:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        if name not in SCOPES:
+            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SCOPES)}")
     if max_degree is not None and max_degree < 1:
         raise ValueError(f"max degree must be >= 1, got {max_degree}")
     for name in chosen:

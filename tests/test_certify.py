@@ -9,6 +9,8 @@ from loophomology.certify import (
     BUDGET_ENV,
     DEFAULT_DEGREE_BUDGET,
     SUITES,
+    SuiteResult,
+    check_scope,
     degree_budget,
     ensure_degree_allowed,
     run_suites,
@@ -61,7 +63,8 @@ def test_bad_arguments_are_rejected_before_any_suite_runs(monkeypatch, names, kw
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_a_suite_called_directly_refuses_a_cap_below_its_floor(name):
-    below = certify.FLOORS.get(name, 1) - 1
+    _, floor, _ = certify.SCOPES[name]
+    below = floor - 1
     with pytest.raises(ValueError, match=f"{name} scope is empty: max degree {below} is below"):
         SUITES[name](max_degree=below)
 
@@ -79,9 +82,42 @@ def test_every_cap_is_checked_before_any_suite_runs(monkeypatch):
         run_suites()
 
 
+def test_declaring_a_suite_is_one_step(monkeypatch):
+    # the throwaway suites go into copies of the two tables, so nothing leaks
+    monkeypatch.setattr(certify, "SUITES", dict(SUITES))
+    monkeypatch.setattr(certify, "SCOPES", dict(certify.SCOPES))
+    caps = []
+
+    def body(cap):
+        caps.append(cap)
+        return (lambda d: (True, d, "")), range(1, cap + 1), lambda n: f"1..{cap}: {n}"
+
+    budgeted = certify._suite("throwaway", 7, floor=3)(body)
+    closed_form = certify._suite("throwaway-closed", 7, budgeted=False)(body)
+    assert list(certify.SUITES)[-2:] == ["throwaway", "throwaway-closed"]
+    assert certify.SUITES["throwaway"] is budgeted and budgeted.__name__ == "body"
+    assert certify.SCOPES["throwaway"] == (7, 3, True)
+
+    # run at its declared cap, through the one gate
+    assert run_suites(["throwaway"]) == [SuiteResult("throwaway", True, "1..7: 28")]
+    assert caps == [7]
+    with pytest.raises(ValueError, match="throwaway scope is empty: max degree 2 is below 3"):
+        check_scope(["throwaway"], max_degree=2)
+    assert caps == [7]
+
+    # the budget holds the budgeted declaration and not the other
+    monkeypatch.setenv(BUDGET_ENV, "6")
+    with pytest.raises(DegreeBudgetExceeded, match="degree 7"):
+        run_suites(["throwaway-closed", "throwaway"])
+    assert caps == [7]
+    assert closed_form() == SuiteResult("throwaway-closed", True, "1..7: 28")
+    assert caps == [7, 7]
+
+
 def test_closed_form_suites_stay_outside_the_budget(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "4")
-    assert set(SUITES) - set(certify.CAPS) == {"sum-identity", "stable-range"}
+    closed_forms = {name for name, (_, _, budgeted) in certify.SCOPES.items() if not budgeted}
+    assert closed_forms == {"sum-identity", "stable-range"}
     results = run_suites(["sum-identity", "stable-range"], max_degree=5)
     assert all(r.passed for r in results)
 
@@ -240,18 +276,17 @@ def test_the_join_reads_its_rows_once():
 
 
 def test_every_suite_resolves_its_cap_and_runs_its_cases_through_the_one_runner(monkeypatch):
-    calls = []
+    calls, real = [], certify._cap
 
-    def recorded(fn):
-        def wrapper(name, *args):
-            calls.append((fn.__name__, name))
-            return fn(name, *args)
+    def recorded(name, *args):
+        calls.append(name)
+        return real(name, *args)
 
-        return wrapper
-
-    monkeypatch.setattr(certify, "_cap", recorded(certify._cap))
-    monkeypatch.setattr(certify, "_sweep", recorded(certify._sweep))
+    monkeypatch.setattr(certify, "_cap", recorded)
+    # every suite is the one runner that _suite declares, around its own body
+    assert len({suite.__code__ for suite in SUITES.values()}) == 1
     for name, suite in SUITES.items():
         calls.clear()
-        assert suite(max_degree=certify.FLOORS.get(name, 2)).passed
-        assert calls == [("_cap", name), ("_sweep", name)]
+        _, floor, _ = certify.SCOPES[name]
+        assert suite(max_degree=max(floor, 2)).passed
+        assert calls == [name]

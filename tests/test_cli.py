@@ -139,6 +139,14 @@ def test_verify_single_suite(capsys):
     assert out.startswith("sum-identity pass")
 
 
+def test_verify_runs_a_repeated_suite_once_in_first_seen_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "sum-identity", "--suite", "stable-range",
+        "--suite", "sum-identity",
+    )
+    assert code == 0 and out == "sum-identity pass\nstable-range pass\n"
+
+
 def test_verify_capped_suites(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "kernel-of-r", "--suite", "suspension-kernel",

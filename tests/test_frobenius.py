@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from loophomology.certify import CAPS
+from loophomology.certify import SCOPES
 from loophomology.dlops import _q_monomial
 from loophomology.errors import PackedFieldOverflow
 from loophomology.f2algebra import (
@@ -41,7 +41,7 @@ from loophomology.hopf import _psi
 from loophomology.spaces import SqEntry, qs0_space, qsn_space, suspension_space, two_cell_space
 from loophomology.steenrod import _sq_monomial, _sq_total
 
-CAP = CAPS["hopf-consistency"]
+CAP, _, _ = SCOPES["hopf-consistency"]  # its default cap
 
 # hopf-consistency's spaces: qs1 and the charge-zero component of qs0
 SPACES = [qsn_space(1), qs0_space()]

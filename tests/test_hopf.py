@@ -84,6 +84,12 @@ def test_reduced_coproduct_of_cube():
     assert not is_primitive(X1 * X1 * X1)
 
 
+def test_a_tensor_prints_its_terms_in_order():
+    assert str(coproduct(X1)) == "1 (x) x_1 + x_1 (x) 1"
+    assert str(reduced_coproduct(X1 * X1 * X1)) == "x_1 (x) x_1^2 + x_1^2 (x) x_1"
+    assert str(reduced_coproduct(X1 * X1)) == "0"
+
+
 def test_primitive_space_fixtures():
     (p1,) = primitive_space(QS1, 1)
     assert p1 == X1

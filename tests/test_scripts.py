@@ -108,6 +108,12 @@ def test_run_certification_passes_a_cheap_suite():
     assert proc.stdout.split()[:2] == ["sum-identity", "pass"]
 
 
+def test_run_certification_runs_a_repeated_suite_once():
+    proc = run_script("run_certification.py", "--suite", "sum-identity", "--suite", "sum-identity")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert [line.split()[:2] for line in proc.stdout.splitlines()] == [["sum-identity", "pass"]]
+
+
 def test_bound_tables_prints_its_three_tables():
     proc = run_script("bound_tables.py", "--max-l", "3", "--max-k", "1")
     assert proc.returncode == 0 and proc.stderr == ""
@@ -171,24 +177,46 @@ def _canned_run(trace: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_bench_snapshot_writes_what_the_harness_printed(tmp_path, monkeypatch, capsys):
-    snap = _bench_snapshot()
+def _git_status(stdout: str, returncode: int = 0):
+    """`git status --porcelain -- src` in a tree, as subprocess.run returns it."""
+    return lambda: SimpleNamespace(returncode=returncode, stdout=stdout)
+
+
+def _no_git():
+    raise FileNotFoundError("git")
+
+
+def _snapshot_on_canned_output(snap, root, monkeypatch, git) -> tuple[list[str], list]:
+    """Run snap.main under root on canned harness output, git() answering the
+    git call; the outputs it was given and the harness runs it made."""
     outputs = [_canned_run(0), _canned_run(1)]
     compiled, ran = [], []
 
     def harness(argv, **kwargs):
+        if argv[0] == "git":
+            assert argv == ["git", "status", "--porcelain", "--", "src"] and not ran
+            assert kwargs["cwd"] == root
+            return git()
         ran.append((argv, kwargs["cwd"]))
-        assert compiled == [tmp_path / "src"]  # compiled before the first run
+        assert compiled == [root / "src"]  # compiled before the first run
         return SimpleNamespace(returncode=0, stdout=outputs[len(ran) - 1])
 
-    monkeypatch.setattr(snap, "ROOT", tmp_path)
+    monkeypatch.setattr(snap, "ROOT", root)
     monkeypatch.setattr(snap, "compileall", SimpleNamespace(
         compile_dir=lambda path, **kwargs: compiled.append(path)))
     monkeypatch.setattr(snap, "subprocess", SimpleNamespace(run=harness))
-    assert snap.main(["--pr", "33"]) == 0 and capsys.readouterr().out == "BENCH_33.json\n"
+    assert snap.main(["--pr", "33"]) == 0
+    return outputs, ran
+
+
+def test_bench_snapshot_writes_what_the_harness_printed(tmp_path, monkeypatch, capsys):
+    snap = _bench_snapshot()
+    outputs, ran = _snapshot_on_canned_output(snap, tmp_path, monkeypatch, _git_status(""))
+    assert capsys.readouterr().out == "BENCH_33.json\n"
     assert ran == [([sys.executable, *command[1:]], tmp_path) for command in snap.COMMANDS]
     content = json.loads((tmp_path / "BENCH_33.json").read_text(encoding="utf-8"))
-    assert list(content) == ["pr", "runs", "notes"] and content["pr"] == 33
+    assert list(content) == ["pr", "runs", "notes", "src_status"] and content["pr"] == 33
+    assert content["src_status"] == []  # a clean tree
     commands = [run["command"] for run in content["runs"]]
     assert commands == [
         f"python3 perfbench/run.py --workload all --seed 1 --seconds {snap.SECONDS} --trace {t}"
@@ -208,3 +236,16 @@ def test_bench_snapshot_writes_what_the_harness_printed(tmp_path, monkeypatch, c
     assert "certify-hopf.hopf.coproduct.calls" in notes and "sq_lower" not in notes
     with pytest.raises(ValueError):
         snap.snapshot(33, [_canned_run(0), ""])
+    # an edited tree is marked with its changed files
+    edited = " M src/loophomology/certify.py\n?? src/loophomology/new.py\n"
+    _snapshot_on_canned_output(snap, tmp_path, monkeypatch, _git_status(edited))
+    content = json.loads((tmp_path / "BENCH_33.json").read_text(encoding="utf-8"))
+    assert content["src_status"] == [" M src/loophomology/certify.py", "?? src/loophomology/new.py"]
+
+
+@pytest.mark.parametrize("git", [_git_status("", returncode=128), _no_git],
+                         ids=["not-a-checkout", "no-git"])
+def test_bench_snapshot_writes_null_where_git_cannot_say(git, tmp_path, monkeypatch):
+    _snapshot_on_canned_output(_bench_snapshot(), tmp_path, monkeypatch, git)
+    content = json.loads((tmp_path / "BENCH_33.json").read_text(encoding="utf-8"))
+    assert content["src_status"] is None

@@ -28,6 +28,7 @@ from loophomology.seqcore import (
     enumerate_admissible,
     excess,
     is_admissible,
+    lower,
     lower_to_upper,
     unit_loop_class,
     upper,
@@ -61,6 +62,13 @@ def test_lower_upper_round_trip_fixture():
     assert up.entries == (5, 3)
     assert upper_to_lower(up, 1).entries == (1, 2)
     assert upper_dim(up, 1) == 9
+
+
+def test_lower_builds_the_lower_sequence_of_its_entries():
+    seq = lower(1, 2)
+    assert seq == LowerSeq((1, 2)) and type(seq) is LowerSeq
+    assert lower_to_upper(seq, 1) == upper(5, 3)
+    assert upper_to_lower(upper(5, 3), 1) == seq
 
 
 def test_negative_lower_index_raises():
