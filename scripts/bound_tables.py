@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Tabulate generator-dimension maxima, printed bounds, and thresholds.
 
-Every row shows the closed-form value next to the exhaustive oracle; rows
-where the two disagree are marked so neither number is silently preferred.
+The first table sets the closed-form maximum next to exhaustive search; the
+others set each printed bound next to its oracle, twice the closed-form
+maximum.  Rows where the two disagree are marked so neither number is
+silently preferred.
 """
 
 from __future__ import annotations

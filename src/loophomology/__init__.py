@@ -4,8 +4,8 @@ The package models H_*(QS^n; Z/2) and friends as polynomial algebras over
 admissible operation sequences, with the operation action, the dual Steenrod
 action, the Hopf-algebra structure, the homology suspension, and the
 screening pipeline for spherical classes built on top.  Everything is exact
-arithmetic over the two-element field; every closed form ships with an
-exhaustive oracle.
+arithmetic over the two-element field; every printed bound is reported next
+to an oracle computed another way.
 """
 
 from .certify import SUITES, SuiteResult, degree_budget, run_suites

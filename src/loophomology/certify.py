@@ -381,8 +381,8 @@ def _dimension_bounds_case(l: int) -> tuple[bool, int, str]:
     if closed != brute or closed != 2 ** (l - 1) * (l - 1) + 1:
         return False, 0, f"l={l}: closed form {closed} vs exhaustive {brute}"
     rep = bounds_report(l, -1)
-    if rep.discrepancy != (rep.printed != rep.oracle):
-        return False, 0, f"flag wrong at l={l}"
+    if rep.oracle != 2 * brute:
+        return False, 0, f"l={l}: oracle {rep.oracle} vs twice exhaustive {brute}"
     if not bound_s_minus1(l - 1) < bound_s_minus1(l):
         return False, 0, f"s-minus-1 not increasing at {l - 1}"
     for k in range(0, 4):

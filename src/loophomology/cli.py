@@ -4,7 +4,7 @@ Subcommands:
 
   basis                print the monomial basis of one degree of one space
   screen               spherical-candidate screen for one degree
-  bounds               printed closed-form bound next to the exhaustive oracle
+  bounds               printed bound next to twice the top generator dimension
   immersion-threshold  smallest codimension threshold past the degree bound
   stable-range         the stable-range inequality as a yes/no query
   verify               run the certification suites
@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     screen.add_argument("--json", action="store_true")
     screen.set_defaults(fn=_cmd_screen)
 
-    bounds = sub.add_parser("bounds", help="printed bound vs exhaustive oracle")
+    bounds = sub.add_parser("bounds", help="printed bound vs twice the top generator dimension")
     bounds.add_argument("--l", type=int, required=True)
     bounds.add_argument("--k", type=int, required=True, help="-1 selects the one-cell-below case")
     bounds.set_defaults(fn=_cmd_bounds)

@@ -8,9 +8,10 @@ Three layers live here:
   * subspace screens over the honest homology: primitive and A-annihilated
     candidates in a degree, square detection, and the two independent
     refutations of annihilated primitive squares in even degrees,
-  * closed-form dimension bounds with exhaustive oracles kept side by side.
-    Printed bound and oracle value are both reported and never substituted
-    for one another.
+  * closed-form dimension bounds, each printed bound next to its oracle:
+    twice the closed-form top generator dimension max_generator_dim, which
+    max_generator_dim_exhaustive checks by brute force.  Printed bound and
+    oracle value are both reported and never substituted for one another.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .f2algebra import (
     Generator,
     Monomial,
     _basis_codes,
-    _degree,
     _element_from_codes,
     _factors,
     _packing,
@@ -141,8 +141,10 @@ def wellington_check(space: SpaceDesc, degree: int) -> WellingtonReport:
     """Is every annihilated vector of M(X) in the all-odd-entry span?
 
     The containment is only claimed in odd degrees; the report computes it
-    for whatever degree it is given.
+    for whatever positive degree it is given.
     """
+    if degree <= 0:
+        raise ValueError("the Wellington check runs in positive degrees")
     module = MInfinityModule(space)
     vectors = module.annihilated_vectors(degree)
     annihilated = tuple(tuple(sorted(v)) for v in vectors)
@@ -160,13 +162,10 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
     """Kernel of the stacked (reduced coproduct, Steenrod) map on the span of
     packed codes.
 
-    Only the rows the kernel needs are built.  The Steenrod rows are the
-    Sq^(2^i)_*, which generate the Steenrod algebra, and the coproduct rows
-    are the terms x (x) y with |x| <= top = degree // 2, which fix the rest
-    because psi is cocommutative.  The top row Sq^(2^t)_*, 2^t <= degree <
-    2^(t+1), stays: instability would make it zero, but a description file
-    need not be unstable (cells a:1, b:5 with Sq^4_* b -> a put a_3 under
-    b_7, and only that row keeps b_7 out of the degree-7 kernel).
+    A code's Steenrod row is its total Sq_* less itself, every Sq^r_* with
+    r >= 1 at once.  The coproduct rows are the terms x (x) y with
+    |x| <= top = degree // 2, which fix the rest because psi is
+    cocommutative.
 
     The kernel is sieved cut by cut.  With the Steenrod rows, the coproduct
     rows cut at |x| <= k are taken for k = 1, 2, 4, ... up to top; each
@@ -188,11 +187,9 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
     is too small, cannot silently pass.
     """
     p = _packing(space)
-    # the term out of Sq^r_* m, r = degree - |out| a power of two, is tagged
-    # -out, as |out| fixes r: packed tensors are positive, so a tag never
-    # equals a coproduct term
-    dims = {degree - (1 << i) for i in range(degree.bit_length())}
-    rows = [(m, {-out for out in _sq_total(p, m) if _degree(out) in dims}) for m in codes]
+    # the term out of Sq^r_* m, r >= 1, is tagged -out, as |out| fixes r:
+    # packed tensors are positive, so a tag never equals a coproduct term
+    rows = [(m, {-out for out in _sq_total(p, m) if out != m}) for m in codes]
     top = degree // 2
     k = min(1, top)
     while True:
@@ -355,8 +352,8 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
     no single-operation part is a sum of squares and is handled at half its
     dimension, so it is recorded but not checked here.
     """
-    if degree % 2:
-        raise ValueError("the square screen runs in even root dimensions")
+    if degree <= 0 or degree % 2:
+        raise ValueError("the square screen runs in positive even root dimensions")
     if space.model == MODEL_QS0:
         raise UnsupportedOperand("run the square screen on a delooping, not qs0")
     pred = space.predecessor()
@@ -459,7 +456,8 @@ def oracle_main1(length_bound: int, k: int) -> int:
 
 
 class BoundsReport(NamedTuple):
-    """Printed closed-form bound next to its exhaustive oracle, never merged."""
+    """Printed closed-form bound next to its oracle, twice max_generator_dim,
+    never merged."""
 
     kind: str
     l: int
@@ -502,8 +500,8 @@ def immersion_threshold_report(d: int, k: int) -> ThresholdReport:
 
     k = 1 uses the one-cell-below bound; k >= 2 uses the main bound with
     offset k - 2.  The threshold is bound - k + 1.  The oracle columns repeat
-    the computation with the doubled exhaustive maximum in place of the
-    printed closed form.
+    the computation with the bounds report's oracle, twice max_generator_dim,
+    in place of the printed closed form.
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")

@@ -1,15 +1,15 @@
 """The engine's Sq_* on H_*QX satisfies the dual Adem relations and is a
 coalgebra map, on every basis monomial.
 
-`screener._pri_ann_kernel` builds only the rows Sq^(2^i)_*, because they
-generate A; that rests on the dual Adem relations holding for the Sq_* that
-`steenrod._sq_total` builds by Nishida's rule, not only on the cells that
-`spaces._check_adem` checks.  The sieve also reads Sq_* and psi together,
-and the two come from separate rules (Nishida's for Sq_*, Cartan's for Q in
-psi), so Sq_* must commute with psi as well.  Both identities are checked
-here through the cached `_sq_monomial`, `_sq_total` and `hopf._psi` the
-kernels read; the relation coefficients come from `math.comb`, not from the
-engine.
+The even-squares mechanism reads Sq^1_* Q^degree off the Sq_* that
+`steenrod._sq_total` builds by Nishida's rule, and a Steenrod structure on
+H_*QX is only an A-module if that rule keeps the dual Adem relations, which
+`spaces._check_adem` checks for the cells alone.  The primitive-annihilated
+kernel reads Sq_* and psi together, and the two come from separate rules
+(Nishida's for Sq_*, Cartan's for Q in psi), so Sq_* must commute with psi
+as well.  Both identities are checked here through the cached
+`_sq_monomial`, `_sq_total` and `hopf._psi` the kernels read; the relation
+coefficients come from `math.comb`, not from the engine.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from loophomology import certify
+from loophomology import certify, screener
 from loophomology.certify import (
     BUDGET_ENV,
     DEFAULT_DEGREE_BUDGET,
@@ -257,6 +257,14 @@ def test_dimension_bounds_is_under_the_budget(monkeypatch):
         run_suites(["dimension-bounds"])  # default cap 10 exceeds the budget
     with pytest.raises(DegreeBudgetExceeded):
         run_suites(["dimension-bounds"], max_degree=4)
+
+
+def test_dimension_bounds_catches_an_oracle_that_is_not_twice_the_maximum(monkeypatch):
+    real = screener.oracle_s_minus1
+    monkeypatch.setattr(screener, "oracle_s_minus1", lambda l: real(l) + 1)
+    (res,) = run_suites(["dimension-bounds"], max_degree=3)
+    assert not res.passed
+    assert res.details == "l=2: oracle 7 vs twice exhaustive 3; l=3: oracle 19 vs twice exhaustive 9"
 
 
 def test_the_cheap_suites_pass_at_max_degree_9():

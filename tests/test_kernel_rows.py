@@ -1,8 +1,8 @@
 """The rows of the primitive-annihilated kernel against the full-row oracle.
 
-`screener._pri_ann_kernel` builds only the rows its kernel needs: Sq^(2^i)_*
-instead of every Sq^r_*, the coproduct terms x (x) y with |x| <= d // 2, and
-masks set through bytes.  It sieves the kernel cut by cut: the coproduct
+`screener._pri_ann_kernel` builds only the rows its kernel needs: every
+Sq^r_* at once, read off the total Sq_* less the code, the coproduct terms
+x (x) y with |x| <= d // 2, and masks set through bytes.  It sieves the kernel cut by cut: the coproduct
 rows cut at |x| <= k for k = 1, 2, 4, ... up to d // 2, each stage over only
 the codes in the support of the last stage's kernel.  The cut terms are a
 subset of the terms at d // 2, so each stage's kernel contains the final
@@ -23,7 +23,7 @@ import random
 import pytest
 from test_linalg_f2 import in_span
 
-from loophomology import screener
+from loophomology import screener, steenrod
 from loophomology.f2algebra import (
     DEGREE_BITS,
     ONE_CODE,
@@ -45,7 +45,13 @@ from loophomology.hopf import _psi_monomial, _reduced_psi, coproduct, is_primiti
 from loophomology.linalg_f2 import kernel_of_images, span_intersection
 from loophomology.screener import _pri_ann_kernel, generator_span, primitive_annihilated_basis
 from loophomology.seqcore import upper
-from loophomology.spaces import qs0_space, qsn_space, space_from_dict, two_cell_space
+from loophomology.spaces import (
+    qs0_space,
+    qsn_space,
+    space_from_dict,
+    suspension_space,
+    two_cell_space,
+)
 from loophomology.steenrod import _sq_monomial, sq_lower
 from loophomology.suspension import _suspend_codes, suspend
 
@@ -203,7 +209,7 @@ def test_reduced_psi_cut_drops_only_the_upper_half(space):
 @spaces
 def test_coproduct_is_cocommutative(space):
     # tau psi = psi on every basis monomial: the halving of the coproduct rows
-    # in _pri_ann_kernel rests on it
+    # in _pri_ann_kernel rests on it, as the Steenrod rows rest on no relation
     for degree in range(1, MAX_DEGREE + 1):
         for m in basis_enumerate(space, degree):
             terms = coproduct(Element(space, frozenset({m}))).terms
@@ -234,8 +240,8 @@ def test_byte_masks_equal_sum_masks_on_kernel_rows(space):
 @spaces
 def test_sq_vanishes_past_half_the_degree(space):
     # instability: Sq^r_* is zero on H_n once 2r > n.  It holds on these
-    # spaces, so the top row Sq^(2^t)_*, 2^t <= d < 2^(t+1), is zero here;
-    # a description file need not be unstable, so the kernel keeps that row
+    # spaces, but a description file need not be unstable, so the kernel
+    # reads the rows past d // 2 as well
     p = _packing(space)
     for degree in range(1, MAX_DEGREE + 1):
         for m in map(p.encode, basis_enumerate(space, degree)):
@@ -246,8 +252,8 @@ def test_sq_vanishes_past_half_the_degree(space):
 def test_the_top_row_stays_for_a_description_that_is_not_unstable():
     # a description file need not satisfy instability: here Sq^4_* b_7 = a_3
     # with 2 * 4 > 7.  b_7 is primitive and Sq^1_*, Sq^2_* kill it, so only
-    # the top row Sq^4_* keeps it out of the kernel; cutting the rows to
-    # 2^i <= d // 2 would raise CounterexampleFound on b_7
+    # the row Sq^4_* keeps it out of the kernel; cutting the rows to
+    # r <= d // 2 would raise CounterexampleFound on b_7
     space = space_from_dict({
         "model": "sigma2",
         "cells": [{"name": "a", "dim": 1}, {"name": "b", "dim": 5}],
@@ -262,6 +268,36 @@ def test_the_top_row_stays_for_a_description_that_is_not_unstable():
     assert is_primitive(Element(space, frozenset({b7})))
     assert primitive_annihilated_basis(space, 7) == full_row_kernel(space, 7, basis) == []
 
+
+def test_the_kernel_reads_every_row_without_the_adem_relations(monkeypatch):
+    # Sq^3_* b_6 = a_3 is patched into Sq_*, with Sq^1_* and Sq^2_* still
+    # killing b_6: no dual Adem relation explains that term, so rows read
+    # through the Sq^(2^i)_* alone would keep b_6 in the kernel.  Reading
+    # every Sq^r_* keeps it out, as the full rows do.
+    space = suspension_space({"a": 1, "b": 4})
+    p = _packing(space)
+    basis = basis_enumerate(space, 6)
+    codes = {str(m): p.encode(m) for m in basis}
+    b6, a3 = codes["b_6"], p.root(codes["a_3^2"])[0]
+    real = steenrod._sq_total
+
+    def patched(q, m):
+        out = real(q, m)
+        return out | {a3} if q is p and m == b6 else out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(steenrod, "_sq_total", patched)
+        mp.setattr(screener, "_sq_total", patched)
+        _sq_monomial.cache_clear()
+        try:
+            assert {str(p.decode(w)) for w in _sq_monomial(p, 3, b6)} == {"a_3"}
+            assert not _sq_monomial(p, 1, b6) and not _sq_monomial(p, 2, b6)
+            kernel = _pri_ann_kernel(space, 6, list(codes.values()))
+            assert kernel == full_row_kernel(space, 6, basis)
+            assert [str(v) for v in kernel] == ["a_3^2"]
+        finally:
+            real.cache_clear()
+            _sq_monomial.cache_clear()
 
 
 def steenrod_rows(p, codes: list[int], degree: int, relaxed: bool) -> list[set]:

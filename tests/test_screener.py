@@ -124,6 +124,15 @@ def test_wellington_degree_nine():
     assert report.violations == ()
 
 
+@pytest.mark.parametrize("degree", (0, -1))
+def test_wellington_refuses_a_degree_below_one(monkeypatch, degree):
+    # refused before the module is built: qs0 would raise UnsupportedOperand
+    monkeypatch.setattr(screener, "MInfinityModule", None)
+    for space in (QS1, qs0_space()):
+        with pytest.raises(ValueError, match="positive degrees"):
+            wellington_check(space, degree)
+
+
 @pytest.mark.parametrize("degree", (1, 3, 5, 7, 9, 11))
 def test_wellington_odd_degrees_sphere(degree):
     assert wellington_check(QS1, degree).ok
@@ -344,6 +353,15 @@ def test_even_square_screen_guards():
         even_square_screen_at(QS1, 3)
     with pytest.raises(UnsupportedOperand):
         even_square_screen_at(qs0_space(), 4)
+
+
+@pytest.mark.parametrize("degree", (0, -2))
+def test_even_square_screen_refuses_a_root_below_one(monkeypatch, degree):
+    # refused before any work: qs0 would raise UnsupportedOperand
+    monkeypatch.setattr(screener, "primitive_annihilated_basis", None)
+    for space in (QS1, qs0_space()):
+        with pytest.raises(ValueError, match="positive even root dimensions"):
+            even_square_screen_at(space, degree)
 
 
 def test_even_squares_suite_small():
