@@ -63,7 +63,8 @@ def main() -> int:
             t = immersion_threshold_report(d, k)
             row.append(f"k={k}:{t.n_min}({t.oracle_n_min})")
         print(f"d={d:<3} " + "  ".join(row))
-    print("\nparenthesized values use the exhaustive oracle in place of the printed form")
+    print("\nparenthesized values use twice the closed-form max_generator_dim"
+          " in place of the printed form")
     return 0
 
 

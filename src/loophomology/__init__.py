@@ -67,7 +67,6 @@ from .screener import (
     ScreenReport,
     WellingtonReport,
     bound_main1,
-    bound_s_minus1,
     bounds_report,
     immersion_threshold_report,
     max_generator_dim,

@@ -48,7 +48,6 @@ from .seqcore import UpperSeq, enumerate_admissible
 from .spaces import SpaceDesc, qs0_space, qsn_space, two_cell_space
 from .screener import (
     bound_main1,
-    bound_s_minus1,
     bounds_report,
     even_square_screen_at,
     max_generator_dim,
@@ -375,19 +374,18 @@ def suite_hopf_consistency(cap: int):
 
 
 def _dimension_bounds_case(l: int) -> tuple[bool, int, str]:
-    """Level l against the exhaustive oracle, and each bound growing from l - 1."""
-    closed = max_generator_dim(l, 1)
-    brute = max_generator_dim_exhaustive(l, 1)
-    if closed != brute or closed != 2 ** (l - 1) * (l - 1) + 1:
-        return False, 0, f"l={l}: closed form {closed} vs exhaustive {brute}"
-    rep = bounds_report(l, -1)
-    if rep.oracle != 2 * brute:
-        return False, 0, f"l={l}: oracle {rep.oracle} vs twice exhaustive {brute}"
-    if not bound_s_minus1(l - 1) < bound_s_minus1(l):
-        return False, 0, f"s-minus-1 not increasing at {l - 1}"
-    for k in range(0, 4):
-        if not bound_main1(l - 1, k) < bound_main1(l, k) < bound_main1(l, k + 1):
-            return False, 0, f"main-1 not increasing at {l - 1},{k}"
+    """Level l against the exhaustive oracle over every bottom cell k + 2 the
+    printed oracles use, k = -1..3, and each bound growing from l - 1 and k."""
+    for k in range(-1, 4):
+        closed = max_generator_dim(l, k + 2)
+        brute = max_generator_dim_exhaustive(l, k + 2)
+        if closed != brute or closed != 2 ** (l - 1) * (l + k) + 1:
+            return False, 0, f"l={l}, k={k}: closed form {closed} vs exhaustive {brute}"
+        rep = bounds_report(l, k)
+        if rep.oracle != 2 * brute:
+            return False, 0, f"l={l}, k={k}: oracle {rep.oracle} vs twice exhaustive {brute}"
+        if not bound_main1(l - 1, k) < rep.printed < bound_main1(l, k + 1):
+            return False, 0, f"{rep.kind} not increasing at {l - 1},{k}"
     return True, 1, ""
 
 

@@ -436,22 +436,14 @@ def sum_identity_check(k: int) -> bool:
     return lhs == 2**k * (k - 1) + 1
 
 
-def bound_s_minus1(length_bound: int) -> int:
-    """Printed degree bound for the one-cell-below family."""
-    return 2 ** (length_bound - 1) * length_bound + 2
-
-
-def oracle_s_minus1(length_bound: int) -> int:
-    """Oracle counterpart: twice the top generator dimension over base 1."""
-    return 2 * max_generator_dim(length_bound, 1)
-
-
 def bound_main1(length_bound: int, k: int) -> int:
-    """Printed degree bound in the main family, offset parameter k >= 0."""
+    """Printed degree bound for Sigma^2 X with bottom cell k + 2, k >= -1;
+    k = -1 is X = S^-1 (Sigma^2 X = S^1), where it reads 2^(l-1) l + 2."""
     return 2**length_bound * (k + 2) + 2 ** (length_bound - 1) * (length_bound - 2) + 2
 
 
 def oracle_main1(length_bound: int, k: int) -> int:
+    """Oracle counterpart: twice the top generator dimension over base k + 2."""
     return 2 * max_generator_dim(length_bound, k + 2)
 
 
@@ -471,14 +463,14 @@ class BoundsReport(NamedTuple):
 
 
 def bounds_report(l: int, k: int) -> BoundsReport:
-    """Bound comparison for length l; k = -1 selects the one-cell-below case."""
+    """Bound comparison for length l over the bottom cell k + 2, k >= -1;
+    k = -1 is the S^-1 member of the family, reported as "s-minus-1"."""
     if l < 1:
         raise ValueError("need l >= 1")
-    if k == -1:
-        return BoundsReport("s-minus-1", l, k, bound_s_minus1(l), oracle_s_minus1(l))
-    if k < 0:
+    if k < -1:
         raise ValueError("k must be >= 0, or the sentinel -1")
-    return BoundsReport("main-1", l, k, bound_main1(l, k), oracle_main1(l, k))
+    kind = "s-minus-1" if k == -1 else "main-1"
+    return BoundsReport(kind, l, k, bound_main1(l, k), oracle_main1(l, k))
 
 
 class ThresholdReport(NamedTuple):
@@ -498,14 +490,14 @@ class ThresholdReport(NamedTuple):
 def immersion_threshold_report(d: int, k: int) -> ThresholdReport:
     """Smallest n past the degree bound for the (d, k) screening family.
 
-    k = 1 uses the one-cell-below bound; k >= 2 uses the main bound with
-    offset k - 2.  The threshold is bound - k + 1.  The oracle columns repeat
+    The bound is bound_main1 with offset k - 2, so k = 1 is the S^-1 member
+    of the family.  The threshold is bound - k + 1.  The oracle columns repeat
     the computation with the bounds report's oracle, twice max_generator_dim,
     in place of the printed closed form.
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
-    rep = bounds_report(d, -1 if k == 1 else k - 2)
+    rep = bounds_report(d, k - 2)
     return ThresholdReport(
         d, k, rep.printed, rep.printed - k + 1, rep.oracle, rep.oracle - k + 1, rep.kind
     )

@@ -260,11 +260,32 @@ def test_dimension_bounds_is_under_the_budget(monkeypatch):
 
 
 def test_dimension_bounds_catches_an_oracle_that_is_not_twice_the_maximum(monkeypatch):
-    real = screener.oracle_s_minus1
-    monkeypatch.setattr(screener, "oracle_s_minus1", lambda l: real(l) + 1)
+    real = screener.oracle_main1
+    monkeypatch.setattr(screener, "oracle_main1", lambda l, k: real(l, k) + 1)
     (res,) = run_suites(["dimension-bounds"], max_degree=3)
     assert not res.passed
-    assert res.details == "l=2: oracle 7 vs twice exhaustive 3; l=3: oracle 19 vs twice exhaustive 9"
+    assert res.details == (
+        "l=2, k=-1: oracle 7 vs twice exhaustive 3; l=3, k=-1: oracle 19 vs twice exhaustive 9")
+
+
+def test_dimension_bounds_checks_every_base_the_printed_oracles_use(monkeypatch):
+    # a closed form off by one only above base 1 reaches bounds --k 0..3 and
+    # immersion-threshold --k 2.., so the suite must look past base 1
+    real = screener.max_generator_dim
+
+    def wrong(l, base):
+        return real(l, base) + (base >= 2)
+
+    monkeypatch.setattr(screener, "max_generator_dim", wrong)
+    monkeypatch.setattr(certify, "max_generator_dim", wrong)
+    (res,) = run_suites(["dimension-bounds"], max_degree=3)
+    assert not res.passed
+    assert res.details == (
+        "l=2, k=0: closed form 6 vs exhaustive 5; l=3, k=0: closed form 14 vs exhaustive 13")
+    monkeypatch.setattr(certify, "max_generator_dim", real)
+    (res,) = run_suites(["dimension-bounds"], max_degree=3)
+    assert res.details == (
+        "l=2, k=0: oracle 12 vs twice exhaustive 5; l=3, k=0: oracle 28 vs twice exhaustive 13")
 
 
 def test_the_cheap_suites_pass_at_max_degree_9():

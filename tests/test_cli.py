@@ -126,6 +126,18 @@ def test_immersion_threshold(capsys):
     assert out.splitlines()[0] == "n_min 21"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("bounds", "--l", "3", "--k", "-2"), "error: k must be >= 0, or the sentinel -1\n"),
+        (("immersion-threshold", "--d", "3", "--k", "0"), "error: need d >= 1 and k >= 1\n"),
+    ],
+)
+def test_a_cell_below_the_s_minus1_member_is_refused(capsys, argv, err):
+    # bounds --k -1 and immersion-threshold --k 1 are the bottom of the family
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
 def test_stable_range(capsys):
     code, out, _ = run_cli(capsys, "stable-range", "--d", "5", "--n", "3", "--l", "2")
     assert code == 0 and out == "true\n"

@@ -30,7 +30,6 @@ from loophomology.screener import (
     MInfinityModule,
     MSymbol,
     bound_main1,
-    bound_s_minus1,
     bounds_report,
     even_square_screen_at,
     generator_span,
@@ -38,7 +37,6 @@ from loophomology.screener import (
     max_generator_dim,
     max_generator_dim_exhaustive,
     oracle_main1,
-    oracle_s_minus1,
     screen_degree,
     stable_range_check,
     sum_identity_check,
@@ -396,21 +394,42 @@ def test_sum_identity():
         assert sum_identity_check(k)
 
 
+def _s_minus1_bound(l):
+    """The S^-1 member's closed form written on its own; an oracle for
+    bound_main1 at k = -1."""
+    return 2 ** (l - 1) * l + 2
+
+
+def _s_minus1_oracle(l):
+    """Twice the top generator dimension over base 1; an oracle for
+    oracle_main1 at k = -1."""
+    return 2 * max_generator_dim(l, 1)
+
+
+def test_the_s_minus1_member_is_k_minus_1_of_the_main_family():
+    for l in range(1, 65):
+        assert bound_main1(l, -1) == _s_minus1_bound(l)
+        assert oracle_main1(l, -1) == _s_minus1_oracle(l)
+        expected = ("s-minus-1", l, -1, _s_minus1_bound(l), _s_minus1_oracle(l))
+        assert bounds_report(l, -1) == expected
+
+
 def test_bound_fixtures():
-    assert bound_s_minus1(3) == 14 and oracle_s_minus1(3) == 18
+    assert bound_main1(3, -1) == 14 and oracle_main1(3, -1) == 18
     assert bound_main1(4, 1) == 66 and oracle_main1(4, 1) == 82
     r = bounds_report(3, -1)
     assert (r.printed, r.oracle, r.discrepancy) == (14, 18, True)
     r2 = bounds_report(4, 1)
     assert (r2.printed, r2.oracle, r2.discrepancy) == (66, 82, True)
-    with pytest.raises(ValueError):
-        bounds_report(3, -2)
+    for k in (-2, -3):
+        with pytest.raises(ValueError, match=r"^k must be >= 0, or the sentinel -1$"):
+            bounds_report(3, k)
 
 
 def test_bounds_never_substituted():
     # printed values stay the closed forms even where the oracle disagrees
     for l in range(2, 8):
-        assert bounds_report(l, -1).printed == bound_s_minus1(l)
+        assert bounds_report(l, -1).printed == _s_minus1_bound(l)
         for k in range(0, 4):
             assert bounds_report(l, k).printed == bound_main1(l, k)
 
@@ -426,10 +445,10 @@ def test_immersion_thresholds():
 
 
 def _threshold_oracle(d, k):
-    """The (d, k) dispatch written out: k = 1 the one-cell-below bound, k >= 2
-    the main bound with offset k - 2, threshold bound - k + 1."""
+    """The (d, k) dispatch written out: k = 1 the S^-1 member's own closed
+    form, k >= 2 the main bound with offset k - 2, threshold bound - k + 1."""
     if k == 1:
-        bound, oracle, kind = bound_s_minus1(d), oracle_s_minus1(d), "s-minus-1"
+        bound, oracle, kind = _s_minus1_bound(d), _s_minus1_oracle(d), "s-minus-1"
     else:
         bound, oracle, kind = bound_main1(d, k - 2), oracle_main1(d, k - 2), "main-1"
     return bound, bound - k + 1, oracle, oracle - k + 1, kind

@@ -124,6 +124,9 @@ def test_bound_tables_prints_its_three_tables():
         "# immersion thresholds n_min(d, k)",
     ]
     assert "discrepancy" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == (
+        "parenthesized values use twice the closed-form max_generator_dim"
+        " in place of the printed form")
 
 
 @pytest.mark.parametrize("flag", ["--max-l", "--max-k"])
