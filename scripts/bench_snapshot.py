@@ -5,8 +5,10 @@ Usage (from any directory):
 
     python3 scripts/bench_snapshot.py --pr 33
 
-Compiles src/ to bytecode first: under PYTHONDONTWRITEBYTECODE=1 an
-uncompiled tree recompiles every module in every fresh process.  Then runs
+Compiles src/ and perfbench/ to bytecode first: under
+PYTHONDONTWRITEBYTECODE=1 an uncompiled tree recompiles every module it
+imports in every fresh process, the harness's own modules as well as the
+package's.  Then runs
 perfbench/run.py --workload all with --trace 0 and then with --trace 1, both
 with seed 1 and a fixed --seconds, and writes BENCH_<pr>.json at the
 repository root.  The file holds each run's command line, the JSON result
@@ -101,7 +103,8 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--pr must be >= 1, got {args.pr}")
 
     status = src_status()
-    compileall.compile_dir(ROOT / "src", quiet=1)
+    for tree in ("src", "perfbench"):
+        compileall.compile_dir(ROOT / tree, quiet=1)
     outputs = []
     for command in COMMANDS:
         done = subprocess.run([sys.executable, *command[1:]], cwd=ROOT,

@@ -150,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bounds = sub.add_parser("bounds", help="printed bound vs twice the top generator dimension")
     bounds.add_argument("--l", type=int, required=True)
-    bounds.add_argument("--k", type=int, required=True, help="-1 selects the one-cell-below case")
+    bounds.add_argument("--k", type=int, required=True,
+                        help="the bottom cell of Sigma^2 X is k + 2; -1 is X = S^-1")
     bounds.set_defaults(fn=_cmd_bounds)
 
     thr = sub.add_parser("immersion-threshold", help="smallest n past the bound")

@@ -158,33 +158,30 @@ def wellington_check(space: SpaceDesc, degree: int) -> WellingtonReport:
 # Candidate screens over the honest homology.
 
 
-def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Element]:
-    """Kernel of the stacked (reduced coproduct, Steenrod) map on the span of
-    packed codes.
+def _pri_ann_stages(space: SpaceDesc, degree: int, codes: list[int]):
+    """The stages of the sieve for the kernel of the stacked (reduced
+    coproduct, Steenrod) map on the span of packed codes: each stage's codes
+    and its kernel, as combination masks over those codes.
 
     A code's Steenrod row is its total Sq_* less itself, every Sq^r_* with
     r >= 1 at once.  The coproduct rows are the terms x (x) y with
     |x| <= top = degree // 2, which fix the rest because psi is
     cocommutative.
 
-    The kernel is sieved cut by cut.  With the Steenrod rows, the coproduct
-    rows cut at |x| <= k are taken for k = 1, 2, 4, ... up to top; each
-    stage keeps only the codes in the support of its kernel, and an empty
-    kernel ends the sieve.  This is exact: the terms with |x| <= k are a
-    subset of those with |x| <= top, so ker(rows_top) lies in ker(rows_k),
-    which lies in the span of its support, and the last stage gives exactly
-    ker(rows_top).  kernel_of_images returns the reduced basis of a kernel
-    for a given column order, so dropping columns outside the support gives
-    the same vectors in the same order.
+    With the Steenrod rows, the coproduct rows cut at |x| <= k are taken for
+    k = 1, 2, 4, ... up to top; each stage keeps only the codes in the
+    support of its kernel.  The terms with |x| <= k are a subset of those
+    with |x| <= top, so ker(rows_top) lies in ker(rows_k), which lies in the
+    span of its support: every stage's kernel contains the final one.  The
+    last stage yielded is the top cut, whose kernel is exactly ker(rows_top),
+    or the first empty kernel.  kernel_of_images returns the reduced basis of
+    a kernel for a given column order, so dropping columns outside the
+    support gives the same vectors in the same order.
 
     Each stage owns its memo of psi cut below a factor's degree, and drops
     it once the stage's masks are built: the next stage asks for another
     cut.  The whole coproduct of a factor stays in the process-wide
-    hopf._psi_monomial, and the re-verification below reads it again.
-
-    Every returned vector is re-verified against the full reduced coproduct
-    and every Sq^r_*, so a bug in the kernel bookkeeping, or a row set that
-    is too small, cannot silently pass.
+    hopf._psi_monomial.
     """
     p = _packing(space)
     # the term out of Sq^r_* m, r >= 1, is tagged -out, as |out| fixes r:
@@ -197,14 +194,20 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
         masks, _ = masks_for_term_sets([_reduced_psi(p, m, k, memo) | tags for m, tags in rows])
         del memo
         kernel = kernel_of_images(masks)
+        yield [m for m, _ in rows], kernel
         if not kernel or k == top:
-            break
+            return
         support = 0
         for combo in kernel:
             support |= combo
         rows = [row for j, row in enumerate(rows) if support >> j & 1]
         k = min(2 * k, top)
-    codes = [m for m, _ in rows]
+
+
+def _verified(space: SpaceDesc, codes: list[int], kernel: list[int]) -> list[Element]:
+    """The kernel vectors as elements, each re-verified against the full
+    reduced coproduct and every Sq^r_*, so a bug in the kernel bookkeeping,
+    or a row set that is too small, cannot silently pass."""
     out = []
     for combo in kernel:
         vec = _element_from_codes(space, combo, codes)
@@ -212,6 +215,14 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
             raise CounterexampleFound(f"kernel vector failed re-verification: {vec}")
         out.append(vec)
     return out
+
+
+def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Element]:
+    """Kernel of the stacked (reduced coproduct, Steenrod) map on the span of
+    packed codes: the last stage of _pri_ann_stages, re-verified."""
+    for codes, kernel in _pri_ann_stages(space, degree, codes):
+        pass  # the top cut, or the first empty kernel
+    return _verified(space, codes, kernel)
 
 
 def primitive_annihilated_basis(space: SpaceDesc, degree: int) -> list[Element]:
@@ -344,13 +355,23 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
 
     Kernel route: squares in H_{2 degree} are never hit by suspending a
     primitive annihilated class of H_{2 degree - 1} of the predecessor space,
-    and candidates above the bottom cell must arrive by suspension.  Mechanism
-    route: for each primitive root, desuspend its single-operation part to P0,
-    each Q^I b to the generator Q^I b' at charge zero (excess(I) > |b| > |b'|);
-    the class Q^degree(P0) is not annihilated, because Sq^1_* Q^degree =
-    Q^(degree - 1) lands on the bottom operation and squares P0.  A root with
-    no single-operation part is a sum of squares and is handled at half its
-    dimension, so it is recorded but not checked here.
+    and candidates above the bottom cell must arrive by suspension.  The
+    route walks the stages of _pri_ann_stages over that degree's basis and
+    meets the suspension of each stage's kernel with the span of the squares.
+    Every stage's kernel contains the primitive annihilated subspace PA, so
+    an empty meet at any stage gives sigma_*(PA) meet span(squares) = 0, and
+    the route stops there; that verdict rests on the inclusion alone.  A meet
+    that stays nonempty up to the top cut is the meet of sigma_*(PA) itself:
+    its kernel is re-verified, as _pri_ann_kernel re-verifies, and the meet
+    is printed as witnesses.
+
+    Mechanism route: for each primitive root, desuspend its single-operation
+    part to P0, each Q^I b to the generator Q^I b' at charge zero
+    (excess(I) > |b| > |b'|); the class Q^degree(P0) is not annihilated,
+    because Sq^1_* Q^degree = Q^(degree - 1) lands on the bottom operation
+    and squares P0.  A root with no single-operation part is a sum of
+    squares and is handled at half its dimension, so it is recorded but not
+    checked here.
     """
     if degree <= 0 or degree % 2:
         raise ValueError("the square screen runs in positive even root dimensions")
@@ -358,13 +379,18 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
         raise UnsupportedOperand("run the square screen on a delooping, not qs0")
     pred = space.predecessor()
 
-    upstairs = primitive_annihilated_basis(pred, 2 * degree - 1)
     p = _packing(space)
     source = _packing(pred)
-    images = [_suspend_codes(source, p, source.encode_set(w.terms)) for w in upstairs]
     squares = [_square_set((c,)) for c in _basis_codes(space, degree)]
-    masks, ordered = masks_for_term_sets(images + squares)
-    meet = span_intersection(masks[: len(images)], masks[len(images) :])
+    upstairs = 2 * degree - 1
+    for codes, kernel in _pri_ann_stages(pred, upstairs, _basis_codes(pred, upstairs)):
+        images = [_suspend_codes(source, p, _picked(combo, codes)) for combo in kernel]
+        masks, ordered = masks_for_term_sets(images + squares)
+        meet = span_intersection(masks[: len(images)], masks[len(images) :])
+        if not meet:
+            break
+    else:
+        _verified(pred, codes, kernel)
     witnesses: tuple[str, ...] = ()
     if meet:
         # The echelon basis of the meet depends on the bit order of the codes;
@@ -468,7 +494,7 @@ def bounds_report(l: int, k: int) -> BoundsReport:
     if l < 1:
         raise ValueError("need l >= 1")
     if k < -1:
-        raise ValueError("k must be >= 0, or the sentinel -1")
+        raise ValueError("k must be >= -1")
     kind = "s-minus-1" if k == -1 else "main-1"
     return BoundsReport(kind, l, k, bound_main1(l, k), oracle_main1(l, k))
 

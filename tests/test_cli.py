@@ -129,7 +129,7 @@ def test_immersion_threshold(capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (("bounds", "--l", "3", "--k", "-2"), "error: k must be >= 0, or the sentinel -1\n"),
+        (("bounds", "--l", "3", "--k", "-2"), "error: k must be >= -1\n"),
         (("immersion-threshold", "--d", "3", "--k", "0"), "error: need d >= 1 and k >= 1\n"),
     ],
 )

@@ -13,17 +13,22 @@ from test_steenrod import _workload_descriptions
 from loophomology import screener
 from loophomology.certify import suite_even_squares
 from loophomology.dlops import apply_Q_iterated
-from loophomology.errors import UnsupportedOperand
+from loophomology.errors import CounterexampleFound, UnsupportedOperand
 from loophomology.f2algebra import (
     Element,
     Generator,
+    _basis_codes,
+    _packing,
+    _square_set,
     base_element,
     generator_monomial,
+    masks_for_term_sets,
     split_decomposable,
     translation_class,
     translation_monomial,
 )
 from loophomology.hopf import is_primitive, primitive_space
+from loophomology.linalg_f2 import span_intersection
 from loophomology.screener import (
     EvenSquareDegree,
     MechanismEntry,
@@ -37,6 +42,7 @@ from loophomology.screener import (
     max_generator_dim,
     max_generator_dim_exhaustive,
     oracle_main1,
+    primitive_annihilated_basis,
     screen_degree,
     stable_range_check,
     sum_identity_check,
@@ -53,6 +59,7 @@ from loophomology.spaces import (
     two_cell_space,
 )
 from loophomology.steenrod import is_A_annihilated
+from loophomology.suspension import _suspend_codes
 
 QS1 = qsn_space(1)
 
@@ -265,8 +272,9 @@ def test_mechanism_route_reads_p0_as_the_former_evaluation(monkeypatch, name):
         return real(a, e)
 
     monkeypatch.setattr(screener, "apply_Q", spy)
-    # only the mechanism route is under test
-    monkeypatch.setattr(screener, "primitive_annihilated_basis", lambda pred, degree: [])
+    # only the mechanism route is under test: the kernel route sees one
+    # stage with an empty kernel and stops there
+    monkeypatch.setattr(screener, "_pri_ann_stages", lambda pred, degree, codes: iter([([], [])]))
     expected = []
     for degree in range(2, top + 1, 2):
         even_square_screen_at(space, degree)
@@ -295,6 +303,78 @@ def test_even_square_witnesses_print_in_structural_order(monkeypatch):
         lambda images, squares: [squares[0] ^ squares[1], squares[1] ^ squares[2], squares[2]],
     )
     assert even_square_screen_at(QS1, 4).kernel_witnesses == entry.kernel_witnesses
+
+
+def former_kernel_route(space, degree: int) -> tuple[bool, int]:
+    """The kernel route as it ran before it walked the sieve's stages: the
+    whole primitive annihilated basis of H_{2 degree - 1} of the
+    predecessor, suspended and met with the span of the squares.  Whether
+    the meet is zero, and its dimension."""
+    pred = space.predecessor()
+    p, source = _packing(space), _packing(pred)
+    upstairs = primitive_annihilated_basis(pred, 2 * degree - 1)
+    images = [_suspend_codes(source, p, source.encode_set(w.terms)) for w in upstairs]
+    squares = [_square_set((c,)) for c in _basis_codes(space, degree)]
+    masks, _ = masks_for_term_sets(images + squares)
+    meet = span_intersection(masks[: len(images)], masks[len(images) :])
+    return not meet, len(meet)
+
+
+#: space and top even root dimension of the early-exit oracle
+EARLY_EXIT_CASES = {
+    "qs1": (QS1, 12),
+    "qs2": (qsn_space(2), 10),
+    "two-cell": (two_cell_space(), 10),
+    "a1b5-sq4": (suspension_space({"a": 1, "b": 5}, (SqEntry(4, "b", ("a",)),)), 12),
+    **{name: (space_from_dict(d), 12) for name, d in _workload_descriptions().items()},
+}
+
+
+@pytest.mark.parametrize("name", EARLY_EXIT_CASES)
+def test_the_staged_kernel_route_gives_the_former_verdict(name):
+    # each stage's kernel contains the primitive annihilated subspace, so
+    # stopping at the first empty meet leaves the verdict as it was
+    space, top = EARLY_EXIT_CASES[name]
+    for degree in range(2, top + 1, 2):
+        entry = even_square_screen_at(space, degree)
+        got = (entry.kernel_ok, len(entry.kernel_witnesses))
+        assert got == former_kernel_route(space, degree), (name, degree)
+
+
+def cuts_built(monkeypatch, space, degree: int) -> dict:
+    """How many codes get coproduct rows at each cut k of the sieve while
+    the even-square route runs at one root."""
+    built: dict = {}
+    real = screener._reduced_psi
+
+    def spy(p, m, k=None, memo=None):
+        built[k] = built.get(k, 0) + 1
+        return real(p, m, k, memo)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(screener, "_reduced_psi", spy)
+        even_square_screen_at(space, degree)
+    return built
+
+
+def test_the_kernel_route_stops_at_the_first_empty_meet(monkeypatch):
+    # qs1 root 8: the first cut over qs0's 613 codes in degree 15 already
+    # suspends into no square, so no later cut is built
+    assert cuts_built(monkeypatch, QS1, 8) == {1: 613}
+    # the two-cell model at root 6 stops at the cut k = 4 of degree 11
+    assert cuts_built(monkeypatch, two_cell_space(), 6) == {1: 15, 2: 8, 4: 5}
+    # qs2 at root 10 meets the squares until the top cut 19 // 2 = 9
+    assert cuts_built(monkeypatch, qsn_space(2), 10) == {1: 330, 2: 104, 4: 9, 8: 3, 9: 3}
+
+
+def test_a_meet_reported_at_the_top_cut_is_re_verified(monkeypatch):
+    # a forced meet at every stage walks qs1 root 4 to the top cut of degree
+    # 7, whose kernel vector is re-verified before witnesses are printed
+    monkeypatch.setattr(screener, "span_intersection", lambda images, squares: squares)
+    assert cuts_built(monkeypatch, QS1, 4) == {1: 26, 2: 17, 3: 17}
+    monkeypatch.setattr(screener, "is_primitive", lambda vec: False)
+    with pytest.raises(CounterexampleFound, match="failed re-verification"):
+        even_square_screen_at(QS1, 4)
 
 
 #: Prints a qs0 screen and the forced-meet witnesses above, whose terms are
@@ -422,7 +502,7 @@ def test_bound_fixtures():
     r2 = bounds_report(4, 1)
     assert (r2.printed, r2.oracle, r2.discrepancy) == (66, 82, True)
     for k in (-2, -3):
-        with pytest.raises(ValueError, match=r"^k must be >= 0, or the sentinel -1$"):
+        with pytest.raises(ValueError, match=r"^k must be >= -1$"):
             bounds_report(3, k)
 
 

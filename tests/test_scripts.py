@@ -201,7 +201,8 @@ def _snapshot_on_canned_output(snap, root, monkeypatch, git) -> tuple[list[str],
             assert kwargs["cwd"] == root
             return git()
         ran.append((argv, kwargs["cwd"]))
-        assert compiled == [root / "src"]  # compiled before the first run
+        # the package and the harness, compiled before the first run
+        assert compiled == [root / "src", root / "perfbench"]
         return SimpleNamespace(returncode=0, stdout=outputs[len(ran) - 1])
 
     monkeypatch.setattr(snap, "ROOT", root)
