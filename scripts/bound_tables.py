@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from loophomology.certify import ensure_degree_allowed
-from loophomology.errors import LoopHomologyError
+from loophomology.cli import int_at_least, run
 from loophomology.screener import (
     bounds_report,
     immersion_threshold_report,
@@ -22,22 +22,10 @@ from loophomology.screener import (
 )
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-l", type=int, default=8)
-    ap.add_argument("--max-k", type=int, default=4)
-    args = ap.parse_args()
-
+def tabulate(args: argparse.Namespace) -> int:
     # the exhaustive oracle is exponential in the level, so --max-l is held to
     # the degree budget, as in the dimension-bounds suite
-    try:
-        for flag, value in (("--max-l", args.max_l), ("--max-k", args.max_k)):
-            if value < 1:
-                raise ValueError(f"{flag} must be >= 1, got {value}")
-        ensure_degree_allowed(args.max_l)
-    except (ValueError, LoopHomologyError) as exc:
-        raise SystemExit(str(exc)) from None
-
+    ensure_degree_allowed(args.max_l)
     print("# max generator dimension (closed form vs exhaustive), base dim 1")
     for l in range(1, args.max_l + 1):
         closed = max_generator_dim(l, 1)
@@ -47,25 +35,25 @@ def main() -> int:
 
     print("\n# doubled bounds: printed form vs oracle")
     for l in range(2, args.max_l + 1):
-        r = bounds_report(l, -1)
-        mark = " discrepancy" if r.discrepancy else ""
-        print(f"s-minus-1 l={l:<3} printed={r.printed:<8} oracle={r.oracle}{mark}")
-    for l in range(2, args.max_l + 1):
-        for k in range(0, args.max_k + 1):
+        for k in range(-1, args.max_k + 1):
             r = bounds_report(l, k)
             mark = " discrepancy" if r.discrepancy else ""
-            print(f"main-1    l={l} k={k:<3} printed={r.printed:<8} oracle={r.oracle}{mark}")
+            print(f"l={l} k={k:<3} printed={r.printed:<8} oracle={r.oracle}{mark}")
 
     print("\n# immersion thresholds n_min(d, k)")
     for d in range(1, args.max_l + 1):
-        row = []
-        for k in range(1, args.max_k + 1):
-            t = immersion_threshold_report(d, k)
-            row.append(f"k={k}:{t.n_min}({t.oracle_n_min})")
-        print(f"d={d:<3} " + "  ".join(row))
+        row = (immersion_threshold_report(d, k) for k in range(1, args.max_k + 1))
+        print(f"d={d:<3} " + "  ".join(f"k={t.k}:{t.n_min}({t.oracle_n_min})" for t in row))
     print("\nparenthesized values use twice the closed-form max_generator_dim"
           " in place of the printed form")
     return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--max-l", type=int_at_least(1), default=8)
+    ap.add_argument("--max-k", type=int_at_least(1), default=4)
+    return run(tabulate, ap.parse_args())
 
 
 if __name__ == "__main__":

@@ -385,7 +385,7 @@ def _dimension_bounds_case(l: int) -> tuple[bool, int, str]:
         if rep.oracle != 2 * brute:
             return False, 0, f"l={l}, k={k}: oracle {rep.oracle} vs twice exhaustive {brute}"
         if not bound_main1(l - 1, k) < rep.printed < bound_main1(l, k + 1):
-            return False, 0, f"{rep.kind} not increasing at {l - 1},{k}"
+            return False, 0, f"l={l}, k={k}: printed bound not increasing"
     return True, 1, ""
 
 

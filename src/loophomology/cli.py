@@ -37,7 +37,7 @@ from .screener import bounds_report, immersion_threshold_report, screen_degree, 
 from .spaces import load_space
 
 
-def _int_at_least(low: int):
+def int_at_least(low: int):
     """argparse type: an integer >= low, so bad values stop before any work."""
 
     def parse(text: str) -> int:
@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     basis = sub.add_parser("basis", help="monomial basis of one degree")
     basis.add_argument("--space", required=True, help="qs0, qsn, or a JSON file path")
     basis.add_argument("--n", type=int, help="sphere dimension for --space qsn")
-    basis.add_argument("--degree", type=_int_at_least(0), required=True)
+    basis.add_argument("--degree", type=int_at_least(0), required=True)
     basis.add_argument("--charge", type=int, help="component selector (qs0 only)")
     basis.add_argument("--json", action="store_true")
     basis.set_defaults(fn=_cmd_basis)
@@ -143,8 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
     screen = sub.add_parser("screen", help="spherical-candidate screen")
     screen.add_argument("--space", required=True, help="qs0, qsn, or a JSON file path")
     screen.add_argument("--n", type=int, help="sphere dimension for --space qsn")
-    screen.add_argument("--degree", type=_int_at_least(1), required=True)
-    screen.add_argument("--loop", type=_int_at_least(1), help="loop filtration level")
+    screen.add_argument("--degree", type=int_at_least(1), required=True)
+    screen.add_argument("--loop", type=int_at_least(1), help="loop filtration level")
     screen.add_argument("--json", action="store_true")
     screen.set_defaults(fn=_cmd_screen)
 
@@ -160,9 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
     thr.set_defaults(fn=_cmd_immersion_threshold)
 
     srange = sub.add_parser("stable-range", help="d + l < 2(n + l - 1) query")
-    srange.add_argument("--d", type=_int_at_least(0), required=True)
-    srange.add_argument("--n", type=_int_at_least(1), required=True)
-    srange.add_argument("--l", type=_int_at_least(1), required=True)
+    srange.add_argument("--d", type=int_at_least(0), required=True)
+    srange.add_argument("--n", type=int_at_least(1), required=True)
+    srange.add_argument("--l", type=int_at_least(1), required=True)
     srange.set_defaults(fn=_cmd_stable_range)
 
     verify = sub.add_parser("verify", help="run certification suites")
@@ -172,15 +172,15 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES),
         help="run one suite (repeatable); default is all of them",
     )
-    verify.add_argument("--max-degree", type=_int_at_least(1), help="override the sweep cap")
+    verify.add_argument("--max-degree", type=int_at_least(1), help="override the sweep cap")
     verify.set_defaults(fn=_cmd_verify)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def run(fn, *args) -> int:
+    """Call fn(*args); map each error to its exit code and one stderr line."""
     try:
-        return args.fn(args)
+        return fn(*args)
     except (DegreeBudgetExceeded, PackedFieldOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -193,6 +193,11 @@ def main(argv: list[str] | None = None) -> int:
     except (LoopHomologyError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    return run(args.fn, args)
 
 
 if __name__ == "__main__":

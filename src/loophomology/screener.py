@@ -477,7 +477,6 @@ class BoundsReport(NamedTuple):
     """Printed closed-form bound next to its oracle, twice max_generator_dim,
     never merged."""
 
-    kind: str
     l: int
     k: int
     printed: int
@@ -490,13 +489,12 @@ class BoundsReport(NamedTuple):
 
 def bounds_report(l: int, k: int) -> BoundsReport:
     """Bound comparison for length l over the bottom cell k + 2, k >= -1;
-    k = -1 is the S^-1 member of the family, reported as "s-minus-1"."""
+    k = -1 is the S^-1 member of the family."""
     if l < 1:
         raise ValueError("need l >= 1")
     if k < -1:
         raise ValueError("k must be >= -1")
-    kind = "s-minus-1" if k == -1 else "main-1"
-    return BoundsReport(kind, l, k, bound_main1(l, k), oracle_main1(l, k))
+    return BoundsReport(l, k, bound_main1(l, k), oracle_main1(l, k))
 
 
 class ThresholdReport(NamedTuple):
@@ -506,7 +504,6 @@ class ThresholdReport(NamedTuple):
     n_min: int
     oracle_bound: int
     oracle_n_min: int
-    bound_kind: str
 
     @property
     def discrepancy(self) -> bool:
@@ -525,7 +522,7 @@ def immersion_threshold_report(d: int, k: int) -> ThresholdReport:
         raise ValueError("need d >= 1 and k >= 1")
     rep = bounds_report(d, k - 2)
     return ThresholdReport(
-        d, k, rep.printed, rep.printed - k + 1, rep.oracle, rep.oracle - k + 1, rep.kind
+        d, k, rep.printed, rep.printed - k + 1, rep.oracle, rep.oracle - k + 1
     )
 
 

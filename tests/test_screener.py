@@ -435,8 +435,13 @@ def test_even_square_screen_guards():
 
 @pytest.mark.parametrize("degree", (0, -2))
 def test_even_square_screen_refuses_a_root_below_one(monkeypatch, degree):
-    # refused before any work: qs0 would raise UnsupportedOperand
-    monkeypatch.setattr(screener, "primitive_annihilated_basis", None)
+    # refused before any work: qs0 would raise UnsupportedOperand, and either
+    # route's first step fails the test
+    def unreachable(*args, **kwargs):
+        pytest.fail("the screen did work on a root below one")
+
+    monkeypatch.setattr(screener, "_pri_ann_stages", unreachable)
+    monkeypatch.setattr(screener, "primitive_space", unreachable)
     for space in (QS1, qs0_space()):
         with pytest.raises(ValueError, match="positive even root dimensions"):
             even_square_screen_at(space, degree)
@@ -490,7 +495,7 @@ def test_the_s_minus1_member_is_k_minus_1_of_the_main_family():
     for l in range(1, 65):
         assert bound_main1(l, -1) == _s_minus1_bound(l)
         assert oracle_main1(l, -1) == _s_minus1_oracle(l)
-        expected = ("s-minus-1", l, -1, _s_minus1_bound(l), _s_minus1_oracle(l))
+        expected = (l, -1, _s_minus1_bound(l), _s_minus1_oracle(l))
         assert bounds_report(l, -1) == expected
 
 
@@ -518,27 +523,27 @@ def test_immersion_thresholds():
     assert immersion_threshold_report(1, 1).n_min == 3
     assert immersion_threshold_report(3, 2).n_min == 21
     t = immersion_threshold_report(1, 1)
-    assert t.bound_kind == "s-minus-1" and t.bound == 3 and t.n_min == 3
+    assert t.bound == 3 and t.n_min == 3
     assert t.oracle_n_min == 2 and t.discrepancy
     t2 = immersion_threshold_report(3, 2)
-    assert t2.bound_kind == "main-1" and t2.n_min == 21 and t2.oracle_n_min == 25
+    assert t2.n_min == 21 and t2.oracle_n_min == 25
 
 
 def _threshold_oracle(d, k):
     """The (d, k) dispatch written out: k = 1 the S^-1 member's own closed
     form, k >= 2 the main bound with offset k - 2, threshold bound - k + 1."""
     if k == 1:
-        bound, oracle, kind = _s_minus1_bound(d), _s_minus1_oracle(d), "s-minus-1"
+        bound, oracle = _s_minus1_bound(d), _s_minus1_oracle(d)
     else:
-        bound, oracle, kind = bound_main1(d, k - 2), oracle_main1(d, k - 2), "main-1"
-    return bound, bound - k + 1, oracle, oracle - k + 1, kind
+        bound, oracle = bound_main1(d, k - 2), oracle_main1(d, k - 2)
+    return bound, bound - k + 1, oracle, oracle - k + 1
 
 
 def test_immersion_thresholds_match_the_dispatch_oracle():
     for d in range(1, 17):
         for k in range(1, 7):
             t = immersion_threshold_report(d, k)
-            got = (t.bound, t.n_min, t.oracle_bound, t.oracle_n_min, t.bound_kind)
+            got = (t.bound, t.n_min, t.oracle_bound, t.oracle_n_min)
             assert (t.d, t.k) == (d, k) and got == _threshold_oracle(d, k)
     for d, k in [(0, 1), (1, 0), (-1, 2)]:
         with pytest.raises(ValueError, match="need d >= 1 and k >= 1"):

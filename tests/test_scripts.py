@@ -1,7 +1,9 @@
-"""Smoke tests of the scripts under scripts/, each run as a subprocess."""
+"""Smoke tests of the scripts under scripts/, each run as a subprocess, and
+of their exit codes, which follow the CLI's table through cli.run."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+
+from loophomology.errors import CounterexampleFound, PackedFieldOverflow
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,9 +29,15 @@ def run_script(name: str, *argv: str, **env: str) -> subprocess.CompletedProcess
     )
 
 
-def assert_one_line_error(proc: subprocess.CompletedProcess) -> None:
-    assert proc.returncode != 0 and proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+def assert_one_line_error(proc: subprocess.CompletedProcess, code: int) -> None:
+    assert proc.returncode == code and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def assert_usage_error(proc: subprocess.CompletedProcess, message: str) -> None:
+    """argparse refused a flag value: exit 2 and its usage line, before any work."""
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: ") and proc.stderr.endswith(f"error: {message}\n")
 
 
 def test_screen_space_sweeps_the_degrees():
@@ -41,14 +51,13 @@ def test_screen_space_rejects_a_scope_that_checks_nothing(flag):
     proc = run_script(
         "screen_space.py", "--space", "qsn", "--n", "1", "--max-degree", "3", flag, "0"
     )
-    assert_one_line_error(proc)
-    assert "must be >= 1, got 0" in proc.stderr
+    assert_usage_error(proc, f"argument {flag}: must be >= 1, got 0")
 
 
 def test_screen_space_refuses_an_n_outside_qsn():
     proc = run_script("screen_space.py", "--space", "qs0", "--n", "3", "--max-degree", "3")
-    assert_one_line_error(proc)
-    assert proc.returncode == 1 and "--n selects the sphere of --space qsn" in proc.stderr
+    assert_one_line_error(proc, 2)
+    assert "--n selects the sphere of --space qsn" in proc.stderr
 
 
 def test_screen_space_stays_inside_the_degree_budget():
@@ -56,8 +65,8 @@ def test_screen_space_stays_inside_the_degree_budget():
         "screen_space.py", "--space", "qsn", "--n", "1", "--max-degree", "5",
         LOOPHOMOLOGY_MAX_DEGREE="4",
     )
-    assert_one_line_error(proc)
-    assert "budget" in proc.stderr
+    assert_one_line_error(proc, 4)
+    assert "degree 5 exceeds the budget of 4" in proc.stderr
 
 
 def test_screen_space_sweeps_past_the_exponent_byte():
@@ -80,7 +89,7 @@ def test_run_certification_checks_every_cap_before_any_suite():
         "run_certification.py", "--suite", "kernel-of-r", "--suite", "even-squares",
         LOOPHOMOLOGY_MAX_DEGREE="16",
     )
-    assert_one_line_error(proc)
+    assert_one_line_error(proc, 4)
     assert "degree 20 exceeds the budget of 16" in proc.stderr
 
 
@@ -89,7 +98,7 @@ def test_run_certification_rejects_an_empty_scope():
         "run_certification.py", "--suite", "kernel-of-r", "--suite", "wellington",
         "--max-degree", "0",
     )
-    assert_one_line_error(proc)
+    assert_usage_error(proc, "argument --max-degree: must be >= 1, got 0")
 
 
 def test_run_certification_refuses_an_empty_suite_scope_before_any_suite():
@@ -98,8 +107,14 @@ def test_run_certification_refuses_an_empty_suite_scope_before_any_suite():
         "run_certification.py", "--suite", "kernel-of-r", "--suite", "dimension-bounds",
         "--max-degree", "1",
     )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == "dimension-bounds scope is empty: max degree 1 is below 2\n"
+    assert_one_line_error(proc, 2)
+    assert proc.stderr == "error: dimension-bounds scope is empty: max degree 1 is below 2\n"
+
+
+def test_run_certification_refuses_a_scope_that_checks_nothing():
+    # even-squares checks its first root, 2, at max degree 4
+    proc = run_script("run_certification.py", "--suite", "even-squares", "--max-degree", "3")
+    assert_one_line_error(proc, 2)
 
 
 def test_run_certification_passes_a_cheap_suite():
@@ -124,6 +139,9 @@ def test_bound_tables_prints_its_three_tables():
         "# immersion thresholds n_min(d, k)",
     ]
     assert "discrepancy" in proc.stdout
+    # one family: each level's rows run over k = -1..--max-k, with no label
+    rows = [line.split()[:2] for line in proc.stdout.splitlines() if " printed=" in line]
+    assert rows == [[f"l={l}", f"k={k}"] for l in (2, 3) for k in (-1, 0, 1)]
     assert proc.stdout.splitlines()[-1] == (
         "parenthesized values use twice the closed-form max_generator_dim"
         " in place of the printed form")
@@ -132,28 +150,73 @@ def test_bound_tables_prints_its_three_tables():
 @pytest.mark.parametrize("flag", ["--max-l", "--max-k"])
 def test_bound_tables_rejects_a_table_that_lists_nothing(flag):
     proc = run_script("bound_tables.py", flag, "0")
-    assert_one_line_error(proc)
-    assert proc.returncode == 1 and f"{flag} must be >= 1, got 0" in proc.stderr
+    assert_usage_error(proc, f"argument {flag}: must be >= 1, got 0")
 
 
 def test_bound_tables_stays_inside_the_degree_budget():
     # the exhaustive oracle is exponential in the level
     proc = run_script("bound_tables.py", "--max-l", "5", LOOPHOMOLOGY_MAX_DEGREE="4")
-    assert_one_line_error(proc)
-    assert proc.returncode == 1 and "degree 5 exceeds the budget of 4" in proc.stderr
+    assert_one_line_error(proc, 4)
+    assert "degree 5 exceeds the budget of 4" in proc.stderr
 
 
-def _bench_snapshot():
-    spec = importlib.util.spec_from_file_location(
-        "bench_snapshot", ROOT / "scripts" / "bench_snapshot.py")
+def _load_script(stem: str):
+    spec = importlib.util.spec_from_file_location(stem, ROOT / "scripts" / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+#: each script that exits through cli.run, with flags that pass argparse and
+#: the engine call its body makes first
+FRONT_ENDS = {
+    "screen_space": (["--space", "qsn", "--n", "1", "--max-degree", "2"], "load_space"),
+    "bound_tables": (["--max-l", "2", "--max-k", "1"], "ensure_degree_allowed"),
+    "run_certification": (["--suite", "sum-identity"], "check_scope"),
+}
+
+
+@pytest.mark.parametrize("raised, code, stderr", [
+    (MemoryError(), 4, "error: out of memory\n"),
+    (PackedFieldOverflow("exponent 128 past its byte"), 4, "error: exponent 128 past its byte\n"),
+    (CounterexampleFound("witness x_1"), 3, "counterexample: witness x_1\n"),
+], ids=["memory", "packed-field", "counterexample"])
+@pytest.mark.parametrize("stem", sorted(FRONT_ENDS))
+def test_every_script_maps_an_engine_error_to_its_exit_code(
+    stem, raised, code, stderr, monkeypatch, capsys
+):
+    script = _load_script(stem)
+    argv, first_call = FRONT_ENDS[stem]
+
+    def fail(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(script, first_call, fail)
+    monkeypatch.setattr(sys, "argv", [f"{stem}.py", *argv])
+    assert script.main() == code
+    assert capsys.readouterr() == ("", stderr)
+
+
+@pytest.mark.parametrize("stem", sorted(FRONT_ENDS))
+def test_every_script_leaves_its_exit_codes_to_cli_run(stem):
+    # the policy is written once, in cli.run: a script that catches an error
+    # or exits on its own would keep a second copy of it
+    tree = ast.parse((ROOT / "scripts" / f"{stem}.py").read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    assert not [n for n in nodes if isinstance(n, ast.Try)]
+    assert "SystemExit" not in {n.id for n in nodes if isinstance(n, ast.Name)}
+    assert "SystemExit" not in {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    assert any(isinstance(n, ast.ImportFrom) and n.module == "loophomology.cli"
+               and "run" in {a.name for a in n.names} for n in nodes)
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    last = main.body[-1]
+    assert isinstance(last, ast.Return) and isinstance(last.value, ast.Call)
+    assert isinstance(last.value.func, ast.Name) and last.value.func.id == "run"
+
+
 @pytest.mark.parametrize("argv", [[], ["--pr", "0"], ["--pr", "x"], ["--pr", "1", "--seconds", "3"]])
 def test_bench_snapshot_checks_its_arguments_before_any_run(argv, monkeypatch, capsys):
-    snap = _bench_snapshot()
+    snap = _load_script("bench_snapshot")
     ran = []
     monkeypatch.setattr(snap, "compileall", SimpleNamespace(compile_dir=ran.append))
     monkeypatch.setattr(snap, "subprocess", SimpleNamespace(run=ran.append))
@@ -214,7 +277,7 @@ def _snapshot_on_canned_output(snap, root, monkeypatch, git) -> tuple[list[str],
 
 
 def test_bench_snapshot_writes_what_the_harness_printed(tmp_path, monkeypatch, capsys):
-    snap = _bench_snapshot()
+    snap = _load_script("bench_snapshot")
     outputs, ran = _snapshot_on_canned_output(snap, tmp_path, monkeypatch, _git_status(""))
     assert capsys.readouterr().out == "BENCH_33.json\n"
     assert ran == [([sys.executable, *command[1:]], tmp_path) for command in snap.COMMANDS]
@@ -250,6 +313,6 @@ def test_bench_snapshot_writes_what_the_harness_printed(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("git", [_git_status("", returncode=128), _no_git],
                          ids=["not-a-checkout", "no-git"])
 def test_bench_snapshot_writes_null_where_git_cannot_say(git, tmp_path, monkeypatch):
-    _snapshot_on_canned_output(_bench_snapshot(), tmp_path, monkeypatch, git)
+    _snapshot_on_canned_output(_load_script("bench_snapshot"), tmp_path, monkeypatch, git)
     content = json.loads((tmp_path / "BENCH_33.json").read_text(encoding="utf-8"))
     assert content["src_status"] is None
