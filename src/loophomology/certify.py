@@ -182,7 +182,7 @@ def _primitive_basis_case(degree: int) -> tuple[bool, int, str]:
         tail = make_primitive_pI(seq.entries[cut:])
         family.append(apply_Q_iterated(UpperSeq(seq.entries[:cut]), tail.value))
 
-    prim = primitive_space(space, degree, 0)
+    prim = primitive_space(space, degree)
     masks, _ = masks_for_term_sets([e.terms for e in family] + [p.terms for p in prim])
     fam_rank = rank(masks[: len(family)])
     if fam_rank != len(family):

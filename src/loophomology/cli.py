@@ -23,6 +23,7 @@ rejected rather than ignored.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .certify import SUITES, ensure_degree_allowed, run_suites
@@ -180,7 +181,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(fn, *args) -> int:
     """Call fn(*args); map each error to its exit code and one stderr line."""
     try:
-        return fn(*args)
+        code = fn(*args)
+        sys.stdout.flush()  # so a reader that has gone is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the rest of the output goes to devnull, so the flush at exit cannot
+        # raise again; a reader that stops early is not an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (DegreeBudgetExceeded, PackedFieldOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

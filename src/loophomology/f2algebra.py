@@ -41,7 +41,7 @@ from .seqcore import (
     excess,
     upper,
 )
-from .spaces import MODEL_QS0, SpaceDesc
+from .spaces import SpaceDesc
 
 
 class Generator(Applied):
@@ -267,7 +267,7 @@ def element_of(space: SpaceDesc, *monomials: Monomial) -> Element:
 
 
 def _check_monomial(space: SpaceDesc, m: Monomial) -> None:
-    if m.translation and space.model != MODEL_QS0:
+    if m.translation and not space.has_charge():
         raise SpaceMismatch(f"{space.label} has no translation classes")
     bases = set(space.base_classes())
     for g, _ in m.factors:
@@ -853,10 +853,6 @@ def _picked(mask: int, items: list) -> frozenset:
     return frozenset(out)
 
 
-def element_from_mask(space: SpaceDesc, mask: int, ordered_basis: list[Monomial]) -> Element:
-    return Element(space, _picked(mask, ordered_basis))
-
-
 def _element_from_codes(space: SpaceDesc, mask: int, codes: list[int]) -> Element:
-    """element_from_mask over packed codes: only the picked codes are decoded."""
+    """The element of the codes picked by mask: only those codes are decoded."""
     return Element(space, _packing(space).decode_set(_picked(mask, codes)))

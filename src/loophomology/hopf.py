@@ -19,8 +19,8 @@ there is a unique primitive
     p_I = Q^I[1] * [-2^len(I)] + (decomposable correction),
 
 and applying Q-operations to the p_I spans all primitives in odd degrees.
-primitive_decomposition expresses an element in that shape and isolates the
-residual that the spherical-class screening inspects.
+primitive_decomposition expresses an element in that shape, up to a residual
+that is zero in odd degrees and a square in even ones.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .f2algebra import (
     Packing,
     Pair,
     TensorElement,
-    _base_translation,
     _basis_codes,
     _degree,
     _element_from_codes,
@@ -65,14 +64,14 @@ from .f2algebra import (
 )
 from .linalg_f2 import Pivots, _eliminate, _solve, kernel_of_images
 from .seqcore import UpperSeq, excess, is_admissible, upper
-from .spaces import MODEL_QS0, SpaceDesc, qs0_space
+from .spaces import SpaceDesc, qs0_space
 
 @lru_cache(maxsize=None)
 def _psi_monomial(p: Packing, m: int, k: int) -> frozenset[Pair]:
     """The terms x (x) y of psi(m) with |x| <= k; k >= |m| gives all of psi(m).
 
     Cached for the process.  Through _psi a whole coproduct is one entry;
-    the sieve of screener._pri_ann_kernel keeps its cuts below a factor's
+    the sieve of screener._pri_ann_stages keeps its cuts below a factor's
     degree in a memo of one stage instead.
     """
     return _psi_terms(p, m, k, None)
@@ -149,22 +148,10 @@ def coproduct(e: Element) -> TensorElement:
     return p.tensor(p.linear(partial(_psi, p), e.terms))
 
 
-def counit(m: Monomial) -> int:
-    return 1 if m.dimension == 0 else 0
-
-
-def _check_primitive_context(e: Element) -> None:
-    if e.space.model == MODEL_QS0:
-        c = e.charge
-        if c not in (0, None):
-            raise ChargeNonzero(
-                f"primitives live on the charge-zero component, got charge {c}"
-            )
-
-
 def reduced_coproduct(e: Element) -> TensorElement:
     """psi(e) + e (x) 1 + 1 (x) e, for homogeneous e of positive dimension."""
-    _check_primitive_context(e)
+    if e.space.has_charge() and e.charge not in (0, None):
+        raise ChargeNonzero(f"primitives live on the charge-zero component, got charge {e.charge}")
     d = e.dimension
     if d is not None and d <= 0:
         raise UnsupportedOperand("reduced coproduct needs positive dimension")
@@ -183,7 +170,7 @@ def _reduced_psi_rows(space: SpaceDesc, degree: int) -> tuple[list[int], list[in
 
     One matrix per degree: primitive_space takes its kernel, and every p_I of
     the degree reads its target and its correction columns from it.  Full
-    rows, not the cut-by-cut sieve of screener._pri_ann_kernel: the targets
+    rows, not the cut-by-cut sieve of screener._pri_ann_stages: the targets
     need whole rows, and staging the cuts made `verify --suite
     primitive-basis --max-degree 10` 1.5-2x slower.  The rows stream through
     masks_for_term_sets, each masked as soon as its reduced psi is made, so
@@ -195,10 +182,9 @@ def _reduced_psi_rows(space: SpaceDesc, degree: int) -> tuple[list[int], list[in
     return codes, masks_for_term_sets(_reduced_psi(p, c) for c in codes)[0]
 
 
-def primitive_space(space: SpaceDesc, degree: int, charge: int | None = None) -> list[Element]:
-    """Basis (as elements) of the primitives in one degree."""
-    if _base_translation(space, charge):  # raises on a charge for a one-component space
-        raise ChargeNonzero("primitives live on the charge-zero component")
+def primitive_space(space: SpaceDesc, degree: int) -> list[Element]:
+    """Basis (as elements) of the primitives in one degree, charge zero on
+    the unit-loop model."""
     codes, masks = _reduced_psi_rows(space, degree)
     return [_element_from_codes(space, combo, codes) for combo in kernel_of_images(masks)]
 
@@ -214,7 +200,7 @@ def square_root_r(e: Element) -> Element:
     otherwise each Q^I becomes Q^(I/2), with exponents and the translation
     left alone.  Group-likes [k] are fixed.
     """
-    if e.space.model != MODEL_QS0:
+    if not e.space.has_charge():
         raise UnsupportedOperand("the halving map is defined on the unit-loop model")
     out: set[Monomial] = set()
     for m in e.terms:
@@ -393,7 +379,7 @@ def primitive_decomposition(e: Element) -> PrimitiveDecomposition:
     residual is zero in odd degrees and a square of a primitive in even ones;
     the caller can take residual_root() and recurse.
     """
-    if e.space.model != MODEL_QS0:
+    if not e.space.has_charge():
         raise UnsupportedOperand("decomposition is defined on the unit-loop model")
     if not is_primitive(e):
         raise NotPrimitive("decomposition over the p_I family needs a primitive input")

@@ -30,7 +30,6 @@ from .f2algebra import (
     _packing,
     _picked,
     _square_set,
-    element_from_mask,
     generator_monomial,
     masks_for_term_sets,
     single_generators,
@@ -39,7 +38,7 @@ from .f2algebra import (
 from .hopf import _reduced_psi, is_primitive, primitive_space
 from .linalg_f2 import echelon, kernel_of_images, span_intersection
 from .seqcore import Applied, UpperSeq, all_entries_odd, enumerate_admissible, excess
-from .spaces import MODEL_QS0, SpaceDesc
+from .spaces import SpaceDesc
 from .steenrod import _sq_monomial, _sq_total, is_A_annihilated, sq_lower
 from .suspension import _suspend_codes, within_loop_filtration
 
@@ -80,7 +79,7 @@ class MInfinityModule:
     """
 
     def __init__(self, space: SpaceDesc) -> None:
-        if space.model == MODEL_QS0:
+        if space.has_charge():
             raise UnsupportedOperand("the extended module needs a positive-dimension base")
         self.space = space
         self.packing = _packing(space)
@@ -225,14 +224,6 @@ def _pri_ann_kernel(space: SpaceDesc, degree: int, codes: list[int]) -> list[Ele
     return _verified(space, codes, kernel)
 
 
-def primitive_annihilated_basis(space: SpaceDesc, degree: int) -> list[Element]:
-    """Basis of the primitive A-annihilated subspace in one degree.
-
-    Charge zero on the unit-loop model.
-    """
-    return _pri_ann_kernel(space, degree, _basis_codes(space, degree))
-
-
 def generator_span(
     space: SpaceDesc, degree: int, loop: int | None = None
 ) -> list[Monomial]:
@@ -375,7 +366,7 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
     """
     if degree <= 0 or degree % 2:
         raise ValueError("the square screen runs in positive even root dimensions")
-    if space.model == MODEL_QS0:
+    if space.has_charge():
         raise UnsupportedOperand("run the square screen on a delooping, not qs0")
     pred = space.predecessor()
 
@@ -399,7 +390,7 @@ def even_square_screen_at(space: SpaceDesc, degree: int) -> EvenSquareDegree:
         vectors = [p.decode_set(_picked(v, ordered)) for v in meet]
         canon = sorted(set().union(*vectors))
         _, *canon_masks = masks_for_term_sets([canon, *vectors])[0]
-        witnesses = tuple(str(element_from_mask(space, v, canon)) for v in echelon(canon_masks))
+        witnesses = tuple(str(Element(space, _picked(v, canon))) for v in echelon(canon_masks))
 
     entries: list[MechanismEntry] = []
     for root in primitive_space(space, degree):

@@ -10,10 +10,11 @@ enumerate_admissible below the base dimension is swept in test_seqcore.
 from __future__ import annotations
 
 import pytest
+from test_kernel_rows import primitive_annihilated_basis
 
 from loophomology.f2algebra import _basis_codes, basis_enumerate, zero
 from loophomology.hopf import is_primitive, kernel_of_r, primitive_space
-from loophomology.screener import MInfinityModule, _pri_ann_kernel, primitive_annihilated_basis
+from loophomology.screener import MInfinityModule, _pri_ann_kernel
 from loophomology.spaces import MODEL_QS0, qs0_space, qsn_space, two_cell_space
 from loophomology.suspension import _suspension_kernel, suspension_kernel_basis
 

@@ -15,10 +15,10 @@ from loophomology.f2algebra import (
     Monomial,
     basis_enumerate,
     base_element,
-    element_from_mask,
     element_of,
     masks_for_term_sets,
     TensorElement,
+    _picked,
     one,
     translation_class,
 )
@@ -95,22 +95,13 @@ def test_primitive_space_fixtures():
     assert p1 == X1
     (p3,) = primitive_space(QS1, 3)
     assert p3 == apply_Q(2, X1)
-    assert len(primitive_space(QS0, 3, 0)) == 2
-    with pytest.raises(ChargeNonzero):
-        primitive_space(QS0, 3, charge=2)
-
-
-def test_primitive_space_refuses_a_charge_it_cannot_take():
-    with pytest.raises(ChargeNonzero):
-        primitive_space(QS0, 9, 2)
-    with pytest.raises(ValueError, match="single component"):
-        primitive_space(QS1, 3, 0)
+    assert len(primitive_space(QS0, 3)) == 2
 
 
 def test_one_reduced_psi_matrix_per_degree():
-    # charge None and charge 0 name one basis of qs0
     hopf._reduced_psi_rows.cache_clear()
-    assert primitive_space(QS0, 9) == primitive_space(QS0, 9, 0)
+    primitive_space(QS0, 9)
+    primitive_space(QS0, 9)
     assert hopf._reduced_psi_rows.cache_info().misses == 1
 
 
@@ -202,7 +193,7 @@ def test_decomposition_identity_case():
 def test_decomposition_split_case():
     # the degree-7 primitive headed by Q^(4,3)[1]*[-4] splits off Q^(4) p_(3)
     head = next(m for m in basis_enumerate(QS0, 7, 0) if str(m) == "Q^(4,3)[1] * [-4]")
-    e = next(p for p in primitive_space(QS0, 7, 0) if head in p.terms)
+    e = next(p for p in primitive_space(QS0, 7) if head in p.terms)
     dec = primitive_decomposition(e)
     assert dec.check() and dec.residual.is_zero
     (t,) = dec.terms
@@ -232,7 +223,7 @@ def test_decomposition_guards():
 
 @pytest.mark.parametrize("degree", range(1, 12))
 def test_decomposition_residuals(degree):
-    for p in primitive_space(QS0, degree, 0):
+    for p in primitive_space(QS0, degree):
         dec = primitive_decomposition(p)
         assert dec.check()
         for t in dec.terms:
@@ -254,7 +245,7 @@ def test_decomposable_primitives_are_squares(degree):
     pm, dm = masks[: len(prims)], masks[len(prims):]
     found = 0
     for v in span_intersection(pm, dm):
-        e = element_from_mask(QS1, v, ordered)
+        e = Element(QS1, _picked(v, ordered))
         assert e.is_square()
         root = e.sqrt()
         assert is_primitive(root)

@@ -37,13 +37,12 @@ from loophomology.f2algebra import (
     _slots,
     _square_set,
     basis_enumerate,
-    element_from_mask,
     generator_monomial,
     masks_for_term_sets,
 )
 from loophomology.hopf import _psi_monomial, _reduced_psi, coproduct, is_primitive
 from loophomology.linalg_f2 import kernel_of_images, span_intersection
-from loophomology.screener import _pri_ann_kernel, generator_span, primitive_annihilated_basis
+from loophomology.screener import _pri_ann_kernel, generator_span
 from loophomology.seqcore import upper
 from loophomology.spaces import (
     qs0_space,
@@ -99,6 +98,13 @@ def assert_masks_match_sum_masks(term_sets: list) -> None:
     assert masks == sum_masks(term_sets, columns)
 
 
+def primitive_annihilated_basis(space, degree):
+    """The kernel route's oracle: the primitive A-annihilated subspace of one
+    degree, charge zero on the unit-loop model, from the sieve over the whole
+    basis."""
+    return _pri_ann_kernel(space, degree, _basis_codes(space, degree))
+
+
 def full_row_kernel(space, degree, basis):
     """The kernel from every row: all Sq^r_*, the whole reduced coproduct."""
     if not basis:
@@ -110,7 +116,7 @@ def full_row_kernel(space, degree, basis):
         term_sets.append(_reduced_psi(p, m) | sq_tags)
     columns = sorted(set().union(*term_sets))
     return [
-        element_from_mask(space, c, basis)
+        Element(space, _picked(c, basis))
         for c in kernel_of_images(sum_masks(term_sets, columns))
     ]
 

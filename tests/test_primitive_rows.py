@@ -84,7 +84,7 @@ def test_streamed_rows_give_what_sorted_columns_give(space, charge, degree):
     ordered = sum_masks(rows, sorted(set().union(*rows)))
     kernel = kernel_of_images(ordered)
     assert kernel_of_images(masks) == kernel
-    assert primitive_space(space, degree, charge) == [
+    assert primitive_space(space, degree) == [
         _element_from_codes(space, combo, codes) for combo in kernel
     ]
     if space != QS0:

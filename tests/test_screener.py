@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_kernel_rows import primitive_annihilated_basis
 from test_steenrod import _workload_descriptions
 
 from loophomology import screener
@@ -42,7 +43,6 @@ from loophomology.screener import (
     max_generator_dim,
     max_generator_dim_exhaustive,
     oracle_main1,
-    primitive_annihilated_basis,
     screen_degree,
     stable_range_check,
     sum_identity_check,

@@ -19,11 +19,14 @@ from loophomology.errors import CounterexampleFound, PackedFieldOverflow
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *argv: str, **env: str) -> subprocess.CompletedProcess:
+def run_script(
+    name: str, *argv: str, stdout=subprocess.PIPE, **env: str
+) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
     )
@@ -44,6 +47,18 @@ def test_screen_space_sweeps_the_degrees():
     proc = run_script("screen_space.py", "--space", "qsn", "--n", "1", "--max-degree", "3")
     assert proc.returncode == 0 and proc.stderr == ""
     assert [line.split()[0] for line in proc.stdout.splitlines()] == ["d=1", "d=2", "d=3"]
+
+
+def test_screen_space_exits_quietly_when_the_reader_has_gone():
+    # the reader closes the pipe before the first line, as `| head -1` does
+    # once it has its line: every write meets EPIPE, buffered or not
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "wb") as closed:
+        proc = run_script(
+            "screen_space.py", "--space", "qsn", "--n", "1", "--max-degree", "24", stdout=closed
+        )
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 @pytest.mark.parametrize("flag", ["--loop", "--max-degree"])

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 
+import loophomology
 from loophomology.errors import NoSuccessor
 from loophomology.seqcore import lucas_binom
 from loophomology.spaces import (
@@ -264,3 +267,28 @@ def test_suspended_and_desuspended_base():
     (a3, b4) = tc.base_classes()
     assert tc.desuspended_base(a3).dimension == 2
     assert tc.suspended_base(b4).dimension == 5
+
+
+#: The model tags of spaces: MODEL_QS0, MODEL_QSN, FILE_MODEL_SIGMA2, ...
+MODEL_NAME = re.compile(r"(FILE_)?MODEL_[A-Z0-9_]+")
+
+
+def test_only_spaces_reads_the_model_tag():
+    # the other modules ask SpaceDesc (has_charge, base_classes, ...), so
+    # which space is the unit-loop model is decided in one place
+    package = Path(loophomology.__file__).parent
+    readers = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "spaces.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names |= {a.name for a in node.names if MODEL_NAME.fullmatch(a.name)}
+            elif isinstance(node, ast.Attribute) and (
+                node.attr == "model" or MODEL_NAME.fullmatch(node.attr)
+            ):
+                names.add(node.attr)
+        if names:
+            readers[path.name] = sorted(names)
+    assert readers == {}

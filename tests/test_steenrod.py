@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_kernel_rows import primitive_annihilated_basis
 
 from loophomology import certify
 from loophomology.dlops import _q_monomial, apply_Q, apply_Q_iterated, lucas_binom
@@ -26,7 +27,6 @@ from loophomology.f2algebra import (
     one,
     translation_class,
 )
-from loophomology.screener import primitive_annihilated_basis
 from loophomology.seqcore import UpperSeq, upper
 from loophomology.spaces import (
     SqEntry,
