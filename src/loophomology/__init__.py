@@ -20,7 +20,6 @@ from .errors import (
     NoSuccessor,
     NonUnique,
     NotASquare,
-    NotPrimitive,
     PackedFieldOverflow,
     SpaceMismatch,
     UnsupportedOperand,
@@ -38,12 +37,10 @@ from .f2algebra import (
 )
 from .hopf import (
     PrimitiveBasisElement,
-    PrimitiveDecomposition,
     coproduct,
     is_primitive,
     kernel_of_r,
     make_primitive_pI,
-    primitive_decomposition,
     primitive_space,
     qualifies_for_primitive,
     reduced_coproduct,

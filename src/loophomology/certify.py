@@ -34,7 +34,6 @@ from .f2algebra import (
     masks_for_term_sets,
 )
 from .hopf import (
-    _odd_cut,
     _psi,
     generator_family,
     is_primitive,
@@ -166,6 +165,12 @@ def suite_kernel_of_r(cap: int):
 # ---------------------------------------------------------------------------
 # primitive-basis: the corrected classes p_I exist uniquely, their iterated
 # images are independent, and together they span the primitives.
+
+
+def _odd_cut(entries: tuple[int, ...]) -> int | None:
+    """Where I = I' I'' is cut for Q^I' p_I'': at its last odd entry, which
+    starts the tail I''; None when every entry is even."""
+    return max((i for i, v in enumerate(entries) if v % 2), default=None)
 
 
 def _primitive_basis_case(degree: int) -> tuple[bool, int, str]:

@@ -35,10 +35,6 @@ class NonUnique(LoopHomologyError):
     """A linear system that the theory predicts rigid had several solutions."""
 
 
-class NotPrimitive(LoopHomologyError):
-    """Primitive decomposition requested of a non-primitive element."""
-
-
 class NoSuccessor(LoopHomologyError):
     """Suspension requested out of a space with no defined successor."""
 

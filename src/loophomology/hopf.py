@@ -19,8 +19,6 @@ there is a unique primitive
     p_I = Q^I[1] * [-2^len(I)] + (decomposable correction),
 
 and applying Q-operations to the p_I spans all primitives in odd degrees.
-primitive_decomposition expresses an element in that shape, up to a residual
-that is zero in odd degrees and a square in even ones.
 """
 
 from __future__ import annotations
@@ -28,13 +26,12 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .dlops import _q_monomial, apply_Q_iterated
+from .dlops import _q_monomial
 from .errors import (
     ChargeNonzero,
     CounterexampleFound,
     NonUnique,
     NoSolution,
-    NotPrimitive,
     UnsupportedOperand,
 )
 from .f2algebra import (
@@ -60,7 +57,6 @@ from .f2algebra import (
     generator_monomial,
     masks_for_term_sets,
     single_generators,
-    split_decomposable,
 )
 from .linalg_f2 import Pivots, _eliminate, _solve, kernel_of_images
 from .seqcore import UpperSeq, excess, is_admissible, upper
@@ -320,83 +316,3 @@ def make_primitive_pI(entries: tuple[int, ...]) -> PrimitiveBasisElement:
     if reduced_coproduct(value):
         raise NoSolution(f"correction for p_{entries} failed the primitivity check")
     return PrimitiveBasisElement(seq, value, correction)
-
-
-# ---------------------------------------------------------------------------
-# Decomposition of charge-zero classes over the p_I family.
-
-
-def is_diff_of_powers_of_two(k: int) -> bool:
-    """k == 2^b - 2^a for some a, b >= 0 (0 counts: a == b)."""
-    if k == 0:
-        return True
-    v = abs(k)
-    # v = 2^hi - 2^lo with hi > lo iff stripping low zeros leaves all ones
-    low = (v & -v).bit_length() - 1
-    shifted = v >> low
-    return shifted & (shifted + 1) == 0
-
-
-def _odd_cut(entries: tuple[int, ...]) -> int | None:
-    """Where I = I' I'' is cut for Q^I' p_I'': at its last odd entry, which
-    starts the tail I''; None when every entry is even."""
-    return max((i for i, v in enumerate(entries) if v % 2), default=None)
-
-
-class DecompositionTerm(NamedTuple):
-    prefix: UpperSeq
-    primitive: PrimitiveBasisElement
-    translation_offset: int
-
-    def honest_value(self) -> Element:
-        return apply_Q_iterated(self.prefix, self.primitive.value)
-
-
-class PrimitiveDecomposition(NamedTuple):
-    element: Element
-    terms: tuple[DecompositionTerm, ...]
-    residual: Element
-
-    def residual_root(self) -> Element:
-        return self.residual.sqrt()
-
-    def check(self) -> bool:
-        """Recompute the defining identity element = sum(terms) + residual."""
-        acc = self.residual
-        for t in self.terms:
-            acc = acc + t.honest_value()
-        return acc == self.element
-
-
-def primitive_decomposition(e: Element) -> PrimitiveDecomposition:
-    """Split a primitive into Q^I' p_I'' contributions plus a residual.
-
-    Every single-generator monomial Q^I[1]*[-2^len(I)] whose sequence has an
-    odd entry is matched by applying the prefix before the last odd entry to
-    the primitive of the remaining tail.  The recorded translation_offset is
-    the translation mismatch against treating [k] factors as inert; it is
-    always a difference of two powers of two.  For a primitive input the
-    residual is zero in odd degrees and a square of a primitive in even ones;
-    the caller can take residual_root() and recurse.
-    """
-    if not e.space.has_charge():
-        raise UnsupportedOperand("decomposition is defined on the unit-loop model")
-    if not is_primitive(e):
-        raise NotPrimitive("decomposition over the p_I family needs a primitive input")
-    linear, _ = split_decomposable(e)
-    terms: list[DecompositionTerm] = []
-    acc = e
-    for m in sorted(linear.terms):
-        seq = m.factors[0][0].seq
-        b = _odd_cut(seq.entries)
-        if b is None:
-            continue
-        prefix, tail = UpperSeq(seq.entries[:b]), UpperSeq(seq.entries[b:])
-        p = make_primitive_pI(tail.entries)
-        k_off = -(2 ** len(seq)) + 2 ** len(tail)
-        if not is_diff_of_powers_of_two(k_off):
-            raise NonUnique(f"translation bookkeeping broke: {k_off}")
-        term = DecompositionTerm(prefix, p, k_off)
-        terms.append(term)
-        acc = acc + term.honest_value()
-    return PrimitiveDecomposition(e, tuple(terms), acc)

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import pytest
 from test_linalg_f2 import in_span
 
 from loophomology import hopf
 from loophomology.dlops import apply_Q, apply_Q_iterated
-from loophomology.errors import ChargeNonzero, NotPrimitive, UnsupportedOperand
+from loophomology.certify import _odd_cut
+from loophomology.errors import (
+    ChargeNonzero,
+    LoopHomologyError,
+    NonUnique,
+    UnsupportedOperand,
+)
 from loophomology.f2algebra import (
     Element,
     Monomial,
@@ -20,23 +27,23 @@ from loophomology.f2algebra import (
     TensorElement,
     _picked,
     one,
+    split_decomposable,
     translation_class,
 )
 from loophomology.hopf import (
+    PrimitiveBasisElement,
     coproduct,
     generator_family,
-    is_diff_of_powers_of_two,
     is_primitive,
     kernel_of_r,
     make_primitive_pI,
-    primitive_decomposition,
     primitive_space,
     qualifies_for_primitive,
     reduced_coproduct,
     square_root_r,
 )
 from loophomology.linalg_f2 import span_intersection
-from loophomology.seqcore import upper
+from loophomology.seqcore import UpperSeq, upper
 from loophomology.spaces import qs0_space, qsn_space
 
 QS0 = qs0_space()
@@ -178,6 +185,103 @@ def test_operations_preserve_primitivity():
     for a in (4, 5, 6):
         img = apply_Q(a, p3.value)
         assert img.is_zero or is_primitive(img)
+
+
+# ---------------------------------------------------------------------------
+# The decomposition of a primitive over the p_I family.  The package does not
+# split a given primitive: the primitive-basis suite certifies that the family
+# spans.  The split stays here as an oracle on the p_I.
+
+
+class NotPrimitive(LoopHomologyError):
+    """Primitive decomposition requested of a non-primitive element."""
+
+
+def is_diff_of_powers_of_two(k: int) -> bool:
+    """k == 2^b - 2^a for some a, b >= 0 (0 counts: a == b)."""
+    if k == 0:
+        return True
+    v = abs(k)
+    # v = 2^hi - 2^lo with hi > lo iff stripping low zeros leaves all ones
+    low = (v & -v).bit_length() - 1
+    shifted = v >> low
+    return shifted & (shifted + 1) == 0
+
+
+class DecompositionTerm(NamedTuple):
+    prefix: UpperSeq
+    primitive: PrimitiveBasisElement
+    translation_offset: int
+
+    def honest_value(self) -> Element:
+        return apply_Q_iterated(self.prefix, self.primitive.value)
+
+
+class PrimitiveDecomposition(NamedTuple):
+    element: Element
+    terms: tuple[DecompositionTerm, ...]
+    residual: Element
+
+    def residual_root(self) -> Element:
+        return self.residual.sqrt()
+
+    def check(self) -> bool:
+        """Recompute the defining identity element = sum(terms) + residual."""
+        acc = self.residual
+        for t in self.terms:
+            acc = acc + t.honest_value()
+        return acc == self.element
+
+
+def primitive_decomposition(e: Element) -> PrimitiveDecomposition:
+    """Split a primitive into Q^I' p_I'' contributions plus a residual.
+
+    Every single-generator monomial Q^I[1]*[-2^len(I)] whose sequence has an
+    odd entry is matched by applying the prefix before the last odd entry to
+    the primitive of the remaining tail.  The recorded translation_offset is
+    the translation mismatch against treating [k] factors as inert; it is
+    always a difference of two powers of two.  For a primitive input the
+    residual is zero in odd degrees and a square of a primitive in even ones;
+    the caller can take residual_root() and recurse.
+    """
+    if not e.space.has_charge():
+        raise UnsupportedOperand("decomposition is defined on the unit-loop model")
+    if not is_primitive(e):
+        raise NotPrimitive("decomposition over the p_I family needs a primitive input")
+    linear, _ = split_decomposable(e)
+    terms: list[DecompositionTerm] = []
+    acc = e
+    for m in sorted(linear.terms):
+        seq = m.factors[0][0].seq
+        b = _odd_cut(seq.entries)
+        if b is None:
+            continue
+        prefix, tail = UpperSeq(seq.entries[:b]), UpperSeq(seq.entries[b:])
+        p = make_primitive_pI(tail.entries)
+        k_off = -(2 ** len(seq)) + 2 ** len(tail)
+        if not is_diff_of_powers_of_two(k_off):
+            raise NonUnique(f"translation bookkeeping broke: {k_off}")
+        term = DecompositionTerm(prefix, p, k_off)
+        terms.append(term)
+        acc = acc + term.honest_value()
+    return PrimitiveDecomposition(e, tuple(terms), acc)
+
+
+@pytest.mark.parametrize("entries, cut", [
+    ((), None),
+    ((2,), None),
+    ((4, 2), None),
+    ((3,), 0),
+    ((4, 3), 1),
+    ((5, 2), 0),
+    ((3, 2, 1), 2),
+    ((7, 3, 2), 1),
+    ((6, 3, 2), 1),
+])
+def test_odd_cut_is_the_last_odd_entry(entries, cut):
+    # primitive-basis cuts each sequence of its family there: Q^I' p_I''
+    # needs I'' to have an odd head and an even tail
+    assert _odd_cut(entries) == cut
 
 
 def test_decomposition_identity_case():
